@@ -16,8 +16,7 @@ from .points import (PointSet, hilbert_function, hilbert_profile,
                      is_generic_position, is_generic_t_position, nu,
                      random_point_set)
 from .poly import (DEGREVLEX, LEX, BlockOrder, Polynomial, parse_polynomial)
-from .scalars import (QQ, FieldMismatchError, FpElement, PrimeField,
-                      roots_of_unity)
+from .scalars import QQ, FieldMismatchError, PrimeField, roots_of_unity
 from .tangent_cone import (Branch, BranchCurve, ConeProfile,
                            branch_tangent_points, cone_profile,
                            cone_profile_auto, germ_profile, lowest_form_ideal,
@@ -25,7 +24,7 @@ from .tangent_cone import (Branch, BranchCurve, ConeProfile,
 
 __all__ = [
     "__version__",
-    "QQ", "PrimeField", "FpElement", "FieldMismatchError", "roots_of_unity",
+    "QQ", "PrimeField", "FieldMismatchError", "roots_of_unity",
     "Polynomial", "parse_polynomial", "DEGREVLEX", "LEX", "BlockOrder",
     "BudgetExceededError", "StabilizationError",
     "Ideal", "buchberger", "normal_form", "spolynomial", "ideal_member",

@@ -22,7 +22,6 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import __version__
@@ -53,7 +52,6 @@ class RunConfig:
     box: object = None
     subset_budget: int = DEFAULT_SUBSET_BUDGET
     seed: int = 0
-    jobs: int = 1
     json_out: object = None
     t: object = None
     only: object = None
@@ -63,7 +61,7 @@ class RunConfig:
     max_pairs: int = groebner.DEFAULT_MAX_PAIRS
 
     def validate(self):
-        for name in ("subset_budget", "jobs", "max_basis", "max_pairs"):
+        for name in ("subset_budget", "max_basis", "max_pairs"):
             if getattr(self, name) < 1:
                 raise ValueError("%s must be positive" % name)
         for name in ("degree_bound", "box", "t"):
@@ -114,8 +112,6 @@ def build_parser():
         p.add_argument("--seed", type=int, default=0,
                        help="seed recorded in certificates and used by "
                             "randomized suites")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="run independent certificates concurrently")
         p.add_argument("--json-out", default=None,
                        help="write the certificate JSON here instead of stdout")
 
@@ -154,7 +150,6 @@ def config_from_args(args):
         box=args.box,
         subset_budget=subset,
         seed=args.seed,
-        jobs=args.jobs,
         json_out=args.json_out,
         t=getattr(args, "t", None),
         only=getattr(args, "only", None),
@@ -197,11 +192,7 @@ def _combine(codes):
 
 def run_batch(cfg, one):
     """Run `one` over every input path; print reports in input order."""
-    if cfg.jobs > 1 and len(cfg.inputs) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(one, cfg.inputs))
-    else:
-        results = [one(path) for path in cfg.inputs]
+    results = [one(path) for path in cfg.inputs]
     payloads = []
     codes = []
     for code, lines, payload in results:
@@ -390,6 +381,11 @@ def _cone_from_ideal(obj, cfg):
     if cfg.field is not None:
         obj = dict(obj, field=cfg.field)
     ideal = ideal_from_json(obj)
+    for i, g in enumerate(ideal.gens):
+        if g.low_degree() == 0:
+            raise ValueError("generator %d (%s) has a nonzero constant term: "
+                             "the ideal does not pass through the origin"
+                             % (i, g.text()))
     if cfg.degree_bound is not None:
         profile = cone_profile_auto(ideal, bound=cfg.degree_bound)
     else:
@@ -600,17 +596,11 @@ def cmd_reproduce_examples(cfg):
                          % (cfg.only, ", ".join(c[0] for c in CASES)))
     env = envelope(cfg)
 
-    def run_case(case):
-        cid, claim, fn = case
+    records = []
+    for cid, claim, fn in selected:
         computed, payload = fn(cfg)
-        return {"id": cid, "claim": claim, "computed": computed,
-                "envelope": env, "result": payload}
-
-    if cfg.jobs > 1 and len(selected) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            records = list(pool.map(run_case, selected))
-    else:
-        records = [run_case(c) for c in selected]
+        records.append({"id": cid, "claim": claim, "computed": computed,
+                        "envelope": env, "result": payload})
 
     rows = []
     divergent = []

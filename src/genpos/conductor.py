@@ -8,7 +8,7 @@ is a first-class result, not an error.
 """
 
 from dataclasses import dataclass, field as dataclass_field
-from itertools import combinations, combinations_with_replacement, product as iproduct
+from itertools import combinations, product as iproduct
 
 from .errors import StabilizationError
 from .groebner import (Ideal, ideal_equal, ideal_intersect, ideal_member,
@@ -359,7 +359,7 @@ def arrangement_strata(forms):
     return strata
 
 
-def arrangement_certificate(forms, order_budget=None):
+def arrangement_certificate(forms):
     """Check conductor = intersection of stratum primes to the power e_k - 1.
 
     Each stratum is a codimension-one prime of the hypersurface union; its

@@ -35,9 +35,9 @@ def fifth_roots():
     """The five fifth roots of unity mod 11, in generator-power order."""
     field = unity_field()
     roots = roots_of_unity(field, ROOT_ORDER)
-    gen = next(r for r in roots if all(r ** k != field.one
+    gen = next(r for r in roots if all(field(r ** k) != field.one
                                        for k in range(1, ROOT_ORDER)))
-    return tuple(gen ** k for k in range(ROOT_ORDER))
+    return tuple(field(gen ** k) for k in range(ROOT_ORDER))
 
 
 def germ_components(field=None):
@@ -142,10 +142,6 @@ def monomial_model(n):
         "box": 4 * n,
         "candidate": [[j, n - 1] for j in range(n)],
     }
-
-
-def semigroup_models():
-    return ([2, 5], [2, 3], [3, 4, 5])
 
 
 def _conductor_points_payload(X):

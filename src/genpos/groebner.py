@@ -21,9 +21,9 @@ def spolynomial(f, g, order):
     lmf, lmg = f.leading_monomial(order), g.leading_monomial(order)
     l = mono_lcm(lmf, lmg)
     mf = Polynomial.monomial(mono_div(l, lmf), f.nvars, f.field,
-                             f.field.one / f.leading_coefficient(order))
+                             f.field.inv(f.leading_coefficient(order)))
     mg = Polynomial.monomial(mono_div(l, lmg), g.nvars, g.field,
-                             g.field.one / g.leading_coefficient(order))
+                             g.field.inv(g.leading_coefficient(order)))
     return mf * f - mg * g
 
 
@@ -40,15 +40,15 @@ def normal_form(f, basis, order):
         lc = work[lm]
         for lmg, g in lm_basis:
             if mono_divides(lmg, lm):
-                factor = lc / g.leading_coefficient(order)
+                factor = field(lc * field.inv(g.leading_coefficient(order)))
                 shift = mono_div(lm, lmg)
                 for m, c in g.terms.items():
                     mm = mono_mul(m, shift)
-                    s = work.get(mm, field.zero) - factor * c
-                    if s == field.zero:
-                        work.pop(mm, None)
-                    else:
+                    s = field(work.get(mm, 0) - factor * c)
+                    if s:
                         work[mm] = s
+                    else:
+                        work.pop(mm, None)
                 break
         else:
             remainder[lm] = lc
@@ -211,7 +211,8 @@ def divide_exact(f, g, order=DEGREVLEX):
         if not mono_divides(lmg, lm):
             raise ValueError("division is not exact")
         t = Polynomial.monomial(mono_div(lm, lmg), f.nvars, f.field,
-                                r.leading_coefficient(order) / g.leading_coefficient(order))
+                                r.leading_coefficient(order)
+                                * f.field.inv(g.leading_coefficient(order)))
         q = q + t
         r = r - t * g
     return q

@@ -13,24 +13,23 @@ from math import gcd
 
 def rref(rows, field):
     """Reduced row echelon form. Returns (new_rows, pivot_columns)."""
-    rows = [list(r) for r in rows]
+    rows = [[field(v) for v in r] for r in rows]
     if not rows:
         return rows, []
     ncols = len(rows[0])
-    zero, one = field.zero, field.one
     pivots = []
     r = 0
     for col in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][col] != zero), None)
+        pr = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = one / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
+        inv = field.inv(rows[r][col])
+        rows[r] = [field(v * inv) for v in rows[r]]
         for i in range(len(rows)):
-            if i != r and rows[i][col] != zero:
+            if i != r and rows[i][col]:
                 f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [field(a - f * b) for a, b in zip(rows[i], rows[r])]
         pivots.append(col)
         r += 1
         if r == len(rows):
@@ -56,7 +55,7 @@ def nullspace_vector(rows, ncols, field):
     v = [field.zero] * ncols
     v[j0] = field.one
     for row, pc in zip(red, pivots):
-        v[pc] = -row[j0]
+        v[pc] = field(-row[j0])
     return v
 
 
@@ -78,8 +77,8 @@ class SparseEchelon:
 
     def reduce(self, vec):
         """Residue of vec against the current echelon (vec is not mutated)."""
-        zero = self.field.zero
-        vec = {c: v for c, v in vec.items() if v != zero}
+        field = self.field
+        vec = {c: r for c, v in vec.items() if (r := field(v))}
         while vec:
             lead = min(vec)
             prow = self.pivots.get(lead)
@@ -87,11 +86,11 @@ class SparseEchelon:
                 return vec
             f = vec[lead]
             for c, v in prow.items():
-                s = vec.get(c, zero) - f * v
-                if s == zero:
-                    vec.pop(c, None)
-                else:
+                s = field(vec.get(c, 0) - f * v)
+                if s:
                     vec[c] = s
+                else:
+                    vec.pop(c, None)
         return vec
 
     def insert(self, vec):
@@ -100,8 +99,8 @@ class SparseEchelon:
         if not res:
             return False
         lead = min(res)
-        inv = self.field.one / res[lead]
-        self.pivots[lead] = {c: v * inv for c, v in res.items()}
+        inv = self.field.inv(res[lead])
+        self.pivots[lead] = {c: self.field(v * inv) for c, v in res.items()}
         return True
 
     def contains(self, vec):

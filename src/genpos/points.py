@@ -35,11 +35,11 @@ def nu(e, r):
 
 def normalize_point(coords, field):
     coords = [field(c) for c in coords]
-    lead = next((c for c in coords if c != field.zero), None)
+    lead = next((c for c in coords if c), None)
     if lead is None:
         raise ValueError("projective point with all coordinates zero")
-    inv = field.one / lead
-    return tuple(c * inv for c in coords)
+    inv = field.inv(lead)
+    return tuple(field(c * inv) for c in coords)
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def evaluation_matrix(X, n):
             for x, exp in zip(p, m):
                 if exp:
                     v = v * x ** exp
-            row.append(v)
+            row.append(X.field(v))
         rows.append(row)
     return rows, monos
 
@@ -149,11 +149,9 @@ def _generic_check(X):
         values.append(h)
         if h < min(X.e, binom(n + X.r, X.r)):
             vec = nullspace_vector(rows, len(monos), X.field)
-            witness = Polynomial(X.r + 1, X.field,
-                                 {m: c for m, c in zip(monos, vec)
-                                  if c != X.field.zero})
-            lead = next(c for c in vec if c != X.field.zero)
-            witness = witness * (X.field.one / lead)
+            witness = Polynomial(X.r + 1, X.field, dict(zip(monos, vec)))
+            lead = next(c for c in vec if c)
+            witness = witness * X.field.inv(lead)
             return n, witness, values
     return None, None, values
 

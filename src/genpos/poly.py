@@ -9,7 +9,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import QQ, FieldMismatchError, field_of
+from .scalars import FieldMismatchError
 
 
 def mono_mul(a, b):
@@ -80,7 +80,7 @@ class Polynomial:
         clean = {}
         for m, c in terms.items():
             c = field(c)
-            if c != field.zero:
+            if c:
                 if len(m) != nvars:
                     raise ValueError("monomial %r has wrong arity" % (m,))
                 clean[m] = c
@@ -120,13 +120,8 @@ class Polynomial:
             other = Polynomial.constant(self.field(other), self.nvars, self.field)
         self._check(other)
         terms = dict(self.terms)
-        z = self.field.zero
         for m, c in other.terms.items():
-            s = terms.get(m, z) + c
-            if s == z:
-                terms.pop(m, None)
-            else:
-                terms[m] = s
+            terms[m] = terms.get(m, 0) + c
         return Polynomial(self.nvars, self.field, terms)
 
     __radd__ = __add__
@@ -149,16 +144,11 @@ class Polynomial:
             return Polynomial(self.nvars, self.field,
                               {m: v * c for m, v in self.terms.items()})
         self._check(other)
-        z = self.field.zero
         terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
-                s = terms.get(m, z) + c1 * c2
-                if s == z:
-                    terms.pop(m, None)
-                else:
-                    terms[m] = s
+                terms[m] = terms.get(m, 0) + c1 * c2
         return Polynomial(self.nvars, self.field, terms)
 
     __rmul__ = __mul__
@@ -196,13 +186,6 @@ class Polynomial:
         return Polynomial(self.nvars, self.field,
                           {m: c for m, c in self.terms.items() if mono_deg(m) == d})
 
-    def homogeneous_components(self):
-        out = {}
-        for m, c in self.terms.items():
-            out.setdefault(mono_deg(m), {})[m] = c
-        return {d: Polynomial(self.nvars, self.field, t)
-                for d, t in sorted(out.items())}
-
     def is_homogeneous(self):
         degs = {mono_deg(m) for m in self.terms}
         return len(degs) <= 1
@@ -217,13 +200,15 @@ class Polynomial:
     def evaluate(self, point):
         if len(point) != self.nvars:
             raise ValueError("point has wrong arity")
-        total = self.field.zero
+        field = self.field
+        point = [field(x) for x in point]
+        total = field.zero
         for m, c in self.terms.items():
             v = c
             for x, e in zip(point, m):
                 if e:
-                    v = v * self.field(x) ** e
-            total = total + v
+                    v = field(v * x ** e)
+            total = field(total + v)
         return total
 
     def terms_sorted(self, order):
@@ -253,7 +238,7 @@ class Polynomial:
         lc = self.leading_coefficient(order)
         if lc == self.field.one:
             return self
-        return self * (self.field.one / lc)
+        return self * self.field.inv(lc)
 
     def compose1(self, g):
         """Substitute g for the single variable; both univariate over the same field."""
@@ -283,13 +268,8 @@ class Polynomial:
                     factors.append(names[i])
                 elif e > 1:
                     factors.append("%s^%d" % (names[i], e))
-            if isinstance(c, Fraction):
-                neg = c < 0
-                mag = -c if neg else c
-                coef = str(mag)
-            else:
-                neg = False
-                coef = str(c.val)
+            neg = c < 0  # never for GF(p), whose scalars lie in [0, p)
+            coef = str(-c if neg else c)
             if factors and coef == "1":
                 body = "*".join(factors)
             elif factors:
@@ -391,14 +371,6 @@ def parse_polynomial(s, nvars, field, names=None):
         terms[m] = prev + c
         first = False
     return Polynomial(nvars, field, terms)
-
-
-def poly_field(polys):
-    """Common field of a nonempty polynomial collection."""
-    fields = {p.field for p in polys}
-    if len(fields) != 1:
-        raise FieldMismatchError("polynomials over different fields")
-    return fields.pop()
 
 
 def monomials_of_degree(nvars, d):

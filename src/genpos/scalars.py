@@ -1,4 +1,9 @@
-"""Exact coefficient arithmetic: arbitrary-precision rationals and prime fields."""
+"""Exact coefficient arithmetic: arbitrary-precision rationals and prime fields.
+
+Scalars are native values: a Fraction for Q, an int in [0, p) for GF(p).
+Only the field objects know which; they coerce (`field(x)`), invert, parse
+and print, and every engine passes stored scalars through `field(...)`.
+"""
 
 from fractions import Fraction
 
@@ -31,98 +36,12 @@ def is_prime(n):
     return True
 
 
-class FpElement:
-    """Residue class modulo a prime; both operands of any operation must share p."""
-
-    __slots__ = ("val", "p")
-
-    def __init__(self, val, p):
-        self.val = val % p
-        self.p = p
-
-    def _other(self, other):
-        if isinstance(other, FpElement):
-            if other.p != self.p:
-                raise FieldMismatchError(
-                    "mixed prime fields: p=%d vs p=%d" % (self.p, other.p))
-            return other
-        if isinstance(other, int):
-            return FpElement(other, self.p)
-        if isinstance(other, Fraction):
-            raise FieldMismatchError("cannot mix rationals with GF(%d)" % self.p)
-        return None
-
-    def __add__(self, other):
-        o = self._other(other)
-        if o is None:
-            return NotImplemented
-        return FpElement(self.val + o.val, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._other(other)
-        if o is None:
-            return NotImplemented
-        return FpElement(self.val - o.val, self.p)
-
-    def __rsub__(self, other):
-        o = self._other(other)
-        if o is None:
-            return NotImplemented
-        return FpElement(o.val - self.val, self.p)
-
-    def __mul__(self, other):
-        o = self._other(other)
-        if o is None:
-            return NotImplemented
-        return FpElement(self.val * o.val, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._other(other)
-        if o is None:
-            return NotImplemented
-        if o.val == 0:
-            raise ZeroDivisionError("division by zero in GF(%d)" % self.p)
-        return FpElement(self.val * pow(o.val, -1, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        o = self._other(other)
-        if o is None:
-            return NotImplemented
-        return o.__truediv__(self)
-
-    def __neg__(self):
-        return FpElement(-self.val, self.p)
-
-    def __pow__(self, e):
-        if e < 0 and self.val == 0:
-            raise ZeroDivisionError("division by zero in GF(%d)" % self.p)
-        return FpElement(pow(self.val, e, self.p), self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, FpElement):
-            return self.p == other.p and self.val == other.val
-        if isinstance(other, int):
-            return self.val == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.val, self.p))
-
-    def __bool__(self):
-        return self.val != 0
-
-    def __repr__(self):
-        return "%d mod %d" % (self.val, self.p)
-
-
 class RationalField:
     """The rationals; elements are fractions.Fraction."""
 
     p = None
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def __call__(self, x):
         if isinstance(x, Fraction):
@@ -131,26 +50,23 @@ class RationalField:
             return Fraction(x)
         if isinstance(x, str):
             return self.parse(x)
-        if isinstance(x, FpElement):
-            raise FieldMismatchError("cannot coerce GF(%d) element to Q" % x.p)
         raise TypeError("cannot coerce %r to Q" % (x,))
 
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+    def inv(self, a):
+        a = self(a)
+        if not a:
+            raise ZeroDivisionError("division by zero in Q")
+        return 1 / a
 
     def parse(self, s):
         s = s.strip()
         if "mod" in s:
-            raise ValueError("prime-field scalar %r in a rational context" % s)
+            raise FieldMismatchError(
+                "prime-field scalar %r in a rational context" % s)
         return Fraction(s)
 
     def to_str(self, a):
-        return str(a)
+        return str(self(a))
 
     def random(self, rng):
         return Fraction(rng.randrange(-50, 51), rng.randrange(1, 20))
@@ -166,7 +82,10 @@ class RationalField:
 
 
 class PrimeField:
-    """GF(p) for prime p."""
+    """GF(p) for prime p; elements are ints in [0, p)."""
+
+    zero = 0
+    one = 1
 
     def __init__(self, p):
         if not is_prime(p):
@@ -174,43 +93,37 @@ class PrimeField:
         self.p = p
 
     def __call__(self, x):
-        if isinstance(x, FpElement):
-            if x.p != self.p:
-                raise FieldMismatchError(
-                    "element of GF(%d) used in GF(%d)" % (x.p, self.p))
-            return x
         if isinstance(x, int):
-            return FpElement(x, self.p)
+            return x % self.p
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise ZeroDivisionError("denominator divisible by p=%d" % self.p)
-            return FpElement(x.numerator * pow(x.denominator, -1, self.p), self.p)
+            return x.numerator * pow(x.denominator, -1, self.p) % self.p
         if isinstance(x, str):
             return self.parse(x)
         raise TypeError("cannot coerce %r to GF(%d)" % (x, self.p))
 
-    @property
-    def zero(self):
-        return FpElement(0, self.p)
-
-    @property
-    def one(self):
-        return FpElement(1, self.p)
+    def inv(self, a):
+        a = self(a)
+        if not a:
+            raise ZeroDivisionError("division by zero in GF(%d)" % self.p)
+        return pow(a, -1, self.p)
 
     def parse(self, s):
         s = s.strip()
         if "mod" in s:
             k, p = s.split("mod")
             if int(p) != self.p:
-                raise ValueError("scalar %r does not live in GF(%d)" % (s, self.p))
-            return FpElement(int(k), self.p)
+                raise FieldMismatchError(
+                    "scalar %r does not live in GF(%d)" % (s, self.p))
+            return self(int(k))
         return self(Fraction(s))
 
     def to_str(self, a):
-        return "%d mod %d" % (self(a).val, self.p)
+        return "%d mod %d" % (self(a), self.p)
 
     def random(self, rng):
-        return FpElement(rng.randrange(self.p), self.p)
+        return rng.randrange(self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -223,15 +136,6 @@ class PrimeField:
 
 
 QQ = RationalField()
-
-
-def field_of(a):
-    """Field an element belongs to."""
-    if isinstance(a, Fraction):
-        return QQ
-    if isinstance(a, FpElement):
-        return PrimeField(a.p)
-    raise TypeError("not a field element: %r" % (a,))
 
 
 def _factor(n):
@@ -251,12 +155,12 @@ def multiplicative_generator(field):
     """Smallest generator of GF(p)^*."""
     p = field.p
     if p == 2:
-        return FpElement(1, 2)
+        return 1
     facs = _factor(p - 1)
     g = 2
     while True:
         if all(pow(g, (p - 1) // q, p) != 1 for q in facs):
-            return FpElement(g, p)
+            return g
         g += 1
 
 
@@ -273,13 +177,8 @@ def roots_of_unity(field, d):
     p = field.p
     if (p - 1) % d != 0:
         raise ValueError("GF(%d) has no %d-th roots of unity (d must divide p-1)" % (p, d))
-    g = multiplicative_generator(field)
-    zeta = g ** ((p - 1) // d)
-    roots = set()
-    x = field.one
-    for _ in range(d):
-        roots.add(x.val)
-        x = x * zeta
+    zeta = pow(multiplicative_generator(field), (p - 1) // d, p)
+    roots = {pow(zeta, k, p) for k in range(d)}
     assert len(roots) == d
     assert all(pow(v, d, p) == 1 for v in roots)
-    return [FpElement(v, p) for v in sorted(roots)]
+    return sorted(roots)

@@ -5,11 +5,10 @@ sorted keys, two-space indent, trailing newline.
 """
 
 import json
-from fractions import Fraction
 
 from .poly import parse_polynomial
 from .points import PointSet
-from .scalars import QQ, FpElement, PrimeField
+from .scalars import QQ, PrimeField
 from .tangent_cone import Branch, BranchCurve
 
 
@@ -31,27 +30,17 @@ def field_from_json(obj):
     raise ValueError("unrecognized field descriptor: %r" % (obj,))
 
 
-def scalar_to_str(x):
-    if isinstance(x, FpElement):
-        return "%d mod %d" % (x.val, x.p)
-    x = Fraction(x)
-    return str(x)
-
-
 def point_set_to_json(X):
     return {
         "field": field_to_json(X.field),
         "r": X.r,
-        "points": [[scalar_to_str(c) for c in p] for p in X.points],
+        "points": [[X.field.to_str(c) for c in p] for p in X.points],
     }
 
 
 def point_set_from_json(obj):
     field = field_from_json(obj.get("field"))
-    r = obj["r"]
-    points = [[field.parse(c) if isinstance(c, str) else field(c)
-               for c in row] for row in obj["points"]]
-    return PointSet.of(r, field, points)
+    return PointSet.of(obj["r"], field, obj["points"])
 
 
 def curve_to_json(C):
@@ -95,10 +84,10 @@ def ideal_from_json(obj):
 
 
 def load_json(path):
+    """The JSON object stored at `path`; every genpos input is an object."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def dump_json(path, obj):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(obj))
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError("%s: top-level JSON value must be an object, got %s"
+                         % (path, type(obj).__name__))
+    return obj

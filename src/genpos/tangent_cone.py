@@ -175,15 +175,13 @@ def cone_profile_auto(ideal, bound=8, retries=2):
             bound *= 2
 
 
-def _dict_mul(a, b):
+def _dict_mul(a, b, field):
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
             e = ea + eb
-            s = out.get(e)
-            s = ca * cb if s is None else s + ca * cb
-            out[e] = s
-    return {e: c for e, c in out.items() if c}
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: r for e, c in out.items() if (r := field(c))}
 
 
 def _power_products(gens, cap):
@@ -191,6 +189,7 @@ def _power_products(gens, cap):
     once, as (factor count, coefficient dict) pairs. Degrees add, so pruning
     on the exact degree makes the tree finite; products are never truncated.
     """
+    field = gens[0].field
     vecs = [({e[0]: c for e, c in g.terms.items()}, g.degree()) for g in gens]
     out = []
 
@@ -199,9 +198,9 @@ def _power_products(gens, cap):
         for i in range(i0, len(vecs)):
             v, d = vecs[i]
             if deg + d <= cap:
-                rec(i, _dict_mul(cur, v), deg + d, count + 1)
+                rec(i, _dict_mul(cur, v, field), deg + d, count + 1)
 
-    rec(0, {0: gens[0].field.one}, 0, 0)
+    rec(0, {0: field.one}, 0, 0)
     return out
 
 

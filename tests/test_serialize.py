@@ -10,8 +10,7 @@ from genpos.scalars import QQ, PrimeField
 from genpos.serialize import (canonical_json, curve_from_json, curve_to_json,
                               field_from_json, field_to_json,
                               ideal_from_json, ideal_to_json,
-                              point_set_from_json, point_set_to_json,
-                              scalar_to_str)
+                              point_set_from_json, point_set_to_json)
 
 F11 = PrimeField(11)
 
@@ -36,9 +35,14 @@ def test_field_round_trip():
 
 
 def test_scalar_to_str():
-    assert scalar_to_str(Fraction(-1, 2)) == "-1/2"
-    assert scalar_to_str(Fraction(3)) == "3"
-    assert scalar_to_str(F11(7)) == "7 mod 11"
+    # printing is the field's job: a bare int does not know its modulus
+    assert QQ.to_str(Fraction(-1, 2)) == "-1/2"
+    assert QQ.to_str(Fraction(3)) == "3"
+    assert F11.to_str(7) == "7 mod 11"
+    assert F11.to_str(F11("-4")) == "7 mod 11"
+    X = PointSet.of(1, F11, [[2, 3], [0, 1]])
+    assert point_set_to_json(X)["points"] == [["1 mod 11", "7 mod 11"],
+                                             ["0 mod 11", "1 mod 11"]]
 
 
 def test_point_set_round_trip():
