@@ -13,8 +13,8 @@ Exit codes: 0 positive result (generic / match / all reproduced), 1 negative
 result (not generic / mismatch / golden divergence), 2 error, 3 a conductor
 hypothesis failed.
 
-Environment variables GENPOS_MAX_BASIS, GENPOS_MAX_PAIRS and
-GENPOS_SUBSET_BUDGET change the default budgets; flags beat the environment.
+Argparse is the only configuration layer: each subcommand accepts just the
+flags its handler reads, and the handlers take the parsed namespace.
 """
 
 import argparse
@@ -22,16 +22,16 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
+from functools import partial
 
 from . import __version__
 from . import fixtures as fx
-from . import groebner
 from .conductor import (arrangement_certificate, monomial_conductor_certificate,
                         points_conductor_certificate, points_conductor_sigma,
                         semigroup_certificate, symbolic_power)
-from .errors import BudgetExceededError, StabilizationError
-from .groebner import Ideal, ideal_equal, ideal_power
+from .errors import BudgetExceededError
+from .groebner import (DEFAULT_MAX_BASIS, DEFAULT_MAX_PAIRS, Ideal,
+                       ideal_equal, ideal_power)
 from .points import (DEFAULT_SUBSET_BUDGET, is_generic_position,
                      is_generic_t_position, nu, random_point_set)
 from .poly import Polynomial, parse_polynomial
@@ -43,50 +43,44 @@ from .tangent_cone import (branch_tangent_points, cone_profile_auto,
                            germ_profile, subalgebra_member)
 
 
-@dataclass
-class RunConfig:
-    command: str
-    inputs: tuple = ()
-    field: object = None        # JSON field descriptor override, or None
-    degree_bound: object = None
-    box: object = None
-    subset_budget: int = DEFAULT_SUBSET_BUDGET
-    seed: int = 0
-    json_out: object = None
-    t: object = None
-    only: object = None
-    write_golden: bool = False
-    golden_dir: object = None
-    max_basis: int = groebner.DEFAULT_MAX_BASIS
-    max_pairs: int = groebner.DEFAULT_MAX_PAIRS
-
-    def validate(self):
-        for name in ("subset_budget", "max_basis", "max_pairs"):
-            if getattr(self, name) < 1:
-                raise ValueError("%s must be positive" % name)
-        for name in ("degree_bound", "box", "t"):
-            v = getattr(self, name)
-            if v is not None and v < 1:
-                raise ValueError("%s must be positive" % name)
-
-
-def _env_int(name, fallback):
-    raw = os.environ.get(name)
-    if raw in (None, ""):
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError("%s must be an integer, got %r" % (name, raw))
-
-
 def parse_field_spec(s):
     s = s.strip()
     if s.upper() in ("Q", "QQ"):
         return "Q"
     if s.isdigit():
         return {"p": int(s)}
-    raise ValueError("--field expects Q or a prime, got %r" % s)
+    raise argparse.ArgumentTypeError("expected Q or a prime, got %r" % s)
+
+
+def positive_int(s):
+    try:
+        value = int(s)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("expected a positive integer, got %r"
+                                         % s)
+    return value
+
+
+FLAGS = {
+    "--field": dict(type=parse_field_spec,
+                    help="override the input's coefficient field: Q or a prime"),
+    "--t": dict(type=positive_int,
+                help="check every t-point subset instead of the full set"),
+    "--degree-bound": dict(type=positive_int,
+                           help="degree window / truncation bound override"),
+    "--box": dict(type=positive_int,
+                  help="lattice box for monomial-algebra models"),
+    "--subset-budget": dict(type=positive_int, default=DEFAULT_SUBSET_BUDGET,
+                            help="cap on the number of t-subsets to check "
+                                 "(default %d)" % DEFAULT_SUBSET_BUDGET),
+    "--only": dict(help="run only example ids containing this substring"),
+    "--write-golden": dict(action="store_true",
+                           help="record current outputs as the golden files"),
+    "--golden-dir": dict(help="directory of golden files (default: bundled)"),
+    "--json-out": dict(help="write the certificate JSON here instead of stdout"),
+}
 
 
 def build_parser():
@@ -96,128 +90,90 @@ def build_parser():
     parser.add_argument("--version", action="version",
                         version="genpos " + __version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, inputs=True):
-        if inputs:
+    for name, handler, help, flags in (
+            ("points-check", cmd_points_check,
+             "certify generic (t-)position of a point set",
+             ("--field", "--t", "--subset-budget", "--json-out")),
+            ("conductor", cmd_conductor,
+             "check a conductor formula against its oracle",
+             ("--field", "--degree-bound", "--box", "--subset-budget",
+              "--json-out")),
+            ("tangent-cone", cmd_tangent_cone,
+             "graded profile of a curve singularity",
+             ("--field", "--degree-bound", "--json-out")),
+            ("reproduce-examples", cmd_reproduce_examples,
+             "run the bundled example suite against goldens",
+             ("--only", "--write-golden", "--golden-dir", "--json-out"))):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        if name != "reproduce-examples":
             p.add_argument("inputs", nargs="+", metavar="INPUT",
                            help="input JSON file(s)")
-        p.add_argument("--field", default=None,
-                       help="override the input's coefficient field: Q or a prime")
-        p.add_argument("--degree-bound", type=int, default=None,
-                       help="degree window / truncation bound override")
-        p.add_argument("--box", type=int, default=None,
-                       help="lattice box for monomial-algebra models")
-        p.add_argument("--subset-budget", type=int, default=None,
-                       help="cap on the number of t-subsets to check")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed recorded in certificates and used by "
-                            "randomized suites")
-        p.add_argument("--json-out", default=None,
-                       help="write the certificate JSON here instead of stdout")
-
-    p = sub.add_parser("points-check",
-                       help="certify generic (t-)position of a point set")
-    common(p)
-    p.add_argument("--t", type=int, default=None,
-                   help="check every t-point subset instead of the full set")
-
-    common(sub.add_parser("conductor",
-                          help="check a conductor formula against its oracle"))
-    common(sub.add_parser("tangent-cone",
-                          help="graded profile of a curve singularity"))
-
-    p = sub.add_parser("reproduce-examples",
-                       help="run the bundled example suite against goldens")
-    common(p, inputs=False)
-    p.add_argument("--only", default=None,
-                   help="run only example ids containing this substring")
-    p.add_argument("--write-golden", action="store_true",
-                   help="record current outputs as the golden files")
-    p.add_argument("--golden-dir", default=None,
-                   help="directory of golden files (default: bundled)")
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
     return parser
 
 
-def config_from_args(args):
-    subset = args.subset_budget
-    if subset is None:
-        subset = _env_int("GENPOS_SUBSET_BUDGET", DEFAULT_SUBSET_BUDGET)
-    return RunConfig(
-        command=args.command,
-        inputs=tuple(getattr(args, "inputs", ()) or ()),
-        field=None if args.field is None else parse_field_spec(args.field),
-        degree_bound=args.degree_bound,
-        box=args.box,
-        subset_budget=subset,
-        seed=args.seed,
-        json_out=args.json_out,
-        t=getattr(args, "t", None),
-        only=getattr(args, "only", None),
-        write_golden=getattr(args, "write_golden", False),
-        golden_dir=getattr(args, "golden_dir", None),
-        max_basis=_env_int("GENPOS_MAX_BASIS", groebner.DEFAULT_MAX_BASIS),
-        max_pairs=_env_int("GENPOS_MAX_PAIRS", groebner.DEFAULT_MAX_PAIRS))
+def envelope(args):
+    """Reproducibility header embedded in every emitted certificate.
 
-
-def envelope(cfg):
-    """Reproducibility header embedded in every emitted certificate."""
+    A budget the subcommand has no flag for is recorded as None, or as the
+    library default it runs under. No subcommand draws random numbers from a
+    caller's seed, so `seed` is always 0; it stays for byte-stable records.
+    """
     return {
         "tool": "genpos",
         "tool_version": __version__,
-        "seed": cfg.seed,
+        "seed": 0,
         "budgets": {
-            "degree_bound": cfg.degree_bound,
-            "box": cfg.box,
-            "subset_budget": cfg.subset_budget,
-            "max_basis": cfg.max_basis,
-            "max_pairs": cfg.max_pairs,
+            "degree_bound": getattr(args, "degree_bound", None),
+            "box": getattr(args, "box", None),
+            "subset_budget": getattr(args, "subset_budget",
+                                     DEFAULT_SUBSET_BUDGET),
+            "max_basis": DEFAULT_MAX_BASIS,
+            "max_pairs": DEFAULT_MAX_PAIRS,
         },
     }
 
 
-def emit_json(cfg, payload):
+def emit_json(json_out, payload):
     text = canonical_json(payload)
-    if cfg.json_out:
-        with open(cfg.json_out, "w", encoding="utf-8") as fh:
+    if json_out:
+        with open(json_out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _combine(codes):
-    if any(c == 2 for c in codes):
-        return 2
-    return max(codes, default=0)
+def run_batch(args, one):
+    """Run `one` over every input path; print reports in input order.
 
-
-def run_batch(cfg, one):
-    """Run `one` over every input path; print reports in input order."""
-    results = [one(path) for path in cfg.inputs]
-    payloads = []
-    codes = []
-    for code, lines, payload in results:
+    `one` returns (exit code, report lines, payload) and raises on errors, so
+    the batch's code is the largest of 0, 1 and 3 among its inputs.
+    """
+    results = [one(path) for path in args.inputs]
+    for _, lines, _ in results:
         for line in lines:
             print(line)
-        codes.append(code)
-        payloads.append(payload)
-    emit_json(cfg, payloads[0] if len(payloads) == 1 else payloads)
-    return _combine(codes)
+    payloads = [payload for _, _, payload in results]
+    emit_json(args.json_out, payloads[0] if len(payloads) == 1 else payloads)
+    return max(code for code, _, _ in results)
 
 
 # ------------------------------------------------------------ points-check
 
-def cmd_points_check(cfg):
+def cmd_points_check(args):
     def one(path):
         obj = load_json(path)
-        if cfg.field is not None:
-            obj = dict(obj, field=cfg.field)
+        if args.field is not None:
+            obj = dict(obj, field=args.field)
         X = point_set_from_json(obj)
-        if cfg.t is None:
+        if args.t is None:
             cert = is_generic_position(X)
             label = "generic position"
         else:
-            cert = is_generic_t_position(X, cfg.t, cfg.subset_budget)
-            label = "generic %d-position" % cfg.t
+            cert = is_generic_t_position(X, args.t, args.subset_budget)
+            label = "generic %d-position" % args.t
         lines = ["%d points of P^%d over %s" % (X.e, X.r, X.field)]
         if cert.generic:
             lines.append("%s: yes (degrees checked: 0..%d)"
@@ -228,11 +184,11 @@ def cmd_points_check(cfg):
             lines.append("witness hypersurface: %s" % cert.witness.text())
             if cert.failing_subset is not None:
                 lines.append("failing subset: %s" % (list(cert.failing_subset),))
-        payload = {"command": "points-check", "envelope": envelope(cfg),
+        payload = {"command": "points-check", "envelope": envelope(args),
                    "certificate": cert.as_dict()}
         return (0 if cert.generic else 1), lines, payload
 
-    return run_batch(cfg, one)
+    return run_batch(args, one)
 
 
 # ------------------------------------------------------------ conductor
@@ -248,19 +204,19 @@ def _summarize(d):
     return ", ".join(parts)
 
 
-def conductor_certificate_for(obj, cfg):
+def conductor_certificate_for(obj, args):
     model = obj.get("model")
     if model == "points":
         pts = obj["points"]
-        if cfg.field is not None:
-            pts = dict(pts, field=cfg.field)
+        if args.field is not None:
+            pts = dict(pts, field=args.field)
         X = point_set_from_json(pts)
-        return points_conductor_certificate(X, dmax=cfg.degree_bound,
-                                            subset_budget=cfg.subset_budget)
+        return points_conductor_certificate(X, dmax=args.degree_bound,
+                                            subset_budget=args.subset_budget)
     if model == "semigroup":
         return semigroup_certificate(obj["generators"])
     if model == "monomial-algebra":
-        box = cfg.box if cfg.box is not None else obj.get("box")
+        box = args.box if args.box is not None else obj.get("box")
         if box is None:
             raise ValueError("monomial-algebra model needs a box "
                              "(--box or a \"box\" key)")
@@ -268,7 +224,7 @@ def conductor_certificate_for(obj, cfg):
         cand = [tuple(int(c) for c in v) for v in obj["candidate"]]
         return monomial_conductor_certificate(gens, int(box), cand)
     if model == "arrangement":
-        spec = cfg.field if cfg.field is not None else obj.get("field")
+        spec = args.field if args.field is not None else obj.get("field")
         field = field_from_json(spec)
         nvars = obj["vars"]
         forms = [parse_polynomial(s, nvars, field) for s in obj["forms"]]
@@ -277,9 +233,9 @@ def conductor_certificate_for(obj, cfg):
                      "monomial-algebra, or arrangement)" % (model,))
 
 
-def cmd_conductor(cfg):
+def cmd_conductor(args):
     def one(path):
-        cert = conductor_certificate_for(load_json(path), cfg)
+        cert = conductor_certificate_for(load_json(path), args)
         flags = {k: v for k, v in cert.hypotheses.items()
                  if isinstance(v, bool)}
         lines = [
@@ -294,7 +250,7 @@ def cmd_conductor(cfg):
         reason = cert.hypotheses.get("reason")
         if reason:
             lines.insert(4, "note: %s" % reason)
-        payload = {"command": "conductor", "envelope": envelope(cfg),
+        payload = {"command": "conductor", "envelope": envelope(args),
                    "certificate": cert.as_dict()}
         if cert.hypotheses_failed:
             code = 3
@@ -304,29 +260,29 @@ def cmd_conductor(cfg):
             code = 1
         return code, lines, payload
 
-    return run_batch(cfg, one)
+    return run_batch(args, one)
 
 
 # ------------------------------------------------------------ tangent-cone
 
-def cmd_tangent_cone(cfg):
+def cmd_tangent_cone(args):
     def one(path):
         obj = load_json(path)
         if "branches" in obj:
-            return _cone_from_branches(obj, cfg)
+            return _cone_from_branches(obj, args)
         if "parametrization" in obj:
-            return _cone_from_parametrization(obj, cfg)
+            return _cone_from_parametrization(obj, args)
         if "gens" in obj:
-            return _cone_from_ideal(obj, cfg)
+            return _cone_from_ideal(obj, args)
         raise ValueError('tangent-cone input needs "branches", '
                          '"parametrization", or "gens"')
 
-    return run_batch(cfg, one)
+    return run_batch(args, one)
 
 
-def _cone_from_branches(obj, cfg):
-    if cfg.field is not None:
-        obj = dict(obj, field=cfg.field)
+def _cone_from_branches(obj, args):
+    if args.field is not None:
+        obj = dict(obj, field=args.field)
     curve = curve_from_json(obj)
     pts = branch_tangent_points(curve)
     cert = is_generic_position(pts)
@@ -340,27 +296,27 @@ def _cone_from_branches(obj, cfg):
                      "(degree %d, witness %s)"
                      % (cert.failing_degree, cert.witness.text()))
     payload = {"command": "tangent-cone", "route": "branches",
-               "envelope": envelope(cfg), "multiplicity": pts.e,
+               "envelope": envelope(args), "multiplicity": pts.e,
                "tangent_points": point_set_to_json(pts),
                "genericity": cert.as_dict()}
     return 0, lines, payload
 
 
-def _cone_from_parametrization(obj, cfg):
-    spec = cfg.field if cfg.field is not None else obj.get("field")
+def _cone_from_parametrization(obj, args):
+    spec = args.field if args.field is not None else obj.get("field")
     field = field_from_json(spec)
     gens = [parse_polynomial(s, 1, field, names=("t",))
             for s in obj["parametrization"]]
-    profile = germ_profile(gens, degree_cap=cfg.degree_bound)
+    profile = germ_profile(gens, degree_cap=args.degree_bound)
     lines = ["graded quotient dimensions: %s" % (list(profile.values),),
              "multiplicity: %d, embedding dimension: %d"
              % (profile.multiplicity, profile.emdim)]
     payload = {"command": "tangent-cone", "route": "parametrization",
-               "envelope": envelope(cfg), "profile": profile.as_dict()}
+               "envelope": envelope(args), "profile": profile.as_dict()}
     mem = obj.get("membership")
     if mem:
         q = parse_polynomial(mem["query"], 1, field, names=("t",))
-        window = (cfg.degree_bound if cfg.degree_bound is not None
+        window = (args.degree_bound if args.degree_bound is not None
                   else int(mem.get("window", 4 * q.degree())))
         min_factors = int(mem.get("min_factors", 1))
         member = subalgebra_member(q, gens, window, min_factors)
@@ -377,39 +333,38 @@ def _cone_from_parametrization(obj, cfg):
     return 0, lines, payload
 
 
-def _cone_from_ideal(obj, cfg):
-    if cfg.field is not None:
-        obj = dict(obj, field=cfg.field)
+def _cone_from_ideal(obj, args):
+    if args.field is not None:
+        obj = dict(obj, field=args.field)
     ideal = ideal_from_json(obj)
     for i, g in enumerate(ideal.gens):
         if g.low_degree() == 0:
             raise ValueError("generator %d (%s) has a nonzero constant term: "
                              "the ideal does not pass through the origin"
                              % (i, g.text()))
-    if cfg.degree_bound is not None:
-        profile = cone_profile_auto(ideal, bound=cfg.degree_bound)
+    if args.degree_bound is not None:
+        profile = cone_profile_auto(ideal, bound=args.degree_bound)
     else:
         profile = cone_profile_auto(ideal)
     lines = ["graded cone dimensions: %s" % (list(profile.values),),
              "multiplicity: %d, embedding dimension: %d"
              % (profile.multiplicity, profile.emdim)]
     payload = {"command": "tangent-cone", "route": "ideal",
-               "envelope": envelope(cfg), "profile": profile.as_dict()}
+               "envelope": envelope(args), "profile": profile.as_dict()}
     return 0, lines, payload
 
 
 # ------------------------------------------------------------ example suite
 
-def _case_line_points(cfg):
+def _case_line_points():
     X = point_set_from_json(load_json(fx.fixture_path("line_points.json")))
-    ok = all(is_generic_t_position(X, t, cfg.subset_budget).generic
-             for t in range(1, X.e + 1))
+    ok = all(is_generic_t_position(X, t).generic for t in range(1, X.e + 1))
     computed = ("generic t-position for every t" if ok
                 else "some t-subset is degenerate")
     return computed, {"e": X.e, "r": X.r, "all_t_generic": ok}
 
 
-def _case_hypersurface_detection(cfg):
+def _case_hypersurface_detection():
     on = point_set_from_json(load_json(fx.fixture_path("on_conic_points.json")))
     off = point_set_from_json(load_json(fx.fixture_path("off_conic_points.json")))
     c_on = is_generic_position(on)
@@ -420,7 +375,7 @@ def _case_hypersurface_detection(cfg):
     return computed, {"on_curve": c_on.as_dict(), "control": c_off.as_dict()}
 
 
-def _case_tangent_points(cfg):
+def _case_tangent_points():
     X = point_set_from_json(load_json(fx.fixture_path("tangent_points.json")))
     cert = is_generic_position(X)
     sigma, values = points_conductor_sigma(X)
@@ -432,7 +387,7 @@ def _case_tangent_points(cfg):
                       "hilbert": list(values)}
 
 
-def _case_germ_profile(cfg):
+def _case_germ_profile():
     model = load_json(fx.fixture_path("germ_model.json"))
     field = field_from_json(model["field"])
     gens = [parse_polynomial(s, 1, field, names=("t",))
@@ -456,8 +411,8 @@ def _case_germ_profile(cfg):
     return ", ".join(bits), payload
 
 
-def _case_random_generic(cfg):
-    rng = random.Random(cfg.seed)
+def _case_random_generic():
+    rng = random.Random(0)
     field = PrimeField(fx.BIG_PRIME)
     rows = []
     resampled = 0
@@ -468,8 +423,7 @@ def _case_random_generic(cfg):
         cert = None
         for _ in range(50):
             X, _ = random_point_set(rng, e, r, field)
-            cert = points_conductor_certificate(X,
-                                                subset_budget=cfg.subset_budget)
+            cert = points_conductor_certificate(X)
             if not cert.hypotheses_failed:
                 break
             resampled += 1
@@ -481,7 +435,7 @@ def _case_random_generic(cfg):
                       "prime": fx.BIG_PRIME}
 
 
-def _case_line_ladder(cfg):
+def _case_line_ladder():
     rows = []
     ok = True
     for e in range(2, 11):
@@ -494,20 +448,16 @@ def _case_line_ladder(cfg):
 
 
 def _case_arrangement(fixture_name):
-    def run(cfg):
-        obj = load_json(fx.fixture_path(fixture_name))
-        field = field_from_json(obj.get("field"))
-        forms = [parse_polynomial(s, obj["vars"], field)
-                 for s in obj["forms"]]
-        cert = arrangement_certificate(forms)
-        computed = ("formula matches the oracle ideal"
-                    if cert.verdict == "match"
-                    else "formula misses the oracle ideal")
-        return computed, {"certificate": cert.as_dict()}
-    return run
+    obj = load_json(fx.fixture_path(fixture_name))
+    field = field_from_json(obj.get("field"))
+    forms = [parse_polynomial(s, obj["vars"], field) for s in obj["forms"]]
+    cert = arrangement_certificate(forms)
+    computed = ("formula matches the oracle ideal" if cert.verdict == "match"
+                else "formula misses the oracle ideal")
+    return computed, {"certificate": cert.as_dict()}
 
 
-def _case_monomial(cfg):
+def _case_monomial():
     rows = []
     ok = True
     for n in (2, 3, 4, 5):
@@ -523,7 +473,7 @@ def _case_monomial(cfg):
     return computed, {"cases": rows}
 
 
-def _case_semigroups(cfg):
+def _case_semigroups():
     certs = {}
     for name in ("semigroup_2_5.json", "semigroup_2_3.json",
                  "semigroup_3_4_5.json"):
@@ -539,7 +489,7 @@ def _case_semigroups(cfg):
     return computed, {k: c.as_dict() for k, c in certs.items()}
 
 
-def _case_symbolic_powers(cfg):
+def _case_symbolic_powers():
     x = Polynomial.variable(0, 3, QQ)
     y = Polynomial.variable(1, 3, QQ)
     z = Polynomial.variable(2, 3, QQ)
@@ -572,11 +522,11 @@ CASES = (
     ("line-conductor-ladder", "sigma = e - 1 for e = 2..10",
      _case_line_ladder),
     ("three-lines-conductor", "formula matches the oracle ideal",
-     _case_arrangement("arrangement_three_lines.json")),
+     partial(_case_arrangement, "arrangement_three_lines.json")),
     ("four-lines-conductor", "formula matches the oracle ideal",
-     _case_arrangement("arrangement_four_lines.json")),
+     partial(_case_arrangement, "arrangement_four_lines.json")),
     ("three-planes-conductor", "formula matches the oracle ideal",
-     _case_arrangement("arrangement_three_planes.json")),
+     partial(_case_arrangement, "arrangement_three_planes.json")),
     ("monomial-surface-conductor",
      "claimed generators match the bounded oracle for n = 2..5",
      _case_monomial),
@@ -588,17 +538,17 @@ CASES = (
 )
 
 
-def cmd_reproduce_examples(cfg):
-    golden_dir = cfg.golden_dir or fx.GOLDEN_DIR
-    selected = [c for c in CASES if cfg.only is None or cfg.only in c[0]]
+def cmd_reproduce_examples(args):
+    golden_dir = args.golden_dir or fx.GOLDEN_DIR
+    selected = [c for c in CASES if args.only is None or args.only in c[0]]
     if not selected:
         raise ValueError("no example id contains %r (ids: %s)"
-                         % (cfg.only, ", ".join(c[0] for c in CASES)))
-    env = envelope(cfg)
+                         % (args.only, ", ".join(c[0] for c in CASES)))
+    env = envelope(args)
 
     records = []
     for cid, claim, fn in selected:
-        computed, payload = fn(cfg)
+        computed, payload = fn()
         records.append({"id": cid, "claim": claim, "computed": computed,
                         "envelope": env, "result": payload})
 
@@ -610,7 +560,7 @@ def cmd_reproduce_examples(cfg):
         cid, claim, computed = record["id"], record["claim"], record["computed"]
         text = canonical_json(record)
         gpath = os.path.join(golden_dir, cid + ".json")
-        if cfg.write_golden:
+        if args.write_golden:
             if computed != claim:
                 divergent.append(cid)
                 status = "DIVERGES (golden not written)"
@@ -641,9 +591,9 @@ def cmd_reproduce_examples(cfg):
     for row in rows:
         print(" | ".join(str(c).ljust(w) for c, w in zip(row, widths)))
 
-    if cfg.json_out:
-        emit_json(cfg, {"command": "reproduce-examples", "envelope": env,
-                        "cases": records})
+    if args.json_out:
+        emit_json(args.json_out, {"command": "reproduce-examples",
+                                  "envelope": env, "cases": records})
     if missing:
         print("missing golden files: %s (use --write-golden to create them)"
               % ", ".join(missing))
@@ -651,7 +601,7 @@ def cmd_reproduce_examples(cfg):
     if divergent:
         print("divergence in: %s" % ", ".join(divergent))
         return 1
-    if cfg.write_golden:
+    if args.write_golden:
         print("wrote %d golden files to %s" % (written, golden_dir))
         return 0
     print("%d/%d examples reproduced" % (len(rows), len(rows)))
@@ -663,27 +613,9 @@ def cmd_reproduce_examples(cfg):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        cfg.validate()
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    saved = (groebner.DEFAULT_MAX_BASIS, groebner.DEFAULT_MAX_PAIRS)
-    groebner.DEFAULT_MAX_BASIS = cfg.max_basis
-    groebner.DEFAULT_MAX_PAIRS = cfg.max_pairs
-    try:
-        if cfg.command == "points-check":
-            return cmd_points_check(cfg)
-        if cfg.command == "conductor":
-            return cmd_conductor(cfg)
-        if cfg.command == "tangent-cone":
-            return cmd_tangent_cone(cfg)
-        return cmd_reproduce_examples(cfg)
+        return args.handler(args)
     except BudgetExceededError as exc:
         print("error: budget exceeded: %s" % exc, file=sys.stderr)
-        return 2
-    except StabilizationError as exc:
-        print("error: %s" % exc, file=sys.stderr)
         return 2
     except FileNotFoundError as exc:
         print("error: missing input file: %s" % exc, file=sys.stderr)
@@ -697,8 +629,6 @@ def main(argv=None):
     except (ValueError, TypeError, OSError, RuntimeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    finally:
-        groebner.DEFAULT_MAX_BASIS, groebner.DEFAULT_MAX_PAIRS = saved
 
 
 if __name__ == "__main__":

@@ -127,22 +127,21 @@ class NumericalSemigroup:
         if math.gcd(*gens) != 1:
             raise ValueError("generators must have gcd 1 (finitely many gaps)")
         m = gens[0]
-        INF = float("inf")
-        ap = [INF] * m
+        ap = [None] * m  # None: no element of this residue class found yet
         ap[0] = 0
         for _ in range(m):
             changed = False
             for res in range(m):
-                if ap[res] is INF:
+                if ap[res] is None:
                     continue
                 for g in gens:
                     v = ap[res] + g
-                    if v < ap[v % m]:
+                    if ap[v % m] is None or v < ap[v % m]:
                         ap[v % m] = v
                         changed = True
             if not changed:
                 break
-        assert all(a is not INF for a in ap)
+        assert None not in ap
         frob = max(ap) - m
         gaps = tuple(n for n in range(1, frob + 1) if n < ap[n % m])
 
@@ -159,6 +158,21 @@ class NumericalSemigroup:
 
     def contains(self, n):
         return n >= 0 and n >= self.apery[n % self.multiplicity]
+
+
+def nfold_sumset(elements, n, window):
+    """The n-fold sums of `elements` (positive ints) up to `window`, as a
+    bitmask: bit k is set when k is such a sum. Each round costs one shift-or
+    per element on a (window + 1)-bit int.
+    """
+    full = (1 << (window + 1)) - 1
+    sums = 1
+    for _ in range(n):
+        nxt = 0
+        for b in elements:
+            nxt |= sums << b
+        sums = nxt & full
+    return sums
 
 
 def semigroup_certificate(gens):
@@ -181,10 +195,8 @@ def semigroup_certificate(gens):
     nv = nu(S.multiplicity, r)
     window = S.conductor + nv * S.multiplicity + 5
     elements = [n for n in range(1, window + 1) if S.contains(n)]
-    sums = {0}
-    for _ in range(nv):
-        sums = {a + b for a in sums for b in elements if a + b <= window}
-    start = min(sums)
+    sums = nfold_sumset(elements, nv, window)
+    start = (sums & -sums).bit_length() - 1
     assert start == nv * S.multiplicity
     predicted = list(range(start, window + 1))
     oracle_set = list(range(S.conductor, window + 1))

@@ -56,16 +56,9 @@ def normal_form(f, basis, order):
     return Polynomial(f.nvars, field, remainder)
 
 
-def buchberger(gens, order=DEGREVLEX, max_basis=None, max_pairs=None):
-    """Reduced Groebner basis of the given generators.
-
-    Budgets default to the module-level DEFAULT_* values at call time, so a
-    front end can raise them globally for one process.
-    """
-    if max_basis is None:
-        max_basis = DEFAULT_MAX_BASIS
-    if max_pairs is None:
-        max_pairs = DEFAULT_MAX_PAIRS
+def buchberger(gens, order=DEGREVLEX, max_basis=DEFAULT_MAX_BASIS,
+               max_pairs=DEFAULT_MAX_PAIRS):
+    """Reduced Groebner basis of the given generators."""
     basis = [g.monic(order) for g in gens if not g.is_zero()]
     if not basis:
         return ()
@@ -152,7 +145,8 @@ class Ideal:
             raise ValueError("need at least one generator to infer the ring")
         return cls(gens[0].nvars, gens[0].field, gens)
 
-    def groebner_basis(self, order=DEGREVLEX, max_basis=None, max_pairs=None):
+    def groebner_basis(self, order=DEGREVLEX, max_basis=DEFAULT_MAX_BASIS,
+                       max_pairs=DEFAULT_MAX_PAIRS):
         got = self._bases.get(order)
         if got is None:
             got = buchberger(self.gens, order, max_basis, max_pairs)

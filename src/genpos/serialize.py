@@ -39,6 +39,9 @@ def point_set_to_json(X):
 
 
 def point_set_from_json(obj):
+    if not isinstance(obj, dict):
+        raise ValueError('a point set must be a JSON object with "r" and '
+                         '"points" keys, got %s' % type(obj).__name__)
     field = field_from_json(obj.get("field"))
     return PointSet.of(obj["r"], field, obj["points"])
 

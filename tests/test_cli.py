@@ -7,12 +7,9 @@ import sys
 from genpos.fixtures import GOLDEN_DIR, fixture_path
 
 
-def run_cli(*args, env_extra=None, cwd=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "genpos"] + list(args),
-                          capture_output=True, text=True, env=env, cwd=cwd)
+                          capture_output=True, text=True)
 
 
 def fx(name):
@@ -133,23 +130,46 @@ def test_tangent_cone_ideal_route(tmp_path):
     assert payload["profile"]["emdim"] == 2
 
 
-def test_budget_env_vars():
-    res = run_cli("conductor", fx("arrangement_three_lines.json"),
-                  env_extra={"GENPOS_MAX_PAIRS": "1"})
-    assert res.returncode == 2
-    assert "pair budget 1 exceeded" in res.stderr
-
+def test_subset_budget_flag():
     res = run_cli("points-check", fx("off_conic_points.json"), "--t", "3",
-                  env_extra={"GENPOS_SUBSET_BUDGET": "2"})
+                  "--subset-budget", "2")
     assert res.returncode == 2
     assert "budget" in res.stderr
 
-
-def test_flag_beats_env():
     res = run_cli("points-check", fx("off_conic_points.json"), "--t", "3",
-                  "--subset-budget", "50000",
-                  env_extra={"GENPOS_SUBSET_BUDGET": "2"})
+                  "--subset-budget", "50000")
     assert res.returncode == 0
+
+
+def test_unaccepted_flags_and_values_exit_2():
+    for args in (("points-check", fx("line_points.json"), "--box", "3"),
+                 ("points-check", fx("line_points.json"), "--seed", "1"),
+                 ("tangent-cone", fx("germ_curve.json"),
+                  "--subset-budget", "1"),
+                 ("reproduce-examples", "--seed", "1"),
+                 ("points-check", fx("line_points.json"), "--t", "0"),
+                 ("points-check", fx("line_points.json"), "--t", "3",
+                  "--subset-budget", "0"),
+                 ("conductor", fx("monomial_n3.json"), "--box", "-1"),
+                 ("points-check", fx("line_points.json"), "--field", "x")):
+        res = run_cli(*args)
+        assert res.returncode == 2, args
+        assert "usage:" in res.stderr, args
+        assert "Traceback" not in res.stderr, args
+
+
+def test_envelope_records_fixed_seed_and_library_budgets(tmp_path):
+    for args in (("points-check", fx("line_points.json")),
+                 ("conductor", fx("semigroup_2_3.json")),
+                 ("tangent-cone", fx("germ_curve.json"))):
+        out = tmp_path / (args[0] + ".json")
+        res = run_cli(*args, "--json-out", str(out))
+        assert res.returncode in (0, 3), (args, res.stderr)
+        env = json.loads(out.read_text())["envelope"]
+        assert env["seed"] == 0
+        assert env["budgets"]["max_basis"] == 500
+        assert env["budgets"]["max_pairs"] == 50000
+        assert env["budgets"]["subset_budget"] == 20000
 
 
 def test_malformed_and_missing_inputs(tmp_path):
@@ -202,6 +222,16 @@ def test_conductor_rejects_top_level_array(tmp_path):
     assert "Traceback" not in res.stderr
 
 
+def test_conductor_rejects_nested_points_list(tmp_path):
+    src = tmp_path / "model.json"
+    src.write_text(json.dumps({"model": "points",
+                               "points": [[1, 0, 0], [0, 1, 0]]}))
+    res = run_cli("conductor", str(src))
+    assert res.returncode == 2
+    assert "must be a JSON object" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_tangent_cone_rejects_ideal_off_the_origin(tmp_path):
     src = tmp_path / "ideal.json"
     src.write_text(json.dumps({"vars": 2, "gens": ["x0^2 - x1^3", "1 + x0"]}))
@@ -243,3 +273,16 @@ def test_reproduce_examples_missing_goldens(tmp_path):
     empty.mkdir()
     res = run_cli("reproduce-examples", "--golden-dir", str(empty))
     assert res.returncode == 2
+
+
+def test_reproduce_examples_write_golden(tmp_path):
+    out = tmp_path / "golden"
+    res = run_cli("reproduce-examples", "--write-golden",
+                  "--golden-dir", str(out))
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert "wrote 12 golden files" in res.stdout
+    shipped = sorted(os.listdir(GOLDEN_DIR))
+    assert sorted(os.listdir(out)) == shipped
+    for name in shipped:
+        with open(os.path.join(GOLDEN_DIR, name), "rb") as fh:
+            assert (out / name).read_bytes() == fh.read(), name

@@ -6,7 +6,7 @@ import pytest
 from genpos.conductor import (NumericalSemigroup, arrangement_certificate,
                               arrangement_conductor_ideal,
                               arrangement_strata, monomial_conductor,
-                              monomial_conductor_certificate,
+                              monomial_conductor_certificate, nfold_sumset,
                               points_conductor_certificate,
                               points_conductor_sigma, semigroup_certificate,
                               symbolic_power, up_closure)
@@ -167,6 +167,29 @@ def test_semigroup_properties_seeded():
         bigger = NumericalSemigroup.from_generators(
             tuple(S.generators) + (rng.randint(2, 20),))
         assert bigger.conductor <= S.conductor
+
+
+def test_nfold_sumset_matches_comprehension():
+    def comprehension(elements, n, window):
+        sums = {0}
+        for _ in range(n):
+            sums = {a + b for a in sums for b in elements if a + b <= window}
+        return sums
+
+    def bits(mask):
+        return {k for k in range(mask.bit_length()) if mask >> k & 1}
+
+    for gens in ((2, 3), (2, 5), (3, 4, 5), (4, 5), (12, 13), (13, 15),
+                 (17, 20)):
+        S = NumericalSemigroup.from_generators(gens)
+        nv = nu(S.multiplicity, S.emdim - 1)
+        window = S.conductor + nv * S.multiplicity + 5
+        elements = [n for n in range(1, window + 1) if S.contains(n)]
+        assert bits(nfold_sumset(elements, nv, window)) == comprehension(
+            elements, nv, window), gens
+    assert bits(nfold_sumset([3, 7], 3, 20)) == comprehension([3, 7], 3, 20)
+    assert nfold_sumset([3, 7], 0, 20) == 1
+    assert nfold_sumset([30], 1, 20) == 0
 
 
 # ------------------------------------------------------------------ monomial algebras
