@@ -7,9 +7,10 @@ import sys
 from genpos.fixtures import GOLDEN_DIR, fixture_path
 
 
-def run_cli(*args):
+def run_cli(*args, env_extra=None):
+    env = dict(os.environ, **(env_extra or {}))
     return subprocess.run([sys.executable, "-m", "genpos"] + list(args),
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
 
 
 def fx(name):
@@ -139,6 +140,34 @@ def test_subset_budget_flag():
     res = run_cli("points-check", fx("off_conic_points.json"), "--t", "3",
                   "--subset-budget", "50000")
     assert res.returncode == 0
+
+
+def test_budget_env_vars():
+    # The budgets are set by flags only: GENPOS_* variables change nothing.
+    for args, env_extra in (
+            (("conductor", fx("arrangement_three_lines.json")),
+             {"GENPOS_MAX_PAIRS": "1", "GENPOS_MAX_BASIS": "1"}),
+            (("points-check", fx("off_conic_points.json"), "--t", "3"),
+             {"GENPOS_SUBSET_BUDGET": "2"})):
+        plain = run_cli(*args)
+        res = run_cli(*args, env_extra=env_extra)
+        assert plain.returncode in (0, 3), (args, plain.stderr)
+        assert (res.returncode, res.stdout) == (plain.returncode,
+                                                plain.stdout), args
+        assert "budget" not in res.stderr, args
+
+
+def test_flag_beats_env():
+    res = run_cli("points-check", fx("off_conic_points.json"), "--t", "3",
+                  "--subset-budget", "50000",
+                  env_extra={"GENPOS_SUBSET_BUDGET": "2"})
+    assert res.returncode == 0
+
+    res = run_cli("points-check", fx("off_conic_points.json"), "--t", "3",
+                  "--subset-budget", "2",
+                  env_extra={"GENPOS_SUBSET_BUDGET": "50000"})
+    assert res.returncode == 2
+    assert "budget" in res.stderr
 
 
 def test_unaccepted_flags_and_values_exit_2():
