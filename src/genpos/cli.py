@@ -208,7 +208,8 @@ def conductor_certificate_for(obj, args):
     model = obj.get("model")
     if model == "points":
         pts = obj["points"]
-        if args.field is not None:
+        if args.field is not None and isinstance(pts, dict):
+            # a non-object is left to point_set_from_json's shape error
             pts = dict(pts, field=args.field)
         X = point_set_from_json(pts)
         return points_conductor_certificate(X, dmax=args.degree_bound,

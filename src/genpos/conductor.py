@@ -14,8 +14,9 @@ from .errors import StabilizationError
 from .groebner import (Ideal, ideal_equal, ideal_intersect, ideal_member,
                        ideal_power, saturation)
 from .linalg import rank, rref
-from .points import (DEFAULT_SUBSET_BUDGET, binom, hilbert_function,
-                     is_generic_position, is_generic_t_position, nu)
+from .points import (DEFAULT_SUBSET_BUDGET, echelons_to_full_rank,
+                     hilbert_profile, is_generic_position,
+                     is_generic_t_position, nu)
 from .poly import Polynomial
 
 
@@ -46,26 +47,27 @@ class ConductorCertificate:
 
 # ---------------------------------------------------------------- points
 
-def points_conductor_sigma(X, dmax=None):
-    """Least degree from which the coordinate ring fills all of k^e, checked
-    through dmax. This is the degree where the graded conductor starts."""
+def _sigma_window(X, dmax):
     floor = nu(X.e, X.r) + 2
     if dmax is None:
-        dmax = floor + 2
-    elif dmax < floor:
+        return floor + 2
+    if dmax < floor:
         raise ValueError("dmax must be at least nu + 2 = %d" % floor)
-    values = [hilbert_function(X, d) for d in range(dmax + 1)]
-    sigma = None
-    for d in range(dmax, -1, -1):
-        if values[d] != X.e:
-            sigma = d + 1
-            break
-    else:
-        sigma = 0
-    if sigma > dmax:
-        raise StabilizationError(
-            "no full-rank degree through %d (H = %s)" % (dmax, values))
-    return sigma, tuple(values)
+    return dmax
+
+
+def points_conductor_sigma(X, dmax=None, echelons=None):
+    """Least degree from which the coordinate ring fills all of k^e, checked
+    through dmax. This is the degree where the graded conductor starts.
+
+    `echelons` is the `echelons_to_full_rank` list when the caller has it.
+    """
+    dmax = _sigma_window(X, dmax)
+    prof = hilbert_profile(X, dmax, echelons)
+    if prof.stabilization_degree is None:
+        raise StabilizationError("no full-rank degree through %d (H = %s)"
+                                 % (dmax, list(prof.values)))
+    return prof.stabilization_degree, prof.values
 
 
 def points_conductor_certificate(X, dmax=None,
@@ -74,13 +76,15 @@ def points_conductor_certificate(X, dmax=None,
 
     The prediction needs X in generic position and in generic (e-1)-position;
     when either fails the verdict is hypotheses-failed with both numbers still
-    reported.
+    reported. One echelon per degree, up to the first full-rank degree, serves
+    the oracle and both hypothesis checks.
     """
     claimed_nu = nu(X.e, X.r)
-    sigma, values = points_conductor_sigma(X, dmax)
-    full = is_generic_position(X)
+    echelons = echelons_to_full_rank(X, _sigma_window(X, dmax))
+    sigma, values = points_conductor_sigma(X, dmax, echelons)
+    full = is_generic_position(X, echelons)
     if X.e >= 2:
-        sub = is_generic_t_position(X, X.e - 1, subset_budget)
+        sub = is_generic_t_position(X, X.e - 1, subset_budget, echelons)
         sub_ok = sub.generic
     else:
         sub_ok = True

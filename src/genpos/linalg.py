@@ -12,10 +12,15 @@ from math import gcd
 
 
 def rref(rows, field):
-    """Reduced row echelon form. Returns (new_rows, pivot_columns)."""
+    """Reduced row echelon form. Returns (new_rows, pivot_columns).
+
+    Input rows are canonicalized through `field(...)`; the hot loops then
+    reduce mod p inline over GF(p) and use plain Fraction arithmetic over Q.
+    """
     rows = [[field(v) for v in r] for r in rows]
     if not rows:
         return rows, []
+    p = field.p
     ncols = len(rows[0])
     pivots = []
     r = 0
@@ -25,11 +30,18 @@ def rref(rows, field):
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = field.inv(rows[r][col])
-        rows[r] = [field(v * inv) for v in rows[r]]
+        if p is None:
+            prow = [v * inv for v in rows[r]]
+        else:
+            prow = [v * inv % p for v in rows[r]]
+        rows[r] = prow
         for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [field(a - f * b) for a, b in zip(rows[i], rows[r])]
+            f = rows[i][col]
+            if i != r and f:
+                if p is None:
+                    rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
+                else:
+                    rows[i] = [(a - f * b) % p for a, b in zip(rows[i], prow)]
         pivots.append(col)
         r += 1
         if r == len(rows):
@@ -41,13 +53,12 @@ def rank(rows, field):
     return len(rref(rows, field)[1])
 
 
-def nullspace_vector(rows, ncols, field):
-    """Canonical kernel vector of the column-space map, or None if full column rank.
+def kernel_vector(red, pivots, ncols, field):
+    """Canonical kernel vector read off an RREF, or None if full column rank.
 
     Sets the first free column to 1, every other free column to 0, and fills
     pivot columns by back-substitution, so the result is deterministic.
     """
-    red, pivots = rref(rows, field)
     free = [c for c in range(ncols) if c not in pivots]
     if not free:
         return None
@@ -57,6 +68,13 @@ def nullspace_vector(rows, ncols, field):
     for row, pc in zip(red, pivots):
         v[pc] = field(-row[j0])
     return v
+
+
+def nullspace_vector(rows, ncols, field):
+    """Canonical kernel vector of the column-space map, or None if full column
+    rank (see `kernel_vector`)."""
+    red, pivots = rref(rows, field)
+    return kernel_vector(red, pivots, ncols, field)
 
 
 class SparseEchelon:

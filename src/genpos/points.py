@@ -3,7 +3,9 @@
 A set of e points is in generic position when every degree-n evaluation matrix
 has the maximal rank min(e, C(n+r, r)); it is in generic t-position when every
 t-point subset is in generic position. Certificates carry the smallest failing
-degree and an explicit hypersurface witness read off the null space.
+degree and an explicit hypersurface witness read off the null space. Callers
+that check several properties of one set reduce each degree's evaluation
+matrix once (`degree_echelon`) and pass the echelons down.
 """
 
 import math
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import BudgetExceededError
-from .linalg import nullspace_vector, rref
+from .linalg import kernel_vector, rank, rref
 from .poly import Polynomial, monomials_of_degree
 
 DEFAULT_SUBSET_BUDGET = 20000
@@ -91,22 +93,46 @@ def hilbert_function(X, n):
     return len(rref(rows, X.field)[1])
 
 
+def degree_echelon(X, d):
+    """(rows, monos, red, pivots): the degree-d evaluation matrix and its RREF."""
+    rows, monos = evaluation_matrix(X, d)
+    red, pivots = rref(rows, X.field)
+    return rows, monos, red, pivots
+
+
+def echelons_to_full_rank(X, dmax):
+    """Degree echelons for d = 0, 1, ... up to the first degree of rank e, or
+    through dmax if the rank never gets there.
+
+    Full rank carries up: a degree-d separator of p times a coordinate that
+    does not vanish at p is a degree-(d+1) separator, so H(d') = e for d' > d.
+    """
+    echelons = []
+    for d in range(dmax + 1):
+        echelons.append(degree_echelon(X, d))
+        if len(echelons[-1][3]) == X.e:
+            break
+    return echelons
+
+
 @dataclass(frozen=True)
 class HilbertProfile:
     values: tuple
     stabilization_degree: object  # int, or None if e was not reached
 
-    def value(self, n):
-        if n < len(self.values):
-            return self.values[n]
-        return self.values[-1]
 
+def hilbert_profile(X, upto, echelons=None):
+    """H(0..upto) plus the first degree where H reaches e (None if never).
 
-def hilbert_profile(X, upto):
-    """H(0..upto) plus the first degree where H reaches e (None if never)."""
-    vals = tuple(hilbert_function(X, n) for n in range(upto + 1))
-    stab = next((n for n, v in enumerate(vals) if v == X.e), None)
-    return HilbertProfile(vals, stab)
+    Ranks are computed only up to that degree; `echelons` is the
+    `echelons_to_full_rank(X, upto)` list when the caller already has it.
+    """
+    if echelons is None:
+        echelons = echelons_to_full_rank(X, upto)
+    values = [len(pivots) for _, _, _, pivots in echelons]
+    stab = len(values) - 1 if values[-1] == X.e else None
+    return HilbertProfile(tuple(values + [X.e] * (upto + 1 - len(values))),
+                          stab)
 
 
 @dataclass(frozen=True)
@@ -138,17 +164,18 @@ class GenericityCertificate:
         }
 
 
-def _generic_check(X):
-    """(failing_degree, witness, hilbert_values) over degrees 0..nu(e, r)."""
+def _generic_check(X, echelons=None):
+    """(failing_degree, witness, hilbert_values) over degrees 0..nu(e, r),
+    reading `echelons[n]` (a `degree_echelon` of X) when given."""
     bound = nu(X.e, X.r)
     values = []
     for n in range(bound + 1):
-        rows, monos = evaluation_matrix(X, n)
-        red, pivots = rref(rows, X.field)
+        rows, monos, red, pivots = (degree_echelon(X, n) if echelons is None
+                                    else echelons[n])
         h = len(pivots)
         values.append(h)
         if h < min(X.e, binom(n + X.r, X.r)):
-            vec = nullspace_vector(rows, len(monos), X.field)
+            vec = kernel_vector(red, pivots, len(monos), X.field)
             witness = Polynomial(X.r + 1, X.field, dict(zip(monos, vec)))
             lead = next(c for c in vec if c)
             witness = witness * X.field.inv(lead)
@@ -156,9 +183,9 @@ def _generic_check(X):
     return None, None, values
 
 
-def is_generic_position(X):
+def is_generic_position(X, echelons=None):
     """Certify generic position by checking ranks up to degree nu(e, r)."""
-    failing, witness, values = _generic_check(X)
+    failing, witness, values = _generic_check(X, echelons)
     return GenericityCertificate(
         generic=failing is None, t=X.e, e=X.e, r=X.r,
         checked_degrees=tuple(range(len(values))),
@@ -166,27 +193,80 @@ def is_generic_position(X):
         failing_degree=failing, witness=witness)
 
 
-def is_generic_t_position(X, t, subset_budget=DEFAULT_SUBSET_BUDGET):
-    """Certify that every t-subset is in generic position, subsets in lex order."""
+def _separated_points(rows, pivots, field):
+    """Points q with a separator in this degree (a form vanishing on every
+    other point but not on q): exactly those where every left-kernel vector
+    of the evaluation matrix is 0. The left kernel is the null space of the
+    transposed pivot columns, so q is separated when it is a pivot of that
+    RREF whose row is zero on every free column."""
+    red, piv = rref([[row[c] for row in rows] for c in pivots], field)
+    piv_set = set(piv)
+    free = [q for q in range(len(rows)) if q not in piv_set]
+    return {q for row, q in zip(red, piv) if not any(row[f] for f in free)}
+
+
+def _first_failing_subset(X, t, echelons):
+    """Lex-first t-subset of X not in generic position, or None.
+
+    A t-set is in generic position exactly when two degrees pass, with
+    n = nu(t, r): in degree n-1 no form vanishes on it (full column rank,
+    which carries down to every lower degree) and in degree n its points are
+    separated (full row rank). Row-subset ranks are read on the pivot columns
+    of X's evaluation matrix, which span its column space. For t = e-1 the
+    subset X minus q has rank H_X(d) - [q has a degree-d separator], so no
+    subset is enumerated; the lex-first failing one omits the largest bad q.
+    """
+    n = nu(t, X.r)
+    degrees = [d for d in (n - 1, n) if d >= 0]
+    if t == X.e - 1:
+        bad = set()
+        for d in degrees:
+            rows, _, _, pivots = echelons[d]
+            want = min(t, binom(d + X.r, X.r))
+            sep = _separated_points(rows, pivots, X.field)
+            bad.update(q for q in range(X.e)
+                       if len(pivots) - (q in sep) != want)
+        if not bad:
+            return None
+        return tuple(i for i in range(X.e) if i != max(bad))
+    for idxs in combinations(range(X.e), t):
+        for d in degrees:
+            rows, _, _, pivots = echelons[d]
+            sub = [[rows[i][c] for c in pivots] for i in idxs]
+            if rank(sub, X.field) != min(t, binom(d + X.r, X.r)):
+                return idxs
+    return None
+
+
+def is_generic_t_position(X, t, subset_budget=DEFAULT_SUBSET_BUDGET,
+                          echelons=None):
+    """Certify that every t-subset is in generic position, subsets in lex order.
+
+    Reads `echelons[d]` (a `degree_echelon` of X) for d = nu(t, r) - 1 and
+    nu(t, r) when given. A failing certificate is the per-subset
+    `_generic_check` of the lex-first failing subset.
+    """
     if not 1 <= t <= X.e:
         raise ValueError("t must be between 1 and e")
     total = binom(X.e, t)
     if total > subset_budget:
         raise BudgetExceededError(
             "C(%d, %d) = %d subsets exceed budget %d" % (X.e, t, total, subset_budget))
-    for idxs in combinations(range(X.e), t):
-        sub = X.subset(idxs)
-        failing, witness, values = _generic_check(sub)
-        if failing is not None:
-            return GenericityCertificate(
-                generic=False, t=t, e=X.e, r=X.r,
-                checked_degrees=tuple(range(len(values))),
-                hilbert_values=tuple(values),
-                failing_degree=failing, witness=witness, failing_subset=idxs)
-    full = list(range(nu(t, X.r) + 1))
+    n = nu(t, X.r)
+    if echelons is None:
+        echelons = {d: degree_echelon(X, d) for d in (n - 1, n) if d >= 0}
+    idxs = _first_failing_subset(X, t, echelons)
+    if idxs is not None:
+        failing, witness, values = _generic_check(X.subset(idxs))
+        assert failing is not None, idxs
+        return GenericityCertificate(
+            generic=False, t=t, e=X.e, r=X.r,
+            checked_degrees=tuple(range(len(values))),
+            hilbert_values=tuple(values),
+            failing_degree=failing, witness=witness, failing_subset=idxs)
     return GenericityCertificate(
         generic=True, t=t, e=X.e, r=X.r,
-        checked_degrees=tuple(full),
+        checked_degrees=tuple(range(n + 1)),
         hilbert_values=(), failing_degree=None)
 
 

@@ -255,10 +255,11 @@ def test_conductor_rejects_nested_points_list(tmp_path):
     src = tmp_path / "model.json"
     src.write_text(json.dumps({"model": "points",
                                "points": [[1, 0, 0], [0, 1, 0]]}))
-    res = run_cli("conductor", str(src))
-    assert res.returncode == 2
-    assert "must be a JSON object" in res.stderr
-    assert "Traceback" not in res.stderr
+    for extra in ([], ["--field", "7"]):
+        res = run_cli("conductor", str(src), *extra)
+        assert res.returncode == 2
+        assert "must be a JSON object" in res.stderr
+        assert "Traceback" not in res.stderr
 
 
 def test_tangent_cone_rejects_ideal_off_the_origin(tmp_path):

@@ -10,12 +10,12 @@ from genpos.conductor import (NumericalSemigroup, arrangement_certificate,
                               points_conductor_certificate,
                               points_conductor_sigma, semigroup_certificate,
                               symbolic_power, up_closure)
-from genpos.errors import StabilizationError
+from genpos.errors import BudgetExceededError, StabilizationError
 from genpos.fixtures import (arrangement_forms, line_points,
                              off_conic_points, tangent_point_set)
 from genpos.groebner import Ideal, ideal_equal, ideal_member, ideal_power
-from genpos.points import (PointSet, evaluation_matrix, nu,
-                           random_point_set)
+from genpos.points import (PointSet, evaluation_matrix, is_generic_t_position,
+                           nu, random_point_set)
 from genpos.poly import Polynomial
 from genpos.scalars import QQ, PrimeField
 
@@ -92,6 +92,18 @@ def test_random_space_points_match():
     cert = points_conductor_certificate(X)
     assert cert.verdict == "match"
     assert cert.claimed["exponent"] == 2
+
+
+def test_scaled_points_certificate_e56_r5():
+    # 56 = C(8, 5) points of P^5: every degree up to nu = 3 is square or wide
+    F = PrimeField(2 ** 31 - 1)
+    X, _ = random_point_set(random.Random(1), 56, 5, F)
+    cert = points_conductor_certificate(X)
+    assert cert.verdict == "match"
+    assert cert.claimed["exponent"] == 3 and cert.oracle["sigma"] == 3
+    assert cert.oracle["hilbert_values"][:4] == [1, 6, 21, 56]
+    with pytest.raises(BudgetExceededError):
+        is_generic_t_position(X, X.e - 1, subset_budget=X.e - 1)
 
 
 # ------------------------------------------------------------------ semigroups

@@ -1,0 +1,173 @@
+"""Property tests: the one-pass point engine against the per-degree path.
+
+The engine reduces each degree's evaluation matrix once, stops at the first
+full-rank degree and reads generic (e-1)-position off separators. The oracles
+below redo everything the old way: `hilbert_function` for every degree, a
+fresh `nullspace_vector` for the witness, and a lex loop over all t-subsets.
+"""
+
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from genpos.conductor import points_conductor_certificate, points_conductor_sigma
+from genpos.errors import StabilizationError
+from genpos.linalg import nullspace_vector
+from genpos.points import (GenericityCertificate, PointSet, binom,
+                           evaluation_matrix, hilbert_function,
+                           hilbert_profile, is_generic_position,
+                           is_generic_t_position, normalize_point, nu)
+from genpos.poly import Polynomial
+from genpos.scalars import QQ, PrimeField
+
+FIELDS = [PrimeField(11), PrimeField(2 ** 31 - 1), QQ]
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
+                    database=None)
+MAX_E = 7
+
+
+def old_generic_check(X):
+    """Degrees 0..nu with a fresh rank and a fresh kernel vector per degree."""
+    values = []
+    for n in range(nu(X.e, X.r) + 1):
+        h = hilbert_function(X, n)
+        values.append(h)
+        if h < min(X.e, binom(n + X.r, X.r)):
+            rows, monos = evaluation_matrix(X, n)
+            vec = nullspace_vector(rows, len(monos), X.field)
+            witness = Polynomial(X.r + 1, X.field, dict(zip(monos, vec)))
+            return n, witness * X.field.inv(next(c for c in vec if c)), values
+    return None, None, values
+
+
+def old_generic_position(X):
+    failing, witness, values = old_generic_check(X)
+    return GenericityCertificate(
+        generic=failing is None, t=X.e, e=X.e, r=X.r,
+        checked_degrees=tuple(range(len(values))),
+        hilbert_values=tuple(values), failing_degree=failing,
+        witness=witness).as_dict()
+
+
+def brute_t_position(X, t):
+    """Lex loop of the per-subset check over every t-subset."""
+    for idxs in combinations(range(X.e), t):
+        failing, witness, values = old_generic_check(X.subset(idxs))
+        if failing is not None:
+            return GenericityCertificate(
+                generic=False, t=t, e=X.e, r=X.r,
+                checked_degrees=tuple(range(len(values))),
+                hilbert_values=tuple(values), failing_degree=failing,
+                witness=witness, failing_subset=idxs).as_dict()
+    return GenericityCertificate(
+        generic=True, t=t, e=X.e, r=X.r,
+        checked_degrees=tuple(range(nu(t, X.r) + 1)),
+        hilbert_values=()).as_dict()
+
+
+def point_set(r, field, coords):
+    """Distinct nonzero points among coords, in first-seen order; a draw
+    with none becomes the single point [1:0:...:0]."""
+    seen = []
+    for c in coords:
+        c = [field(v) for v in c]
+        if any(c):
+            p = normalize_point(c, field)
+            if p not in seen:
+                seen.append(p)
+    return PointSet(r, field, tuple(seen[:MAX_E]) or ((field.one,) + (field.zero,) * r,))
+
+
+small = st.integers(-3, 3)
+sizes = st.integers(1, MAX_E)
+
+
+@st.composite
+def random_sets(draw):
+    field = draw(st.sampled_from(FIELDS))
+    r = draw(st.integers(1, 3))
+    e = draw(sizes)
+    coord = (st.integers(0, field.p - 1)
+             if field.p is not None and field.p > 100 else small)
+    coords = draw(st.lists(st.lists(coord, min_size=r + 1, max_size=r + 1),
+                           min_size=e, max_size=e))
+    return point_set(r, field, coords)
+
+
+@st.composite
+def degenerate_sets(draw):
+    field = draw(st.sampled_from(FIELDS))
+    r = draw(st.integers(2, 3))
+    e = draw(st.integers(3, MAX_E))
+    kind = draw(st.sampled_from(["line", "normal-curve", "hyperplane",
+                                 "triple"]))
+    vec = st.lists(small, min_size=r + 1, max_size=r + 1)
+    params = draw(st.lists(st.tuples(small, small), min_size=e, max_size=e))
+    if kind == "line":
+        a, b = draw(vec), draw(vec)
+        coords = [[s * x + u * y for x, y in zip(a, b)] for s, u in params]
+    elif kind == "normal-curve":
+        coords = [[s ** (r - i) * u ** i for i in range(r + 1)]
+                  for s, u in params]
+    elif kind == "hyperplane":
+        coords = [c[:r] + [0]
+                  for c in draw(st.lists(vec, min_size=e, max_size=e))]
+    else:
+        a, b = draw(vec), draw(vec)
+        triple = [[s * x + u * y for x, y in zip(a, b)]
+                  for s, u in ((1, 0), (0, 1), (1, 1))]
+        rest = draw(st.lists(vec, min_size=e - 3, max_size=e - 3))
+        coords = draw(st.permutations(triple + rest))
+    return point_set(r, field, coords)
+
+
+FAMILIES = pytest.mark.parametrize(
+    "family", [random_sets(), degenerate_sets()], ids=["random", "degenerate"])
+
+
+@FAMILIES
+@PROPERTY
+@given(data=st.data())
+def test_sigma_values_match_per_degree_ranks(family, data):
+    X = data.draw(family)
+    dmax = nu(X.e, X.r) + 4
+    expected = [hilbert_function(X, d) for d in range(dmax + 1)]
+    if expected[-1] != X.e:
+        with pytest.raises(StabilizationError):
+            points_conductor_sigma(X, dmax)
+        return
+    sigma, values = points_conductor_sigma(X, dmax)
+    assert list(values) == expected
+    assert sigma == min(d for d, h in enumerate(expected) if h == X.e)
+    prof = hilbert_profile(X, dmax)
+    assert list(prof.values) == expected
+    assert prof.stabilization_degree == sigma
+
+
+@FAMILIES
+@PROPERTY
+@given(data=st.data())
+def test_generic_checks_match_old_path(family, data):
+    X = data.draw(family)
+    assert is_generic_position(X).as_dict() == old_generic_position(X)
+    for t in range(1, X.e + 1):
+        assert is_generic_t_position(X, t).as_dict() == brute_t_position(X, t)
+
+
+@FAMILIES
+@PROPERTY
+@given(data=st.data())
+def test_conductor_certificate_matches_old_path(family, data):
+    X = data.draw(family)
+    dmax = nu(X.e, X.r) + 4
+    values = [hilbert_function(X, d) for d in range(dmax + 1)]
+    if values[-1] != X.e:
+        return
+    cert = points_conductor_certificate(X)
+    full = old_generic_position(X)["generic"]
+    sub = X.e < 2 or brute_t_position(X, X.e - 1)["generic"]
+    assert cert.hypotheses == {"generic_position": full,
+                               "generic_position_e_minus_1": sub}
+    assert cert.oracle == {"sigma": values.index(X.e),
+                           "hilbert_values": values}
