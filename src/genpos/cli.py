@@ -22,7 +22,7 @@ import json
 import os
 import random
 import sys
-from functools import partial
+from functools import cache, partial
 
 from . import __version__
 from . import fixtures as fx
@@ -83,7 +83,11 @@ FLAGS = {
 }
 
 
+@cache
 def build_parser():
+    """The `genpos` parser, built on first use and reused by later calls:
+    `parse_args` makes a fresh namespace each time and no flag has a
+    mutable default."""
     parser = argparse.ArgumentParser(
         prog="genpos",
         description="Exact genericity, tangent-cone, and conductor checks.")

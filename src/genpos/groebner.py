@@ -1,11 +1,15 @@
 """Deterministic Buchberger engine and ideal operations built on it.
 
-Pair selection is the normal strategy (smallest lcm degree), ties broken by
-pair creation index, so runs are reproducible. Both classic Buchberger
-criteria prune pairs; the chain criterion only trusts pairs that were
-actually processed, never pairs it skipped itself, which avoids the circular
-variant of that optimization. Resource caps raise BudgetExceededError.
+Pair selection is the normal strategy: pairs come off a heap keyed by
+(lcm degree, creation index), so runs are reproducible. Both classic
+Buchberger criteria prune pairs; the chain criterion only trusts pairs that
+were actually processed, never pairs it skipped itself, which avoids the
+circular variant of that optimization. `normal_form` is full reduction by the
+first divisor in basis order, taking each leading term off a heap of order
+keys. Resource caps raise BudgetExceededError.
 """
+
+from operator import add, le, neg, sub
 
 from .errors import BudgetExceededError
 from .linalg import SparseEchelon
@@ -28,31 +32,58 @@ def spolynomial(f, g, order):
 
 
 def normal_form(f, basis, order):
-    """Remainder of f under full multivariate division by `basis`."""
+    """Remainder of f under full multivariate division by `basis`.
+
+    The leading live term is reduced by the first basis element whose leading
+    monomial divides it, or else moved to the remainder. Every monomial seen
+    is pushed once onto a heap of negated order keys. A term that cancels
+    keeps its entry and is skipped if still absent when it pops; one that
+    comes back needs no new entry, because every term a reduction adds is
+    smaller than the leading term just removed, so the entry has not popped.
+    """
     if f.is_zero() or not basis:
         return f
-    lm_basis = [(g.leading_monomial(order), g) for g in basis if not g.is_zero()]
+    from heapq import heapify, heappop, heappush  # loaded on first use
     field = f.field
+    p = field.p
+    key = order.key
+    divisors = []  # (leading monomial, inverse leading coefficient, tail)
+    for g in basis:
+        if not g.is_zero():
+            (lmg, lcg), *tail = g.terms_sorted(order)
+            divisors.append((lmg, field.inv(lcg), tail))
     work = dict(f.terms)
+    seen = set(work)
+    heap = [(tuple(map(neg, key(m))), m) for m in work]
+    heapify(heap)
     remainder = {}
-    while work:
-        lm = max(work, key=order.key)
-        lc = work[lm]
-        for lmg, g in lm_basis:
-            if mono_divides(lmg, lm):
-                factor = field(lc * field.inv(g.leading_coefficient(order)))
-                shift = mono_div(lm, lmg)
-                for m, c in g.terms.items():
-                    mm = mono_mul(m, shift)
-                    s = field(work.get(mm, 0) - factor * c)
-                    if s:
-                        work[mm] = s
-                    else:
-                        work.pop(mm, None)
+    while heap:
+        lm = heappop(heap)[1]
+        lc = work.pop(lm, None)
+        if lc is None:
+            continue  # cancelled
+        for lmg, inv, tail in divisors:
+            if all(map(le, lmg, lm)):
                 break
         else:
             remainder[lm] = lc
-            del work[lm]
+            continue
+        factor = lc * inv if p is None else lc * inv % p
+        shift = tuple(map(sub, lm, lmg))
+        for m, c in tail:
+            mm = tuple(map(add, m, shift))
+            old = work.get(mm)
+            if old is None:
+                work[mm] = -factor * c if p is None else -factor * c % p
+                if mm not in seen:
+                    seen.add(mm)
+                    heappush(heap, (tuple(map(neg, key(mm))), mm))
+                continue
+            s = old - factor * c if p is None else (old - factor * c) % p
+            if s:
+                work[mm] = s
+            else:
+                del work[mm]
     return Polynomial(f.nvars, field, remainder)
 
 
@@ -63,16 +94,16 @@ def buchberger(gens, order=DEGREVLEX, max_basis=DEFAULT_MAX_BASIS,
     if not basis:
         return ()
     lms = [g.leading_monomial(order) for g in basis]
+    from heapq import heappop, heappush
 
-    pairs = {}
+    pairs = []  # heap of (lcm degree, creation index, i, j)
     seq = 0
     processed = set()
 
     def push_pairs(j):
         nonlocal seq
         for i in range(j):
-            l = mono_lcm(lms[i], lms[j])
-            pairs[(i, j)] = (mono_deg(l), seq)
+            heappush(pairs, (mono_deg(mono_lcm(lms[i], lms[j])), seq, i, j))
             seq += 1
 
     for j in range(len(basis)):
@@ -80,8 +111,7 @@ def buchberger(gens, order=DEGREVLEX, max_basis=DEFAULT_MAX_BASIS,
 
     handled = 0
     while pairs:
-        (i, j) = min(pairs, key=lambda k: pairs[k])
-        del pairs[(i, j)]
+        _, _, i, j = heappop(pairs)
         handled += 1
         if handled > max_pairs:
             raise BudgetExceededError("pair budget %d exceeded" % max_pairs)

@@ -72,17 +72,21 @@ class PointSet:
 
 
 def evaluation_matrix(X, n):
-    """Rows indexed by points, columns by the degree-n monomials (lex descending)."""
+    """Rows indexed by points, columns by the degree-n monomials (lex descending).
+
+    Over GF(p) each product is reduced mod p as it is formed.
+    """
     monos = monomials_of_degree(X.r + 1, n)
+    p = X.field.p
     rows = []
-    for p in X.points:
+    for pt in X.points:
         row = []
         for m in monos:
             v = X.field.one
-            for x, exp in zip(p, m):
+            for x, exp in zip(pt, m):
                 if exp:
-                    v = v * x ** exp
-            row.append(X.field(v))
+                    v = v * x ** exp if p is None else v * x ** exp % p
+            row.append(v)
         rows.append(row)
     return rows, monos
 

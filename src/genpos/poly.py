@@ -41,7 +41,7 @@ class DegRevLex:
     name: str = "degrevlex"
 
     def key(self, m):
-        return (sum(m), tuple(-e for e in reversed(m)))
+        return (sum(m), *(-e for e in reversed(m)))
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,8 @@ class BlockOrder:
 
     def key(self, m):
         head, tail = m[:self.split], m[self.split:]
-        return (sum(head), tuple(-e for e in reversed(head)),
-                sum(tail), tuple(-e for e in reversed(tail)))
+        return (sum(head), *(-e for e in reversed(head)),
+                sum(tail), *(-e for e in reversed(tail)))
 
 
 DEGREVLEX = DegRevLex()

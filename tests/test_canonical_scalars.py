@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genpos.linalg import SparseEchelon, rref
-from genpos.points import normalize_point
+from genpos.points import PointSet, evaluation_matrix, normalize_point
 from genpos.poly import Polynomial
 from genpos.scalars import PrimeField, roots_of_unity
 
@@ -71,6 +71,20 @@ def test_sparse_echelon_rows_are_canonical(field, vecs):
     for lead, row in ech.pivots.items():
         assert lead == min(row) and row[lead] == 1
         assert canonical(row.values(), field) and all(row.values())
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: repr(f))
+@PROPERTY
+@given(points=st.lists(st.lists(raw, min_size=3, max_size=3), min_size=1,
+                       max_size=4),
+       n=st.integers(0, 6))
+def test_evaluation_matrix_is_canonical(field, points, n):
+    X = PointSet(2, field, tuple(tuple(map(field, pt)) for pt in points))
+    rows, monos = evaluation_matrix(X, n)
+    for pt, row in zip(X.points, rows):
+        assert canonical(row, field)
+        assert row == [Polynomial.monomial(m, 3, field).evaluate(pt)
+                       for m in monos]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: repr(f))

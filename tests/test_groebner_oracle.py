@@ -1,0 +1,178 @@
+"""Property tests: the heap-ordered Groebner engine against the scan-based one.
+
+`normal_form` takes each leading term off a heap of order keys, and
+`buchberger` pops pairs from a heap. The oracles below are the scan-based
+versions they replaced: `max` over the live terms with `order.key` on every
+step, and `min` over a dict of pairs. Both strategies are the same (full
+reduction by the first divisor in basis order; normal pair selection with
+creation-index ties), so remainders, pair order and bases must match exactly.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from genpos import groebner
+from genpos.groebner import buchberger, normal_form, spolynomial
+from genpos.poly import (DEGREVLEX, LEX, BlockOrder, Polynomial, mono_deg,
+                         mono_div, mono_divides, mono_lcm, mono_mul)
+from genpos.scalars import QQ, PrimeField
+
+FIELDS = [QQ, PrimeField(11), PrimeField(2 ** 31 - 1)]
+ORDERS = [DEGREVLEX, LEX, BlockOrder(1)]
+PROPERTY = settings(max_examples=120, deadline=None, derandomize=True,
+                    database=None)
+
+
+def old_normal_form(f, basis, order):
+    """Remainder of f under full multivariate division by `basis`."""
+    if f.is_zero() or not basis:
+        return f
+    lm_basis = [(g.leading_monomial(order), g) for g in basis if not g.is_zero()]
+    field = f.field
+    work = dict(f.terms)
+    remainder = {}
+    while work:
+        lm = max(work, key=order.key)
+        lc = work[lm]
+        for lmg, g in lm_basis:
+            if mono_divides(lmg, lm):
+                factor = field(lc * field.inv(g.leading_coefficient(order)))
+                shift = mono_div(lm, lmg)
+                for m, c in g.terms.items():
+                    mm = mono_mul(m, shift)
+                    s = field(work.get(mm, 0) - factor * c)
+                    if s:
+                        work[mm] = s
+                    else:
+                        work.pop(mm, None)
+                break
+        else:
+            remainder[lm] = lc
+            del work[lm]
+    return Polynomial(f.nvars, field, remainder)
+
+
+def old_buchberger(gens, order, log):
+    """Scan-based pair selection; appends each (S-polynomial, remainder)."""
+    basis = [g.monic(order) for g in gens if not g.is_zero()]
+    if not basis:
+        return ()
+    lms = [g.leading_monomial(order) for g in basis]
+    pairs = {}
+    seq = 0
+    processed = set()
+
+    def push_pairs(j):
+        nonlocal seq
+        for i in range(j):
+            pairs[(i, j)] = (mono_deg(mono_lcm(lms[i], lms[j])), seq)
+            seq += 1
+
+    for j in range(len(basis)):
+        push_pairs(j)
+    while pairs:
+        (i, j) = min(pairs, key=lambda k: pairs[k])
+        del pairs[(i, j)]
+        l = mono_lcm(lms[i], lms[j])
+        if l == mono_mul(lms[i], lms[j]):
+            processed.add((i, j))
+            continue
+        if any(k not in (i, j) and mono_divides(lms[k], l)
+               and (min(i, k), max(i, k)) in processed
+               and (min(j, k), max(j, k)) in processed
+               for k in range(len(basis))):
+            continue
+        sp = spolynomial(basis[i], basis[j], order)
+        s = old_normal_form(sp, basis, order)
+        log.append(snapshot(sp, s))
+        processed.add((i, j))
+        if s.is_zero():
+            continue
+        basis.append(s.monic(order))
+        lms.append(basis[-1].leading_monomial(order))
+        push_pairs(len(basis) - 1)
+    keep = [g for i, g in enumerate(basis)
+            if not any(j != i and mono_divides(lms[j], lms[i])
+                       and (lms[j] != lms[i] or j < i)
+                       for j in range(len(basis)))]
+    reduced = []
+    for i, g in enumerate(keep):
+        r = old_normal_form(g, keep[:i] + keep[i + 1:], order)
+        if not r.is_zero():
+            reduced.append(r.monic(order))
+    reduced.sort(key=lambda g: order.key(g.leading_monomial(order)))
+    return tuple(reduced)
+
+
+def snapshot(*polys):
+    """Terms in insertion order, so equal snapshots mean equal construction."""
+    return tuple(tuple(p.terms.items()) for p in polys)
+
+
+@st.composite
+def polynomial(draw, nvars, field, max_terms, max_exp):
+    terms = {}
+    for _ in range(draw(st.integers(1, max_terms))):
+        m = tuple(draw(st.integers(0, max_exp)) for _ in range(nvars))
+        num = draw(st.integers(-20, 20))
+        den = draw(st.integers(1, 6)) if field.p is None else 1
+        terms[m] = field(Fraction(num, den))
+    return Polynomial(nvars, field, terms)
+
+
+@st.composite
+def division_case(draw):
+    """(f, basis, order): f mixes multiples of the basis, so reductions cancel."""
+    field = draw(st.sampled_from(FIELDS))
+    order = draw(st.sampled_from(ORDERS))
+    nvars = draw(st.integers(2, 3))
+    basis = draw(st.lists(polynomial(nvars, field, 4, 2), min_size=1,
+                          max_size=4))
+    f = draw(polynomial(nvars, field, 6, 4))
+    for g in basis:
+        if draw(st.booleans()):
+            f = f + draw(polynomial(nvars, field, 2, 2)) * g
+    return f, basis, order
+
+
+@st.composite
+def ideal_case(draw):
+    field = draw(st.sampled_from(FIELDS))
+    order = draw(st.sampled_from(ORDERS))
+    nvars = draw(st.integers(2, 3))
+    gens = draw(st.lists(polynomial(nvars, field, 3, 2), min_size=1,
+                         max_size=3))
+    return gens, order
+
+
+@PROPERTY
+@given(division_case())
+def test_normal_form_matches_scan(case):
+    f, basis, order = case
+    assert snapshot(normal_form(f, basis, order)) == \
+        snapshot(old_normal_form(f, basis, order))
+
+
+@PROPERTY
+@given(ideal_case())
+def test_buchberger_matches_scan(case):
+    gens, order = case
+    want_log = []
+    want = old_buchberger(gens, order, want_log)
+    got_log = []
+    inner = groebner.normal_form
+
+    def logged(f, basis, order):
+        r = inner(f, basis, order)
+        got_log.append(snapshot(f, r))
+        return r
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groebner, "normal_form", logged)
+        got = buchberger(gens, order)
+    # the S-polynomial reductions come first, in the same order; the rest of
+    # the log is the interreduction of the minimal basis
+    assert got_log[:len(want_log)] == want_log
+    assert snapshot(*got) == snapshot(*want)
