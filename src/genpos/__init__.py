@@ -18,9 +18,8 @@ from .points import (PointSet, hilbert_function, hilbert_profile,
 from .poly import (DEGREVLEX, LEX, BlockOrder, Polynomial, parse_polynomial)
 from .scalars import QQ, FieldMismatchError, PrimeField, roots_of_unity
 from .tangent_cone import (Branch, BranchCurve, ConeProfile,
-                           branch_tangent_points, cone_profile,
-                           cone_profile_auto, germ_profile, lowest_form_ideal,
-                           subalgebra_member)
+                           branch_tangent_points, cone_profile, germ_profile,
+                           lowest_form_ideal, subalgebra_member)
 
 __all__ = [
     "__version__",
@@ -33,7 +32,7 @@ __all__ = [
     "PointSet", "nu", "hilbert_function", "hilbert_profile",
     "is_generic_position", "is_generic_t_position", "random_point_set",
     "Branch", "BranchCurve", "ConeProfile", "branch_tangent_points",
-    "lowest_form_ideal", "cone_profile", "cone_profile_auto", "germ_profile",
+    "lowest_form_ideal", "cone_profile", "germ_profile",
     "subalgebra_member",
     "ConductorCertificate", "NumericalSemigroup",
     "points_conductor_sigma", "points_conductor_certificate",

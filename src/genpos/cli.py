@@ -39,8 +39,8 @@ from .scalars import QQ, PrimeField
 from .serialize import (canonical_json, curve_from_json, field_from_json,
                         ideal_from_json, load_json, point_set_from_json,
                         point_set_to_json)
-from .tangent_cone import (branch_tangent_points, cone_profile_auto,
-                           germ_profile, subalgebra_member)
+from .tangent_cone import (branch_tangent_points, cone_profile, germ_profile,
+                           subalgebra_member)
 
 
 def parse_field_spec(s):
@@ -69,7 +69,8 @@ FLAGS = {
     "--t": dict(type=positive_int,
                 help="check every t-point subset instead of the full set"),
     "--degree-bound": dict(type=positive_int,
-                           help="degree window / truncation bound override"),
+                           help="degree window / first reported degree "
+                                "override"),
     "--box": dict(type=positive_int,
                   help="lattice box for monomial-algebra models"),
     "--subset-budget": dict(type=positive_int, default=DEFAULT_SUBSET_BUDGET,
@@ -227,7 +228,7 @@ def conductor_certificate_for(obj, args):
                              "(--box or a \"box\" key)")
         gens = [tuple(int(c) for c in g) for g in obj["generators"]]
         cand = [tuple(int(c) for c in v) for v in obj["candidate"]]
-        return monomial_conductor_certificate(gens, int(box), cand)
+        return monomial_conductor_certificate(gens, box, cand)
     if model == "arrangement":
         spec = args.field if args.field is not None else obj.get("field")
         field = field_from_json(spec)
@@ -347,10 +348,7 @@ def _cone_from_ideal(obj, args):
             raise ValueError("generator %d (%s) has a nonzero constant term: "
                              "the ideal does not pass through the origin"
                              % (i, g.text()))
-    if args.degree_bound is not None:
-        profile = cone_profile_auto(ideal, bound=args.degree_bound)
-    else:
-        profile = cone_profile_auto(ideal)
+    profile = cone_profile(ideal, args.degree_bound or 8)
     lines = ["graded cone dimensions: %s" % (list(profile.values),),
              "multiplicity: %d, embedding dimension: %d"
              % (profile.multiplicity, profile.emdim)]
@@ -631,7 +629,8 @@ def main(argv=None):
     except KeyError as exc:
         print("error: missing key %s in input" % exc, file=sys.stderr)
         return 2
-    except (ValueError, TypeError, OSError, RuntimeError) as exc:
+    except (ValueError, TypeError, OSError, RuntimeError,
+            ZeroDivisionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -254,6 +254,8 @@ def monomial_conductor(generators, box):
     check honest. Errors when the far corner of the window is not entirely in
     the conductor (the box is then too small to see the stable region).
     """
+    if isinstance(box, bool) or not isinstance(box, int) or box < 1:
+        raise ValueError("box must be a positive integer, got %r" % (box,))
     k = len(generators[0])
     if any(len(g) != k for g in generators):
         raise ValueError("generators of mixed dimension")

@@ -65,8 +65,20 @@ class BlockOrder:
                 sum(tail), *(-e for e in reversed(tail)))
 
 
+@dataclass(frozen=True)
+class LazardOrder:
+    """Order on k[t, x], t = variable 0: total degree, then the larger power
+    of t (on homogeneous input, the lower x-degree), then degrevlex on x."""
+
+    name: str = "lazard"
+
+    def key(self, m):
+        return (sum(m), m[0], *(-e for e in reversed(m[1:])))
+
+
 DEGREVLEX = DegRevLex()
 LEX = Lex()
+LAZARD = LazardOrder()
 
 
 class Polynomial:

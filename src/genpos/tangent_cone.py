@@ -1,11 +1,12 @@
 """Tangent cones of curve germs at the origin.
 
 Three routes into the same graded object:
-  * lowest_form_ideal turns a polynomial ideal into its ideal of initial
-    (lowest-degree) forms, exactly up to a degree bound, by row-reducing the
-    span of Groebner-basis multiples with columns sorted by ascending degree;
-    a degree-compatible basis spans the ideal degreewise, so the truncation
-    loses nothing below the bound.
+  * lowest_form_ideal homogenizes a polynomial ideal in one extra variable t
+    and runs Buchberger under an order that prefers the larger power of t
+    within a degree; at t = 1 that is a Lazard standard basis for the local
+    degree order, whose lowest forms generate the ideal of the tangent cone.
+    cone_profile counts the monomials outside their leading ideal, so its
+    values are exact in every degree, with no truncation window.
   * germ_profile reads the graded dimensions dim m^n / m^(n+1) straight off a
     parameterized curve's coordinate subalgebra, as rank differences of nested
     degree-windowed spans of power products of the parameterization
@@ -18,9 +19,11 @@ Three routes into the same graded object:
 from dataclasses import dataclass
 
 from .errors import StabilizationError
+from .groebner import buchberger
 from .linalg import IntegerEchelon, SparseEchelon, to_integer_vec
-from .points import PointSet, binom, normalize_point
-from .poly import DEGREVLEX, Polynomial, mono_deg, monomials_up_to
+from .points import PointSet, normalize_point
+from .poly import (DEGREVLEX, LAZARD, Polynomial, mono_deg, mono_divides,
+                   monomials_of_degree)
 from .scalars import QQ
 
 
@@ -74,53 +77,27 @@ def branch_tangent_points(curve):
     return PointSet(curve.r, curve.field, tuple(pts))
 
 
-@dataclass(frozen=True)
-class TruncatedGradedIdeal:
-    """Degreewise slices of an ideal of initial forms, valid up to `bound`."""
+def lowest_form_ideal(ideal):
+    """Lowest forms of a standard basis of `ideal` at the origin.
 
-    nvars: int
-    field: object
-    bound: int
-    slices: dict  # degree -> tuple of homogeneous Polynomials, echelonized
-
-    def slice_dim(self, d):
-        return len(self.slices.get(d, ()))
-
-
-def lowest_form_ideal(ideal, bound):
-    """Ideal of initial forms of `ideal` at the origin, degreewise to `bound`.
-
-    Works modulo terms of degree > bound: a degree-compatible basis spans the
-    ideal in each total degree, so the truncations of the multiples m*g with
-    deg(m) + lowdeg(g) <= bound span the ideal's image mod that power of the
-    maximal ideal, and truncation never touches a lowest form of degree
-    <= bound. Echelonizing over columns sorted by ascending degree then makes
-    slice d exactly the degree-d parts of the pivot rows leading in degree d.
+    Each generator g becomes the sum of c_m * t^(deg g - |m|) * x^m in
+    k[t, x]; their reduced basis under LAZARD, at t = 1, is a standard basis
+    for the local degree order (Lazard 1983). Its lowest forms generate the
+    tangent cone's ideal in every degree (Greuel & Pfister, A Singular
+    Introduction to Commutative Algebra, 1.7 and 5.5). Returned in basis
+    order.
     """
-    gb = ideal.groebner_basis(DEGREVLEX)
-    monos = monomials_up_to(ideal.nvars, bound)
-    index = {m: i for i, m in enumerate(monos)}
-    ech = SparseEchelon(ideal.field)
-    for g in gb:
-        low = g.low_degree()
-        if low > bound:
-            continue
-        for m in monomials_up_to(ideal.nvars, bound - low):
-            row = {}
-            for mg, c in g.terms.items():
-                mm = tuple(a + b for a, b in zip(m, mg))
-                if mono_deg(mm) <= bound:
-                    row[index[mm]] = c
-            ech.insert(row)
-    slices = {}
-    for lead in sorted(ech.pivots):
-        row = ech.pivots[lead]
-        d = mono_deg(monos[lead])
-        terms = {monos[c]: v for c, v in row.items() if mono_deg(monos[c]) == d}
-        form = Polynomial(ideal.nvars, ideal.field, terms)
-        slices.setdefault(d, []).append(form)
-    return TruncatedGradedIdeal(ideal.nvars, ideal.field, bound,
-                                {d: tuple(fs) for d, fs in slices.items()})
+    n, field = ideal.nvars, ideal.field
+    gens = [Polynomial(n + 1, field, {(g.degree() - mono_deg(m),) + m: c
+                                      for m, c in g.terms.items()})
+            for g in ideal.gens]
+    forms = []
+    for h in buchberger(gens, LAZARD):
+        # h is homogeneous, so its largest power of t marks its lowest x-degree
+        top = h.leading_monomial(LAZARD)[0]
+        forms.append(Polynomial(n, field, {m[1:]: c for m, c in h.terms.items()
+                                           if m[0] == top}))
+    return tuple(forms)
 
 
 @dataclass(frozen=True)
@@ -152,27 +129,25 @@ def _stabilized(values, context):
     return d0
 
 
-def cone_profile(truncated):
-    """H(d) = C(d + n - 1, n - 1) - dim slice_d, with stabilization detection."""
-    n = truncated.nvars
-    values = tuple(binom(d + n - 1, n - 1) - truncated.slice_dim(d)
-                   for d in range(truncated.bound + 1))
-    d0 = _stabilized(values, "cone profile")
-    return ConeProfile(values=values, stabilization_degree=d0,
-                       multiplicity=values[-1],
-                       emdim=values[1] if len(values) > 1 else 0)
+def cone_profile(ideal, bound=8):
+    """Graded dimensions H(d) of the tangent cone of `ideal` at the origin.
 
-
-def cone_profile_auto(ideal, bound=8, retries=2):
-    """cone_profile with automatic doubling of the bound on non-stabilization."""
-    while True:
-        try:
-            return cone_profile(lowest_form_ideal(ideal, bound))
-        except StabilizationError:
-            if retries <= 0:
-                raise
-            retries -= 1
-            bound *= 2
+    H(d) counts the degree-d monomials that no degrevlex leading monomial of
+    the lowest forms divides, exact in every degree. The values run to
+    `bound`, which doubles at most twice until the last three agree;
+    StabilizationError if they still do not.
+    """
+    leads = [f.leading_monomial(DEGREVLEX) for f in lowest_form_ideal(ideal)]
+    values = []
+    for top in (bound, 2 * bound, 4 * bound):
+        values += [sum(not any(mono_divides(lead, m) for lead in leads)
+                       for m in monomials_of_degree(ideal.nvars, d))
+                   for d in range(len(values), top + 1)]
+        if values[-3:] == values[-1:] * 3:
+            break
+    d0 = _stabilized(values, "cone profile")  # at least three values
+    return ConeProfile(values=tuple(values), stabilization_degree=d0,
+                       multiplicity=values[-1], emdim=values[1])
 
 
 def _dict_mul(a, b, field):

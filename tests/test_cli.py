@@ -131,6 +131,33 @@ def test_tangent_cone_ideal_route(tmp_path):
     assert payload["profile"]["emdim"] == 2
 
 
+def test_scalar_division_by_p_exits_2(tmp_path):
+    # 1/11 has no value in GF(11): an input error, not a negative result
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps({"field": {"p": 11}, "r": 1,
+                               "points": [["1", "0"], ["1", "1/11"]]}))
+    ideal = tmp_path / "ideal.json"
+    ideal.write_text(json.dumps({"vars": 2, "field": {"p": 11},
+                                 "gens": ["x0^2 - 1/11*x1^3"]}))
+    for args in (("points-check", str(pts)), ("tangent-cone", str(ideal))):
+        res = run_cli(*args)
+        assert res.returncode == 2, args
+        assert res.stderr.startswith("error: "), args
+        assert "p=11" in res.stderr, args
+        assert "Traceback" not in res.stderr, args
+
+
+def test_monomial_box_key_must_be_positive_int(tmp_path):
+    model = json.loads(open(fx("monomial_n3.json")).read())
+    for box in (-3, 0, 2.5):
+        src = tmp_path / "monomial.json"
+        src.write_text(json.dumps(dict(model, box=box)))
+        res = run_cli("conductor", str(src))
+        assert res.returncode == 2, box
+        assert "box must be a positive integer, got %r" % box in res.stderr
+        assert "Traceback" not in res.stderr, box
+
+
 def test_subset_budget_flag():
     res = run_cli("points-check", fx("off_conic_points.json"), "--t", "3",
                   "--subset-budget", "2")

@@ -249,6 +249,9 @@ def test_monomial_validation():
         monomial_conductor([(1, 0), (1,)], 4)
     with pytest.raises(ValueError):
         monomial_conductor([(0, 0), (1, 0)], 4)
+    for box in (-3, 0, 2.5, True, "12"):
+        with pytest.raises(ValueError, match="box must be a positive integer"):
+            monomial_conductor([(2, 0), (0, 1), (1, 1)], box)
 
 
 def test_up_closure():

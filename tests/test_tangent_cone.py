@@ -1,19 +1,89 @@
+from dataclasses import dataclass
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from genpos.errors import StabilizationError
 from genpos.fixtures import (germ_branch_curve, germ_components,
                              germ_membership_query, tangent_point_set,
                              unity_field)
 from genpos.groebner import Ideal
-from genpos.points import hilbert_function
-from genpos.poly import Polynomial
+from genpos.linalg import SparseEchelon
+from genpos.points import binom, hilbert_function
+from genpos.poly import (DEGREVLEX, Polynomial, mono_deg, mono_divides,
+                         monomials_of_degree, monomials_up_to)
 from genpos.scalars import QQ, PrimeField
-from genpos.tangent_cone import (Branch, BranchCurve, branch_tangent_points,
-                                 cone_profile, cone_profile_auto,
+from genpos.tangent_cone import (Branch, BranchCurve, ConeProfile, _stabilized,
+                                 branch_tangent_points, cone_profile,
                                  germ_profile, lowest_form_ideal,
                                  subalgebra_member)
 
 F11 = PrimeField(11)
+
+
+# The truncated route `lowest_form_ideal` and `cone_profile` took before they
+# read the lowest forms of a Lazard standard basis, kept as the oracle: it
+# row-reduces every multiple m*g of a degrevlex basis up to a degree bound.
+
+@dataclass(frozen=True)
+class TruncatedGradedIdeal:
+    """Degreewise slices of an ideal of initial forms, valid up to `bound`."""
+
+    nvars: int
+    field: object
+    bound: int
+    slices: dict  # degree -> tuple of homogeneous Polynomials, echelonized
+
+    def slice_dim(self, d):
+        return len(self.slices.get(d, ()))
+
+
+def truncated_lowest_form_ideal(ideal, bound):
+    """Ideal of initial forms of `ideal` at the origin, degreewise to `bound`.
+
+    Works modulo terms of degree > bound: a degree-compatible basis spans the
+    ideal in each total degree, so the truncations of the multiples m*g with
+    deg(m) + lowdeg(g) <= bound span the ideal's image mod that power of the
+    maximal ideal, and truncation never touches a lowest form of degree
+    <= bound. Echelonizing over columns sorted by ascending degree then makes
+    slice d exactly the degree-d parts of the pivot rows leading in degree d.
+    """
+    gb = ideal.groebner_basis(DEGREVLEX)
+    monos = monomials_up_to(ideal.nvars, bound)
+    index = {m: i for i, m in enumerate(monos)}
+    ech = SparseEchelon(ideal.field)
+    for g in gb:
+        low = g.low_degree()
+        if low > bound:
+            continue
+        for m in monomials_up_to(ideal.nvars, bound - low):
+            row = {}
+            for mg, c in g.terms.items():
+                mm = tuple(a + b for a, b in zip(m, mg))
+                if mono_deg(mm) <= bound:
+                    row[index[mm]] = c
+            ech.insert(row)
+    slices = {}
+    for lead in sorted(ech.pivots):
+        row = ech.pivots[lead]
+        d = mono_deg(monos[lead])
+        terms = {monos[c]: v for c, v in row.items() if mono_deg(monos[c]) == d}
+        form = Polynomial(ideal.nvars, ideal.field, terms)
+        slices.setdefault(d, []).append(form)
+    return TruncatedGradedIdeal(ideal.nvars, ideal.field, bound,
+                                {d: tuple(fs) for d, fs in slices.items()})
+
+
+def truncated_cone_profile(truncated):
+    """H(d) = C(d + n - 1, n - 1) - dim slice_d, with stabilization detection."""
+    n = truncated.nvars
+    values = tuple(binom(d + n - 1, n - 1) - truncated.slice_dim(d)
+                   for d in range(truncated.bound + 1))
+    d0 = _stabilized(values, "cone profile")
+    return ConeProfile(values=values, stabilization_degree=d0,
+                       multiplicity=values[-1],
+                       emdim=values[1] if len(values) > 1 else 0)
 
 
 def tvar(field=QQ):
@@ -63,7 +133,9 @@ def test_germ_curve_tangents_match_fixture_points():
 
 def test_lowest_form_ideal_cusp():
     x, y = xyvars()
-    tr = lowest_form_ideal(Ideal.of(y ** 2 - x ** 3), 6)
+    assert [f.text() for f in lowest_form_ideal(Ideal.of(y ** 2 - x ** 3))] \
+        == ["x1^2"]
+    tr = truncated_lowest_form_ideal(Ideal.of(y ** 2 - x ** 3), 6)
     assert [f.text() for f in tr.slices[2]] == ["x1^2"]
     assert tr.slice_dim(0) == 0 and tr.slice_dim(1) == 0
     assert tr.slice_dim(3) == 2  # x0*x1^2 and x1^3
@@ -72,60 +144,76 @@ def test_lowest_form_ideal_cusp():
 def test_lowest_form_ideal_hidden_low_form():
     # x*(y^2 - x^5) - y*(x*y) = -x^6: the degree-6 slice must pick it up
     x, y = xyvars()
-    tr = lowest_form_ideal(Ideal.of(x * y, y ** 2 - x ** 5), 6)
+    forms = lowest_form_ideal(Ideal.of(x * y, y ** 2 - x ** 5))
+    assert [f.text() for f in forms] == ["x0*x1", "x1^2", "x0^6"]
+    tr = truncated_lowest_form_ideal(Ideal.of(x * y, y ** 2 - x ** 5), 6)
     assert [f.text() for f in tr.slices[2]] == ["x0*x1", "x1^2"]
     texts = [f.text() for f in tr.slices[6]]
     assert "x0^6" in texts
 
 
+def oracle_profile(ideal, bound):
+    return truncated_cone_profile(truncated_lowest_form_ideal(ideal, bound))
+
+
 def test_cone_profile_principal_and_cusp():
     x, y = xyvars()
-    smooth = cone_profile(lowest_form_ideal(Ideal.of(x), 6))
-    assert smooth.values == (1,) * 7
-    assert smooth.multiplicity == 1
+    for profile in (oracle_profile, cone_profile):
+        smooth = profile(Ideal.of(x), 6)
+        assert smooth.values == (1,) * 7
+        assert smooth.multiplicity == 1
 
-    cusp = cone_profile(lowest_form_ideal(Ideal.of(y ** 2 - x ** 3), 8))
-    assert cusp.values == (1, 2, 2, 2, 2, 2, 2, 2, 2)
-    assert cusp.multiplicity == 2
-    assert cusp.emdim == 2
-    assert cusp.stabilization_degree == 1
-    assert cusp.as_dict()["multiplicity"] == 2
+        cusp = profile(Ideal.of(y ** 2 - x ** 3), 8)
+        assert cusp.values == (1, 2, 2, 2, 2, 2, 2, 2, 2)
+        assert cusp.multiplicity == 2
+        assert cusp.emdim == 2
+        assert cusp.stabilization_degree == 1
+        assert cusp.as_dict()["multiplicity"] == 2
 
 
 def test_cone_profile_needs_stable_tail():
     x, y = xyvars()
     cusp = Ideal.of(y ** 2 - x ** 3)
     with pytest.raises(StabilizationError):
-        cone_profile(lowest_form_ideal(cusp, 2))
-    # the automatic variant doubles the bound and succeeds
-    prof = cone_profile_auto(cusp, bound=2)
-    assert prof.values[-1] == 2
-    with pytest.raises(StabilizationError):
-        cone_profile_auto(cusp, bound=2, retries=0)
+        oracle_profile(cusp, 2)
+    # the bound doubles: 2 -> 4 gives five values, the last three equal
+    assert cone_profile(cusp, 2).values == (1, 2, 2, 2, 2)
+    # y^8 - x^9 needs 16, y^20 - x^21 needs 32, and 32 is the last bound
+    prof = cone_profile(Ideal.of(y ** 8 - x ** 9))
+    assert prof.values == tuple(range(1, 9)) + (8,) * 9
+    assert prof.stabilization_degree == 7
+    prof = cone_profile(Ideal.of(y ** 20 - x ** 21))
+    assert prof.values == tuple(range(1, 21)) + (20,) * 13
+    assert prof.stabilization_degree == 19
+    with pytest.raises(StabilizationError,
+                       match=r"cone profile did not stabilize within the bound"
+                             r" \(values \[1, 2, .*, 33\]\); raise the bound"):
+        cone_profile(Ideal.of(y ** 40 - x ** 41))
 
 
 def test_cone_matches_point_hilbert_function():
     # a cone over points has the graded dimensions of the point set
     from genpos.points import PointSet
     x, y, z = [Polynomial.variable(i, 3, QQ) for i in range(3)]
-    prof = cone_profile(lowest_form_ideal(Ideal.of(x * y, x * z, y * z), 8))
     X = PointSet.of(2, QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert prof.values == tuple(hilbert_function(X, d) for d in range(9))
-
     u, v = xyvars()
     p = u * v * (u + v) * (u - v)
-    prof = cone_profile(lowest_form_ideal(Ideal.of(p), 9))
     Y = PointSet.of(1, QQ, [[1, 0], [0, 1], [1, -1], [1, 1]])
-    assert prof.values == tuple(hilbert_function(Y, d) for d in range(10))
+    for profile in (oracle_profile, cone_profile):
+        prof = profile(Ideal.of(x * y, x * z, y * z), 8)
+        assert prof.values == tuple(hilbert_function(X, d) for d in range(9))
+        prof = profile(Ideal.of(p), 9)
+        assert prof.values == tuple(hilbert_function(Y, d) for d in range(10))
 
 
 def test_cone_profile_presentation_independent():
     # unit factors at the origin do not change the germ
     x, y = xyvars()
     g = y ** 2 - x ** 3
-    a = cone_profile(lowest_form_ideal(Ideal.of(g), 8))
-    b = cone_profile(lowest_form_ideal(Ideal.of(g * (1 + x), g * (1 + g)), 8))
-    assert a == b
+    for profile in (oracle_profile, cone_profile):
+        a = profile(Ideal.of(g), 8)
+        b = profile(Ideal.of(g * (1 + x), g * (1 + g)), 8)
+        assert a == b
 
 
 def test_subalgebra_member_cusp():
@@ -184,3 +272,38 @@ def test_germ_profile_validation_and_drift():
         germ_profile((t + 1,))
     with pytest.raises(StabilizationError):
         germ_profile(germ_components(), degree_cap=3, grow_steps=2)
+
+
+@st.composite
+def ideals(draw):
+    """1-3 generators in 2-3 variables of degree <= 4 over Q or GF(p), most
+    without a constant term, so curves, surfaces and points all turn up."""
+    field = draw(st.sampled_from([QQ, F11, PrimeField(32003)]))
+    n = draw(st.integers(2, 3))
+    monos = [m for m in monomials_up_to(n, 4) if mono_deg(m)]
+    coeff = st.fractions(-3, 3, max_denominator=4)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = draw(st.dictionaries(st.sampled_from(monos), coeff,
+                                     min_size=1, max_size=4))
+        if draw(st.integers(0, 9)) == 0:
+            terms[(0,) * n] = Fraction(1)
+        gens.append(Polynomial(n, field, terms))
+    return Ideal(n, field, gens)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(ideals(), st.integers(1, 7))
+def test_lowest_forms_match_truncated_oracle(ideal, bound):
+    leads = [f.leading_monomial(DEGREVLEX) for f in lowest_form_ideal(ideal)]
+    values = [sum(not any(mono_divides(lead, m) for lead in leads)
+                  for m in monomials_of_degree(ideal.nvars, d))
+              for d in range(bound + 1)]
+    truncated = truncated_lowest_form_ideal(ideal, bound)
+    assert values == [binom(d + ideal.nvars - 1, ideal.nvars - 1)
+                      - truncated.slice_dim(d) for d in range(bound + 1)]
+    try:
+        expected = truncated_cone_profile(truncated)
+    except StabilizationError:
+        return
+    assert cone_profile(ideal, bound) == expected
