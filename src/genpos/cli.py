@@ -38,7 +38,7 @@ from .poly import Polynomial, parse_polynomial
 from .scalars import QQ, PrimeField
 from .serialize import (canonical_json, curve_from_json, field_from_json,
                         ideal_from_json, load_json, point_set_from_json,
-                        point_set_to_json)
+                        point_set_to_json, polynomial_text, polynomial_texts)
 from .tangent_cone import (branch_tangent_points, cone_profile, germ_profile,
                            subalgebra_member)
 
@@ -312,7 +312,8 @@ def _cone_from_parametrization(obj, args):
     spec = args.field if args.field is not None else obj.get("field")
     field = field_from_json(spec)
     gens = [parse_polynomial(s, 1, field, names=("t",))
-            for s in obj["parametrization"]]
+            for s in polynomial_texts(obj["parametrization"],
+                                      "parametrization")]
     profile = germ_profile(gens, degree_cap=args.degree_bound)
     lines = ["graded quotient dimensions: %s" % (list(profile.values),),
              "multiplicity: %d, embedding dimension: %d"
@@ -321,7 +322,8 @@ def _cone_from_parametrization(obj, args):
                "envelope": envelope(args), "profile": profile.as_dict()}
     mem = obj.get("membership")
     if mem:
-        q = parse_polynomial(mem["query"], 1, field, names=("t",))
+        q = parse_polynomial(polynomial_text(mem["query"], "membership.query"),
+                             1, field, names=("t",))
         window = (args.degree_bound if args.degree_bound is not None
                   else int(mem.get("window", 4 * q.degree())))
         min_factors = int(mem.get("min_factors", 1))
@@ -632,6 +634,11 @@ def main(argv=None):
     except (ValueError, TypeError, OSError, RuntimeError,
             ZeroDivisionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # a defect, not a result: exit 1 always comes with a certificate
+        print("error: internal: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
         return 2
 
 

@@ -253,9 +253,15 @@ def monomial_conductor(generators, box):
     the margin of box - box//2 in every coordinate is what makes the bounded
     check honest. Errors when the far corner of the window is not entirely in
     the conductor (the box is then too small to see the stable region).
+
+    One sweep down the box marks each point u "bad" when some point between
+    u and the far corner of the box lies outside the semigroup, from its own
+    membership and its k upper neighbours: O(k * (box+1)^k) in all.
     """
     if isinstance(box, bool) or not isinstance(box, int) or box < 1:
         raise ValueError("box must be a positive integer, got %r" % (box,))
+    if not generators:
+        raise ValueError("need at least one generator")
     k = len(generators[0])
     if any(len(g) != k for g in generators):
         raise ValueError("generators of mixed dimension")
@@ -263,13 +269,14 @@ def monomial_conductor(generators, box):
         raise ValueError("generators must be nonzero nonnegative vectors")
     grid = monomial_semigroup_points(generators, box)
     window = box // 2
-    conductor = set()
-    for v in iproduct(range(window + 1), repeat=k):
-        ranges = [range(box - c + 1) for c in v]
-        ok = all(tuple(a + b for a, b in zip(v, w)) in grid
-                 for w in iproduct(*ranges))
-        if ok:
-            conductor.add(v)
+    bad = set()
+    # decreasing lexicographic order visits every u + e_i before u
+    for u in iproduct(range(box, -1, -1), repeat=k):
+        if u not in grid or any(u[:i] + (u[i] + 1,) + u[i + 1:] in bad
+                                for i in range(k) if u[i] < box):
+            bad.add(u)
+    conductor = {v for v in iproduct(range(window + 1), repeat=k)
+                 if v not in bad}
     maxgen = max(max(g) for g in generators)
     corner_lo = max(window - maxgen, 0)
     for v in iproduct(range(corner_lo, window + 1), repeat=k):

@@ -5,6 +5,15 @@ incremental echelons serve degree-truncated spans, where rows arrive one at a
 time and only ranks and membership residues are needed. IntegerEchelon is a
 fraction-free variant for rational data that clears to integers, which keeps
 the big truncated-span computations out of Fraction normalization costs.
+
+Both incremental echelons are level-filtered. A row inserted at level L lies
+in V_L, the span of every row inserted at level >= L, so the V_L shrink as L
+grows. The invariant is that for every n the pivot rows of level >= n are an
+echelon basis of V_n. An incoming row reduces only against pivots of level
+>= its own; when its lead column holds a pivot of lower level, it takes that
+column, and the displaced row goes on reducing at its own level. Then
+`rank_from(n)` is dim V_n and `contains(vec, n)` tests membership in V_n, in
+whatever order the rows arrive. At the default level 0 no swap ever happens.
 """
 
 from fractions import Fraction
@@ -81,48 +90,88 @@ class SparseEchelon:
     """Incremental echelon of sparse rows (dict col -> coefficient) over a field.
 
     Pivot rows are normalized to leading coefficient 1 at their smallest column.
-    Insertion order is the only state; all loops run over sorted keys so ranks,
-    residues, and stored rows are deterministic.
+    Each pivot row carries the level it was inserted at (see the module
+    docstring); `rank_from(n)` counts the pivots of level >= n. Insertion order
+    is the only state; all loops run over sorted keys so ranks, residues, and
+    stored rows are deterministic.
     """
 
     def __init__(self, field):
         self.field = field
         self.pivots = {}
+        self.levels = {}
 
     @property
     def rank(self):
         return len(self.pivots)
 
-    def reduce(self, vec):
-        """Residue of vec against the current echelon (vec is not mutated)."""
-        field = self.field
-        vec = {c: r for c, v in vec.items() if (r := field(v))}
+    def rank_from(self, level):
+        """Dimension of the span of the rows inserted at level >= `level`."""
+        return sum(lv >= level for lv in self.levels.values())
+
+    def _reduce(self, vec, level):
+        # vec is canonical and reduced in place, against pivots of level >=
+        # `level` only: it stops at the first lead no such pivot holds
+        p = self.field.p
+        pivots, levels = self.pivots, self.levels
         while vec:
             lead = min(vec)
-            prow = self.pivots.get(lead)
-            if prow is None:
+            prow = pivots.get(lead)
+            if prow is None or levels[lead] < level:
                 return vec
             f = vec[lead]
-            for c, v in prow.items():
-                s = field(vec.get(c, 0) - f * v)
-                if s:
-                    vec[c] = s
-                else:
-                    vec.pop(c, None)
+            if p is None:
+                for c, v in prow.items():
+                    s = vec.get(c, 0) - f * v
+                    if s:
+                        vec[c] = s
+                    else:
+                        vec.pop(c, None)
+            else:
+                for c, v in prow.items():
+                    s = (vec.get(c, 0) - f * v) % p
+                    if s:
+                        vec[c] = s
+                    else:
+                        vec.pop(c, None)
         return vec
 
-    def insert(self, vec):
-        """Reduce and adopt vec as a new pivot row; returns True if rank grew."""
-        res = self.reduce(vec)
+    def reduce(self, vec, level=0):
+        """Residue of vec against the pivots of level >= `level` (vec is not
+        mutated)."""
+        field = self.field
+        return self._reduce({c: r for c, v in vec.items() if (r := field(v))},
+                            level)
+
+    def insert(self, vec, level=0):
+        """Reduce and adopt vec as a pivot row of `level`; returns True if the
+        span of the rows of level >= `level` grew.
+
+        A residue whose lead column holds a pivot of lower level takes that
+        column; the displaced row goes on reducing at its own level.
+        """
+        res = self.reduce(vec, level)
         if not res:
             return False
-        lead = min(res)
-        inv = self.field.inv(res[lead])
-        self.pivots[lead] = {c: self.field(v * inv) for c, v in res.items()}
+        p = self.field.p
+        while res:
+            lead = min(res)
+            inv = self.field.inv(res[lead])
+            if p is None:
+                row = {c: v * inv for c, v in res.items()}
+            else:
+                row = {c: v * inv % p for c, v in res.items()}
+            displaced = self.pivots.get(lead)
+            low = self.levels.get(lead)
+            self.pivots[lead], self.levels[lead] = row, level
+            if displaced is None:
+                break
+            res, level = self._reduce(displaced, low), low
         return True
 
-    def contains(self, vec):
-        return not self.reduce(vec)
+    def contains(self, vec, level=0):
+        """Whether vec lies in the span of the rows of level >= `level`."""
+        return not self.reduce(vec, level)
 
 
 def _strip_content(vec):
@@ -141,22 +190,30 @@ class IntegerEchelon:
 
     Rows are integer dicts kept primitive (content 1). Elimination uses
     cross-multiplication, so no Fraction ever appears; a residue of zero is
-    exactly rational-span membership.
+    exactly rational-span membership. Levels work as in SparseEchelon.
     """
 
     def __init__(self):
         self.pivots = {}
+        self.levels = {}
 
     @property
     def rank(self):
         return len(self.pivots)
 
-    def reduce(self, vec):
+    def rank_from(self, level):
+        """Dimension of the span of the rows inserted at level >= `level`."""
+        return sum(lv >= level for lv in self.levels.values())
+
+    def reduce(self, vec, level=0):
+        """Residue of vec against the pivots of level >= `level`, up to a
+        nonzero scalar (vec is not mutated)."""
+        pivots, levels = self.pivots, self.levels
         vec = {c: v for c, v in vec.items() if v}
         while vec:
             lead = min(vec)
-            prow = self.pivots.get(lead)
-            if prow is None:
+            prow = pivots.get(lead)
+            if prow is None or levels[lead] < level:
                 return vec
             a, b = prow[lead], vec[lead]
             for c in vec:
@@ -170,17 +227,28 @@ class IntegerEchelon:
             vec = _strip_content(vec)
         return vec
 
-    def insert(self, vec):
-        res = self.reduce(vec)
+    def insert(self, vec, level=0):
+        """As SparseEchelon.insert; pivot rows have a positive lead instead of
+        lead 1."""
+        res = self.reduce(vec, level)
         if not res:
             return False
-        if res[min(res)] < 0:
-            res = {c: -v for c, v in res.items()}
-        self.pivots[min(res)] = res
+        while res:
+            lead = min(res)
+            if res[lead] < 0:
+                res = {c: -v for c, v in res.items()}
+            displaced = self.pivots.get(lead)
+            low = self.levels.get(lead)
+            self.pivots[lead], self.levels[lead] = res, level
+            if displaced is None:
+                break
+            res, level = self.reduce(displaced, low), low
         return True
 
-    def contains(self, vec):
-        return not self.reduce(vec)
+    def contains(self, vec, level=0):
+        """Whether vec lies in the rational span of the rows of level >=
+        `level`."""
+        return not self.reduce(vec, level)
 
 
 def to_integer_vec(vec):

@@ -46,6 +46,23 @@ def point_set_from_json(obj):
     return PointSet.of(obj["r"], field, obj["points"])
 
 
+def polynomial_text(value, path):
+    """`value` if it is a string; otherwise ValueError naming its JSON path."""
+    if not isinstance(value, str):
+        raise ValueError("%s: expected a polynomial string, got %s"
+                         % (path, json.dumps(value)))
+    return value
+
+
+def polynomial_texts(values, path):
+    """A JSON list of polynomial strings, each checked by polynomial_text."""
+    if not isinstance(values, list):
+        raise ValueError("%s: expected a list of polynomial strings, got %s"
+                         % (path, json.dumps(values)))
+    return [polynomial_text(v, "%s[%d]" % (path, i))
+            for i, v in enumerate(values)]
+
+
 def curve_to_json(C):
     return {
         "field": field_to_json(C.field),
@@ -58,14 +75,19 @@ def curve_to_json(C):
 def curve_from_json(obj):
     field = field_from_json(obj.get("field"))
     r = obj["r"]
-    branches = []
-    for comps in obj["branches"]:
+    branches = obj["branches"]
+    if not isinstance(branches, list):
+        raise ValueError("branches: expected a list of branches, got %s"
+                         % json.dumps(branches))
+    parsed = []
+    for i, comps in enumerate(branches):
+        comps = polynomial_texts(comps, "branches[%d]" % i)
         if len(comps) != r + 1:
             raise ValueError("branch needs %d components, got %d"
                              % (r + 1, len(comps)))
-        branches.append(Branch(tuple(
+        parsed.append(Branch(tuple(
             parse_polynomial(c, 1, field, names=("t",)) for c in comps)))
-    return BranchCurve(r=r, field=field, branches=tuple(branches))
+    return BranchCurve(r=r, field=field, branches=tuple(parsed))
 
 
 def ideal_to_json(I):
@@ -82,7 +104,8 @@ def ideal_from_json(obj):
     from .groebner import Ideal
     field = field_from_json(obj.get("field"))
     nvars = obj["vars"]
-    gens = [parse_polynomial(s, nvars, field) for s in obj["gens"]]
+    gens = [parse_polynomial(s, nvars, field)
+            for s in polynomial_texts(obj["gens"], "gens")]
     return Ideal(nvars, field, gens)
 
 

@@ -10,7 +10,10 @@ Three routes into the same graded object:
   * germ_profile reads the graded dimensions dim m^n / m^(n+1) straight off a
     parameterized curve's coordinate subalgebra, as rank differences of nested
     degree-windowed spans of power products of the parameterization
-    components, growing the window until the values hold still.
+    components, growing the window until the values hold still. The windows
+    grow incrementally: one level-filtered echelon (see linalg) takes each
+    power product once, at its factor count, and each product is computed
+    once, from the product with one factor fewer.
   * branch_tangent_points extracts the tangent directions of a branch
     decomposition; for a germ with smooth branches these are the points whose
     count is the multiplicity.
@@ -150,32 +153,45 @@ def cone_profile(ideal, bound=8):
                        multiplicity=values[-1], emdim=values[1])
 
 
-def _dict_mul(a, b, field):
+def _dict_mul(a, b, p):
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
             e = ea + eb
             out[e] = out.get(e, 0) + ca * cb
-    return {e: r for e, c in out.items() if (r := field(c))}
+    if p is None:
+        return {e: c for e, c in out.items() if c}
+    return {e: r for e, c in out.items() if (r := c % p)}
 
 
-def _power_products(gens, cap):
-    """Power products of the generators with polynomial degree <= cap, each
-    once, as (factor count, coefficient dict) pairs. Degrees add, so pruning
-    on the exact degree makes the tree finite; products are never truncated.
+def _power_products(rows, p, cap, low=-1, memo=None):
+    """Power products of the generators with polynomial degree in (low, cap],
+    each once, as (degree, factor count, row) triples in order of degree,
+    which keeps the echelon's pivot rows short. `rows` holds (row, degree) per
+    generator, rows being integer dicts exponent -> coefficient, taken mod p
+    when p is not None. Degrees add, so pruning on the exact degree makes the
+    tree finite; products are never truncated. `memo` maps factor multisets
+    (sorted index tuples) to their products, so a caller that widens the
+    window multiplies only the new ones.
     """
-    field = gens[0].field
-    vecs = [({e[0]: c for e, c in g.terms.items()}, g.degree()) for g in gens]
+    memo = {} if memo is None else memo
     out = []
-
-    def rec(i0, cur, deg, count):
-        out.append((count, cur))
-        for i in range(i0, len(vecs)):
-            v, d = vecs[i]
+    # an explicit stack, not a recursive closure: the closure's reference
+    # cycle would keep every product alive until a full garbage collection
+    stack = [((), {0: 1}, 0)]
+    while stack:
+        key, cur, deg = stack.pop()
+        if deg > low:
+            out.append((deg, len(key), cur))
+        for i in range(key[-1] if key else 0, len(rows)):
+            row, d = rows[i]
             if deg + d <= cap:
-                rec(i, _dict_mul(cur, v, field), deg + d, count + 1)
-
-    rec(0, {0: field.one}, 0, 0)
+                child = key + (i,)
+                prod = memo.get(child)
+                if prod is None:
+                    prod = memo[child] = _dict_mul(cur, row, p)
+                stack.append((child, prod, deg + d))
+    out.sort(key=lambda product: product[0])
     return out
 
 
@@ -190,9 +206,19 @@ def _check_subalgebra_gens(gens):
 
 
 def _echelon_for(field):
+    """An empty echelon over `field` and the map of a coefficient dict to its
+    row. Over Q the rows are primitive integer dicts for the fraction-free
+    IntegerEchelon; a product of primitive rows is again primitive (Gauss's
+    lemma) and a nonzero multiple of the rational product, which leaves every
+    span unchanged."""
     if field == QQ:
         return IntegerEchelon(), to_integer_vec
     return SparseEchelon(field), (lambda v: v)
+
+
+def _generator_rows(gens, conv):
+    return [(conv({e[0]: c for e, c in g.terms.items()}), g.degree())
+            for g in gens]
 
 
 def subalgebra_member(p, gens, bound, min_degree=1):
@@ -211,27 +237,12 @@ def subalgebra_member(p, gens, bound, min_degree=1):
         raise ValueError("degree window %d smaller than deg p = %d"
                          % (bound, p.degree()))
     ech, conv = _echelon_for(p.field)
-    for count, vec in _power_products(gens, bound):
+    rows = _generator_rows(gens, conv)
+    for _, count, row in _power_products(rows, p.field.p, bound):
         if count >= min_degree:
-            ech.insert(conv(dict(vec)))
+            ech.insert(row)
     query = conv({e[0]: c for e, c in p.terms.items()})
     return ech.contains(query)
-
-
-def _germ_values(gens, cap, max_degree):
-    buckets = {}
-    for count, vec in _power_products(gens, cap):
-        buckets.setdefault(count, []).append(vec)
-    top = max(buckets)
-    ech, conv = _echelon_for(gens[0].field)
-    # levels the window cannot reach span nothing yet
-    dims = {n: 0 for n in range(top + 1, max_degree + 2)}
-    for level in range(top, 0, -1):
-        for vec in buckets.get(level, ()):
-            ech.insert(conv(dict(vec)))
-        dims[level] = ech.rank
-    return tuple([1] + [dims[n] - dims[n + 1]
-                        for n in range(1, max_degree + 1)])
 
 
 def germ_profile(gens, max_degree=6, degree_cap=None, grow_steps=8):
@@ -242,14 +253,25 @@ def germ_profile(gens, max_degree=6, degree_cap=None, grow_steps=8):
     each H(n) is a difference of ranks of nested degree-windowed spans. The
     window grows until the whole profile holds still for three consecutive
     windows; drifting values raise StabilizationError rather than being
-    reported.
+    reported. One level-filtered echelon serves every window: each product
+    goes in once, at its factor count, when the window first reaches its
+    degree.
     """
     _check_subalgebra_gens(gens)
     maxdeg = max(g.degree() for g in gens)
     cap = degree_cap or maxdeg * (max_degree + 3)
+    field = gens[0].field
+    ech, conv = _echelon_for(field)
+    rows = _generator_rows(gens, conv)
+    memo = {}
+    low = 0  # the empty product, of degree 0, spans no power of m
     history = []
     for _ in range(grow_steps):
-        history.append(_germ_values(gens, cap, max_degree))
+        for _, count, row in _power_products(rows, field.p, cap, low, memo):
+            ech.insert(row, count)
+        low = cap
+        dims = [ech.rank_from(n) for n in range(1, max_degree + 2)]
+        history.append(tuple([1] + [a - b for a, b in zip(dims, dims[1:])]))
         if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
             values = history[-1]
             d0 = _stabilized(values, "germ profile")

@@ -298,6 +298,42 @@ def test_tangent_cone_rejects_ideal_off_the_origin(tmp_path):
     assert "Traceback" not in res.stderr
 
 
+def test_tangent_cone_rejects_non_string_polynomials(tmp_path, capsys):
+    # each entry is read as a polynomial string; anything else names its path
+    from genpos import cli
+
+    cases = [
+        ({"field": "Q", "parametrization": [3, "t^4"]}, "parametrization[0]"),
+        ({"field": "Q", "parametrization": "t^3"}, "parametrization"),
+        ({"field": "Q", "parametrization": ["t^3", "t^4"],
+          "membership": {"query": 7}}, "membership.query"),
+        ({"field": "Q", "r": 1, "branches": [["t", 5]]}, "branches[0][1]"),
+        ({"field": "Q", "r": 1, "branches": ["t"]}, "branches[0]"),
+        ({"vars": 2, "gens": ["x0^2 - x1^3", None]}, "gens[1]"),
+    ]
+    for obj, path in cases:
+        src = tmp_path / "model.json"
+        src.write_text(json.dumps(obj))
+        assert cli.main(["tangent-cone", str(src)]) == 2, obj
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s: expected a " % path), obj
+
+
+def test_unexpected_exception_exits_2(tmp_path, monkeypatch, capsys):
+    # a defect inside a handler is an error, never the negative result 1
+    from genpos import cli
+
+    def broken(*args, **kwargs):
+        raise AttributeError("broken engine")
+
+    monkeypatch.setattr(cli, "germ_profile", broken)
+    src = tmp_path / "germ.json"
+    src.write_text(json.dumps({"field": "Q", "parametrization": ["t^2", "t^3"]}))
+    assert cli.main(["tangent-cone", str(src)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: internal: AttributeError: broken engine\n"
+
+
 def test_reproduce_examples_all():
     res = run_cli("reproduce-examples")
     assert res.returncode == 0, res.stdout + res.stderr

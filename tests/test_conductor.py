@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from genpos.conductor import (NumericalSemigroup, arrangement_certificate,
                               arrangement_conductor_ideal,
                               arrangement_strata, monomial_conductor,
-                              monomial_conductor_certificate, nfold_sumset,
+                              monomial_conductor_certificate,
+                              monomial_semigroup_points, nfold_sumset,
                               points_conductor_certificate,
                               points_conductor_sigma, semigroup_certificate,
                               symbolic_power, up_closure)
@@ -247,11 +250,76 @@ def test_monomial_box_too_small():
 def test_monomial_validation():
     with pytest.raises(ValueError, match="mixed dimension"):
         monomial_conductor([(1, 0), (1,)], 4)
+    with pytest.raises(ValueError, match="at least one generator"):
+        monomial_conductor([], 4)
     with pytest.raises(ValueError):
         monomial_conductor([(0, 0), (1, 0)], 4)
     for box in (-3, 0, 2.5, True, "12"):
         with pytest.raises(ValueError, match="box must be a positive integer"):
             monomial_conductor([(2, 0), (0, 1), (1, 1)], box)
+
+
+def scan_monomial_conductor(generators, box):
+    """The conductor scan monomial_conductor ran before its one-sweep form,
+    kept as the oracle: every window point v checks every w with v + w in
+    the box, O(window^k * box^k)."""
+    k = len(generators[0])
+    grid = monomial_semigroup_points(generators, box)
+    window = box // 2
+    conductor = set()
+    for v in iproduct(range(window + 1), repeat=k):
+        ranges = [range(box - c + 1) for c in v]
+        ok = all(tuple(a + b for a, b in zip(v, w)) in grid
+                 for w in iproduct(*ranges))
+        if ok:
+            conductor.add(v)
+    maxgen = max(max(g) for g in generators)
+    corner_lo = max(window - maxgen, 0)
+    for v in iproduct(range(corner_lo, window + 1), repeat=k):
+        if v not in conductor:
+            raise StabilizationError(
+                "far corner %s of the window is not in the conductor; "
+                "enlarge the box (box=%d)" % (v, box))
+    return conductor, window
+
+
+def conductor_or_error(conductor, generators, box):
+    try:
+        return conductor(generators, box)
+    except StabilizationError as exc:
+        return str(exc)
+
+
+@st.composite
+def monomial_models(draw):
+    """c*e_i and (c+1)*e_i for each unit vector of N^k (k = 1..3), so some
+    translate of N^k lies in the semigroup, and up to two more nonzero
+    generators, with a box that keeps the scan small."""
+    k = draw(st.integers(1, 3))
+    gens = set()
+    for i in range(k):
+        c = draw(st.sampled_from([1, 2, 2, 3]))
+        gens |= {tuple(m if j == i else 0 for j in range(k)) for m in (c, c + 1)}
+    gens |= {tuple(g) for g in draw(st.lists(
+        st.lists(st.integers(0, 2), min_size=k, max_size=k).filter(any),
+        max_size=2))}
+    box = draw(st.integers(1, (30, 20, 10)[k - 1]))
+    return sorted(gens), box
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(monomial_models())
+def test_monomial_conductor_matches_scan_oracle(model):
+    gens, box = model
+    assert conductor_or_error(monomial_conductor, gens, box) == \
+        conductor_or_error(scan_monomial_conductor, gens, box)
+
+
+def test_monomial_conductor_large_box():
+    gens = [(8, 0), (0, 1), (1, 1)]
+    cond, window = monomial_conductor(gens, 64)
+    assert window == 32
+    assert cond == up_closure([(j, 7) for j in range(8)], 32, 2)
 
 
 def test_up_closure():

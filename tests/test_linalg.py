@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from genpos.linalg import (IntegerEchelon, SparseEchelon, nullspace_vector,
                            rank, rref, to_integer_vec)
 from genpos.scalars import QQ, PrimeField
@@ -92,3 +95,57 @@ def test_fp_echelon():
     assert ech.insert({1: F11(5)})
     assert ech.rank == 2
     assert ech.contains({0: F11(7), 1: F11(9)})
+
+
+# Level-filtered echelons: whatever order rows arrive in, the pivots of level
+# >= L must span exactly the rows inserted at level >= L.
+
+ECHELONS = {"GF(7)": (PrimeField(7), lambda: SparseEchelon(PrimeField(7))),
+            "GF(2^31-1)": (PrimeField(2 ** 31 - 1),
+                           lambda: SparseEchelon(PrimeField(2 ** 31 - 1))),
+            "Q": (QQ, IntegerEchelon)}
+
+sparse_rows = st.dictionaries(st.integers(0, 5), st.integers(-3, 3), max_size=4)
+
+
+@pytest.mark.parametrize("name", sorted(ECHELONS))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(st.tuples(sparse_rows, st.integers(0, 3)), max_size=9),
+       probes=st.lists(st.tuples(st.lists(st.integers(-2, 2), max_size=9),
+                                 st.integers(0, 4)), max_size=4))
+def test_filtered_echelon_matches_rank(name, rows, probes):
+    field, make = ECHELONS[name]
+    ech = make()
+    for vec, level in rows:
+        ech.insert(vec, level)
+
+    def dense(vec):
+        return [field(vec.get(c, 0)) for c in range(6)]
+
+    for level in range(5):
+        span = [dense(v) for v, lv in rows if lv >= level]
+        assert ech.rank_from(level) == rank(span, field)
+    assert ech.rank_from(0) == ech.rank
+    # probes are combinations of the inserted rows, of every level, so both
+    # answers of contains turn up
+    for coeffs, level in probes:
+        probe = {}
+        for k, (vec, _) in zip(coeffs, rows):
+            for c, v in vec.items():
+                probe[c] = probe.get(c, 0) + k * v
+        span = [dense(v) for v, lv in rows if lv >= level]
+        inside = rank(span + [dense(probe)], field) == rank(span, field)
+        assert ech.contains(probe, level) == inside
+
+
+def test_filtered_echelon_swap_keeps_lower_levels():
+    # the level-2 row takes column 0 from the level-1 row, which goes on
+    # reducing at level 1 and lands on column 1
+    ech = SparseEchelon(F11)
+    assert ech.insert({0: 1, 1: 1}, 1)
+    assert ech.insert({0: 1}, 2)
+    assert ech.levels == {0: 2, 1: 1}
+    assert ech.pivots == {0: {0: 1}, 1: {1: 1}}
+    assert (ech.rank_from(1), ech.rank_from(2), ech.rank_from(3)) == (2, 1, 0)
+    assert ech.contains({0: 3}, 2) and not ech.contains({1: 1}, 2)
+    assert not ech.insert({0: 5, 1: 5}, 1)

@@ -2,22 +2,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from genpos.errors import StabilizationError
 from genpos.fixtures import (germ_branch_curve, germ_components,
                              germ_membership_query, tangent_point_set,
                              unity_field)
-from genpos.groebner import Ideal
+from genpos.groebner import Ideal, buchberger
 from genpos.linalg import SparseEchelon
 from genpos.points import binom, hilbert_function
-from genpos.poly import (DEGREVLEX, Polynomial, mono_deg, mono_divides,
-                         monomials_of_degree, monomials_up_to)
+from genpos.poly import (DEGREVLEX, BlockOrder, Polynomial, mono_deg,
+                         mono_divides, monomials_of_degree, monomials_up_to,
+                         parse_polynomial)
 from genpos.scalars import QQ, PrimeField
-from genpos.tangent_cone import (Branch, BranchCurve, ConeProfile, _stabilized,
-                                 branch_tangent_points, cone_profile,
-                                 germ_profile, lowest_form_ideal,
-                                 subalgebra_member)
+from genpos.tangent_cone import (Branch, BranchCurve, ConeProfile,
+                                 _check_subalgebra_gens, _echelon_for,
+                                 _stabilized, branch_tangent_points,
+                                 cone_profile, germ_profile,
+                                 lowest_form_ideal, subalgebra_member)
 
 F11 = PrimeField(11)
 
@@ -84,6 +86,82 @@ def truncated_cone_profile(truncated):
     return ConeProfile(values=values, stabilization_degree=d0,
                        multiplicity=values[-1],
                        emdim=values[1] if len(values) > 1 else 0)
+
+
+# germ_profile before it grew one level-filtered echelon across its degree
+# windows, kept as the oracle: every window recomputes every power product
+# and fills a fresh echelon, level by level from the top.
+
+def rebuild_dict_mul(a, b, field):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: r for e, c in out.items() if (r := field(c))}
+
+
+def rebuild_power_products(gens, cap):
+    """Power products of the generators with polynomial degree <= cap, each
+    once, as (factor count, coefficient dict) pairs. Degrees add, so pruning
+    on the exact degree makes the tree finite; products are never truncated.
+    """
+    field = gens[0].field
+    vecs = [({e[0]: c for e, c in g.terms.items()}, g.degree()) for g in gens]
+    out = []
+
+    def rec(i0, cur, deg, count):
+        out.append((count, cur))
+        for i in range(i0, len(vecs)):
+            v, d = vecs[i]
+            if deg + d <= cap:
+                rec(i, rebuild_dict_mul(cur, v, field), deg + d, count + 1)
+
+    rec(0, {0: field.one}, 0, 0)
+    return out
+
+
+def rebuild_germ_values(gens, cap, max_degree):
+    buckets = {}
+    for count, vec in rebuild_power_products(gens, cap):
+        buckets.setdefault(count, []).append(vec)
+    top = max(buckets)
+    ech, conv = _echelon_for(gens[0].field)
+    # levels the window cannot reach span nothing yet
+    dims = {n: 0 for n in range(top + 1, max_degree + 2)}
+    for level in range(top, 0, -1):
+        for vec in buckets.get(level, ()):
+            ech.insert(conv(dict(vec)))
+        dims[level] = ech.rank
+    return tuple([1] + [dims[n] - dims[n + 1]
+                        for n in range(1, max_degree + 1)])
+
+
+def rebuild_germ_profile(gens, max_degree=6, degree_cap=None, grow_steps=8):
+    """Graded dimensions dim m^n / m^(n+1) of the subalgebra generated by
+    `gens`, where m is the ideal the generators span in it.
+
+    m^n is the field-span of the power products with at least n factors, so
+    each H(n) is a difference of ranks of nested degree-windowed spans. The
+    window grows until the whole profile holds still for three consecutive
+    windows; drifting values raise StabilizationError rather than being
+    reported.
+    """
+    _check_subalgebra_gens(gens)
+    maxdeg = max(g.degree() for g in gens)
+    cap = degree_cap or maxdeg * (max_degree + 3)
+    history = []
+    for _ in range(grow_steps):
+        history.append(rebuild_germ_values(gens, cap, max_degree))
+        if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
+            values = history[-1]
+            d0 = _stabilized(values, "germ profile")
+            return ConeProfile(values=values, stabilization_degree=d0,
+                               multiplicity=values[-1], emdim=values[1])
+        cap += maxdeg
+    raise StabilizationError(
+        "germ profile kept drifting as the degree window grew: %s"
+        % [list(v) for v in history])
 
 
 def tvar(field=QQ):
@@ -272,6 +350,94 @@ def test_germ_profile_validation_and_drift():
         germ_profile((t + 1,))
     with pytest.raises(StabilizationError):
         germ_profile(germ_components(), degree_cap=3, grow_steps=2)
+
+
+def profile_or_error(profile, gens, **kwargs):
+    try:
+        return profile(gens, **kwargs)
+    except StabilizationError as exc:
+        return str(exc)
+
+
+@st.composite
+def germs(draw):
+    """2-3 components t^order + (up to two higher terms), orders 2-6, over Q
+    or GF(p)."""
+    field = draw(st.sampled_from([QQ, PrimeField(32003),
+                                  PrimeField(2 ** 31 - 1)]))
+    comps = []
+    for _ in range(draw(st.integers(2, 3))):
+        order = draw(st.integers(2, 6))
+        terms = {(order,): draw(st.sampled_from([Fraction(1), Fraction(-2),
+                                                 Fraction(1, 3)]))}
+        for k in draw(st.lists(st.integers(1, 3), max_size=2, unique=True)):
+            terms[(order + k,)] = Fraction(draw(st.integers(-3, 3)),
+                                           draw(st.integers(1, 2)))
+        comps.append(Polynomial(1, field, terms))
+    return tuple(comps)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(germs(), st.integers(3, 6),
+       st.sampled_from([None, None, None, 6, 12, 24]), st.integers(3, 8))
+def test_germ_profile_matches_rebuild_oracle(gens, max_degree, degree_cap,
+                                             grow_steps):
+    kwargs = dict(max_degree=max_degree, degree_cap=degree_cap,
+                  grow_steps=grow_steps)
+    assert profile_or_error(germ_profile, gens, **kwargs) == \
+        profile_or_error(rebuild_germ_profile, gens, **kwargs)
+
+
+def implicit_ideal(gens):
+    """The ideal of relations among the components: eliminate t from the
+    x_i - gens[i](t) in k[t, x] (Cox, Little & O'Shea, Ideals, Varieties,
+    and Algorithms, ch. 3)."""
+    r, field = len(gens), gens[0].field
+    rels = []
+    for i, g in enumerate(gens):
+        terms = {(e[0],) + (0,) * r: -c for e, c in g.terms.items()}
+        terms[tuple(int(j == i + 1) for j in range(r + 1))] = field.one
+        rels.append(Polynomial(r + 1, field, terms))
+    return Ideal(r, field, [
+        Polynomial(r, field, {m[1:]: c for m, c in h.terms.items()})
+        for h in buchberger(rels, BlockOrder(1))
+        if all(m[0] == 0 for m in h.terms)])
+
+
+@pytest.mark.parametrize("spec", [
+    ("t^2", "t^3"), ("t^3", "t^4", "t^5"), ("t^3", "t^4 + t^5"),
+    ("t^4", "t^5 + 2*t^7"), ("t^4", "t^6 + t^7"), ("t^5", "t^6", "t^7"),
+    ("t^3 + t^4", "t^5", "t^7"), ("t^2 + t^3", "3*t^5 + t^6")])
+def test_germ_profile_matches_elimination_oracle(spec):
+    # k[gens] is k[x]/I for the implicit ideal I, so both count
+    # dim m^n/m^(n+1) of the same local ring
+    field = PrimeField(32003)
+    gens = [parse_polynomial(s, 1, field, names=("t",)) for s in spec]
+    prof = germ_profile(gens)
+    cone = cone_profile(implicit_ideal(gens))
+    assert prof.values == cone.values[:len(prof.values)]
+    assert prof.multiplicity == cone.multiplicity
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 5),
+       st.lists(st.tuples(st.integers(2, 5),
+                          st.dictionaries(st.integers(1, 3),
+                                          st.integers(1, 32002), max_size=1)),
+                min_size=1, max_size=2))
+def test_germ_profile_matches_elimination_oracle_random(order, comps):
+    # a pure power first component leaves t = 0 the only preimage of the
+    # origin, so the germ has one branch there
+    field = PrimeField(32003)
+    gens = [Polynomial(1, field, {(order,): 1})] + [
+        Polynomial(1, field, {(o + k,): c for k, c in ({0: 1} | tail).items()})
+        for o, tail in comps]
+    try:
+        prof = germ_profile(gens)
+    except StabilizationError:
+        reject()
+    cone = cone_profile(implicit_ideal(gens))
+    assert prof.values == cone.values[:len(prof.values)]
 
 
 @st.composite
