@@ -11,7 +11,7 @@ from .conductor import (ConductorCertificate, NumericalSemigroup,
 from .errors import BudgetExceededError, StabilizationError
 from .groebner import (Ideal, buchberger, ideal_equal, ideal_intersect,
                        ideal_member, ideal_power, ideal_quotient, normal_form,
-                       saturation, spolynomial, truncated_membership)
+                       saturation, spolynomial)
 from .points import (PointSet, hilbert_function, hilbert_profile,
                      is_generic_position, is_generic_t_position, nu,
                      random_point_set)
@@ -28,7 +28,7 @@ __all__ = [
     "BudgetExceededError", "StabilizationError",
     "Ideal", "buchberger", "normal_form", "spolynomial", "ideal_member",
     "ideal_equal", "ideal_intersect", "ideal_quotient", "ideal_power",
-    "saturation", "truncated_membership",
+    "saturation",
     "PointSet", "nu", "hilbert_function", "hilbert_profile",
     "is_generic_position", "is_generic_t_position", "random_point_set",
     "Branch", "BranchCurve", "ConeProfile", "branch_tangent_points",

@@ -14,7 +14,8 @@ result (not generic / mismatch / golden divergence), 2 error, 3 a conductor
 hypothesis failed.
 
 Argparse is the only configuration layer: each subcommand accepts just the
-flags its handler reads, and the handlers take the parsed namespace.
+flags its handler reads (and each conductor model just the flags it reads),
+and the handlers take the parsed namespace.
 """
 
 import argparse
@@ -38,7 +39,8 @@ from .poly import Polynomial, parse_polynomial
 from .scalars import QQ, PrimeField
 from .serialize import (canonical_json, curve_from_json, field_from_json,
                         ideal_from_json, load_json, point_set_from_json,
-                        point_set_to_json, polynomial_text, polynomial_texts)
+                        point_set_to_json, polynomial_text, polynomial_texts,
+                        polynomials_from_json, positive_count)
 from .tangent_cone import (branch_tangent_points, cone_profile, germ_profile,
                            subalgebra_member)
 
@@ -73,7 +75,7 @@ FLAGS = {
                                 "override"),
     "--box": dict(type=positive_int,
                   help="lattice box for monomial-algebra models"),
-    "--subset-budget": dict(type=positive_int, default=DEFAULT_SUBSET_BUDGET,
+    "--subset-budget": dict(type=positive_int,
                             help="cap on the number of t-subsets to check "
                                  "(default %d)" % DEFAULT_SUBSET_BUDGET),
     "--only": dict(help="run only example ids containing this substring"),
@@ -133,8 +135,8 @@ def envelope(args):
         "budgets": {
             "degree_bound": getattr(args, "degree_bound", None),
             "box": getattr(args, "box", None),
-            "subset_budget": getattr(args, "subset_budget",
-                                     DEFAULT_SUBSET_BUDGET),
+            "subset_budget": (getattr(args, "subset_budget", None)
+                              or DEFAULT_SUBSET_BUDGET),
             "max_basis": DEFAULT_MAX_BASIS,
             "max_pairs": DEFAULT_MAX_PAIRS,
         },
@@ -177,7 +179,8 @@ def cmd_points_check(args):
             cert = is_generic_position(X)
             label = "generic position"
         else:
-            cert = is_generic_t_position(X, args.t, args.subset_budget)
+            cert = is_generic_t_position(
+                X, args.t, args.subset_budget or DEFAULT_SUBSET_BUDGET)
             label = "generic %d-position" % args.t
         lines = ["%d points of P^%d over %s" % (X.e, X.r, X.field)]
         if cert.generic:
@@ -209,16 +212,31 @@ def _summarize(d):
     return ", ".join(parts)
 
 
+# the conductor flags each model reads; any other flag given is an error
+MODEL_FLAGS = {"points": ("field", "degree_bound", "subset_budget"),
+               "semigroup": (), "monomial-algebra": ("box",),
+               "arrangement": ("field",)}
+
+
 def conductor_certificate_for(obj, args):
     model = obj.get("model")
+    if model not in MODEL_FLAGS:
+        raise ValueError("unknown conductor model %r (expected points, "
+                         "semigroup, monomial-algebra, or arrangement)"
+                         % (model,))
+    for name in ("field", "degree_bound", "box", "subset_budget"):
+        if getattr(args, name) is not None and name not in MODEL_FLAGS[model]:
+            raise ValueError("--%s is not read by the %s model"
+                             % (name.replace("_", "-"), model))
     if model == "points":
         pts = obj["points"]
         if args.field is not None and isinstance(pts, dict):
             # a non-object is left to point_set_from_json's shape error
             pts = dict(pts, field=args.field)
         X = point_set_from_json(pts)
-        return points_conductor_certificate(X, dmax=args.degree_bound,
-                                            subset_budget=args.subset_budget)
+        return points_conductor_certificate(
+            X, dmax=args.degree_bound,
+            subset_budget=args.subset_budget or DEFAULT_SUBSET_BUDGET)
     if model == "semigroup":
         return semigroup_certificate(obj["generators"])
     if model == "monomial-algebra":
@@ -229,14 +247,9 @@ def conductor_certificate_for(obj, args):
         gens = [tuple(int(c) for c in g) for g in obj["generators"]]
         cand = [tuple(int(c) for c in v) for v in obj["candidate"]]
         return monomial_conductor_certificate(gens, box, cand)
-    if model == "arrangement":
-        spec = args.field if args.field is not None else obj.get("field")
-        field = field_from_json(spec)
-        nvars = obj["vars"]
-        forms = [parse_polynomial(s, nvars, field) for s in obj["forms"]]
-        return arrangement_certificate(forms)
-    raise ValueError("unknown conductor model %r (expected points, semigroup, "
-                     "monomial-algebra, or arrangement)" % (model,))
+    if args.field is not None:
+        obj = dict(obj, field=args.field)
+    return arrangement_certificate(polynomials_from_json(obj, "forms"))
 
 
 def cmd_conductor(args):
@@ -274,6 +287,8 @@ def cmd_conductor(args):
 def cmd_tangent_cone(args):
     def one(path):
         obj = load_json(path)
+        if args.field is not None:
+            obj = dict(obj, field=args.field)
         if "branches" in obj:
             return _cone_from_branches(obj, args)
         if "parametrization" in obj:
@@ -287,8 +302,6 @@ def cmd_tangent_cone(args):
 
 
 def _cone_from_branches(obj, args):
-    if args.field is not None:
-        obj = dict(obj, field=args.field)
     curve = curve_from_json(obj)
     pts = branch_tangent_points(curve)
     cert = is_generic_position(pts)
@@ -308,42 +321,55 @@ def _cone_from_branches(obj, args):
     return 0, lines, payload
 
 
-def _cone_from_parametrization(obj, args):
-    spec = args.field if args.field is not None else obj.get("field")
-    field = field_from_json(spec)
+def germ_report(obj, degree_bound=None):
+    """The graded profile of a parametrized germ model and, when it asks a
+    membership query, the answers at min_factors and at 1 (else None), both
+    read off one subalgebra_member level. `degree_bound` overrides the
+    profile's degree cap and the query's window."""
+    field = field_from_json(obj.get("field"))
     gens = [parse_polynomial(s, 1, field, names=("t",))
             for s in polynomial_texts(obj["parametrization"],
                                       "parametrization")]
-    profile = germ_profile(gens, degree_cap=args.degree_bound)
+    mem = obj.get("membership")
+    if mem:
+        text = polynomial_text(mem["query"], "membership.query")
+        q = parse_polynomial(text, 1, field, names=("t",))
+        if q.is_zero():
+            raise ValueError("membership.query: the zero query lies in every "
+                             "power of the maximal ideal")
+        if "window" in mem:
+            positive_count(mem["window"], "membership.window")
+        window = degree_bound or mem.get("window", 4 * q.degree())
+        min_factors = positive_count(mem.get("min_factors", 1),
+                                     "membership.min_factors")
+    profile = germ_profile(gens, degree_cap=degree_bound)
+    if not mem:
+        return profile, None
+    level = subalgebra_member(q, gens, window)
+    return profile, {"query": text, "window": window,
+                     "min_factors": min_factors,
+                     "member": level >= min_factors,
+                     "member_at_min_factors_1": level >= 1}
+
+
+def _cone_from_parametrization(obj, args):
+    profile, mem = germ_report(obj, args.degree_bound)
     lines = ["graded quotient dimensions: %s" % (list(profile.values),),
              "multiplicity: %d, embedding dimension: %d"
              % (profile.multiplicity, profile.emdim)]
     payload = {"command": "tangent-cone", "route": "parametrization",
                "envelope": envelope(args), "profile": profile.as_dict()}
-    mem = obj.get("membership")
     if mem:
-        q = parse_polynomial(polynomial_text(mem["query"], "membership.query"),
-                             1, field, names=("t",))
-        window = (args.degree_bound if args.degree_bound is not None
-                  else int(mem.get("window", 4 * q.degree())))
-        min_factors = int(mem.get("min_factors", 1))
-        member = subalgebra_member(q, gens, window, min_factors)
-        in_ideal = member or subalgebra_member(q, gens, window, 1)
-        lines.append(
-            "query %s factor-count >= %d span (degree window %d): %s"
-            % ("inside" if member else "outside", min_factors, window,
-               mem["query"]))
-        lines.append("query inside the span of all products: %s"
-                     % ("yes" if in_ideal else "no"))
-        payload["membership"] = {"query": mem["query"], "window": window,
-                                 "min_factors": min_factors, "member": member,
-                                 "member_at_min_factors_1": in_ideal}
+        lines += ["query %s factor-count >= %d span (degree window %d): %s"
+                  % ("inside" if mem["member"] else "outside",
+                     mem["min_factors"], mem["window"], mem["query"]),
+                  "query inside the span of all products: %s"
+                  % ("yes" if mem["member_at_min_factors_1"] else "no")]
+        payload["membership"] = mem
     return 0, lines, payload
 
 
 def _cone_from_ideal(obj, args):
-    if args.field is not None:
-        obj = dict(obj, field=args.field)
     ideal = ideal_from_json(obj)
     for i, g in enumerate(ideal.gens):
         if g.low_degree() == 0:
@@ -393,15 +419,8 @@ def _case_tangent_points():
 
 
 def _case_germ_profile():
-    model = load_json(fx.fixture_path("germ_model.json"))
-    field = field_from_json(model["field"])
-    gens = [parse_polynomial(s, 1, field, names=("t",))
-            for s in model["parametrization"]]
-    profile = germ_profile(gens)
-    mem = model["membership"]
-    q = parse_polynomial(mem["query"], 1, field, names=("t",))
-    in_cube = subalgebra_member(q, gens, mem["window"], mem["min_factors"])
-    in_max = subalgebra_member(q, gens, mem["window"], 1)
+    profile, mem = germ_report(load_json(fx.fixture_path("germ_model.json")))
+    in_cube, in_max = mem["member"], mem["member_at_min_factors_1"]
     curve = curve_from_json(load_json(fx.fixture_path("germ_curve.json")))
     pts = branch_tangent_points(curve)
     X = point_set_from_json(load_json(fx.fixture_path("tangent_points.json")))
@@ -454,9 +473,7 @@ def _case_line_ladder():
 
 def _case_arrangement(fixture_name):
     obj = load_json(fx.fixture_path(fixture_name))
-    field = field_from_json(obj.get("field"))
-    forms = [parse_polynomial(s, obj["vars"], field) for s in obj["forms"]]
-    cert = arrangement_certificate(forms)
+    cert = arrangement_certificate(polynomials_from_json(obj, "forms"))
     computed = ("formula matches the oracle ideal" if cert.verdict == "match"
                 else "formula misses the oracle ideal")
     return computed, {"certificate": cert.as_dict()}

@@ -292,7 +292,7 @@ def monomial_conductor(generators, box):
     return conductor, window
 
 
-def up_closure(vectors, window, k):
+def up_closure(vectors, window):
     """All window points componentwise >= some given vector."""
     out = set()
     for base in vectors:
@@ -309,8 +309,7 @@ def monomial_conductor_certificate(generators, box, candidate):
     as an ideal of the normalization's monomial lattice.
     """
     cond, window = monomial_conductor(generators, box)
-    k = len(generators[0])
-    cand = up_closure(candidate, window, k)
+    cand = up_closure(candidate, window)
     missing = sorted(cand - cond)
     extra = sorted(cond - cand)
     verdict = "match" if not missing and not extra else "mismatch"
@@ -392,9 +391,9 @@ def arrangement_certificate(forms):
     the stratum (e_k distinct points of a projective line, always in generic
     position), so the predicted local exponent is nu(e_k, 1) = e_k - 1.
     """
+    oracle = arrangement_conductor_ideal(forms)  # checks len(forms) >= 2
     field = forms[0].field
     nvars = forms[0].nvars
-    oracle = arrangement_conductor_ideal(forms)
     strata = arrangement_strata(forms)
     formula = None
     detail = []

@@ -12,9 +12,8 @@ keys. Resource caps raise BudgetExceededError.
 from operator import add, le, neg, sub
 
 from .errors import BudgetExceededError
-from .linalg import SparseEchelon
 from .poly import (DEGREVLEX, BlockOrder, Polynomial, mono_deg, mono_div,
-                   mono_divides, mono_lcm, mono_mul, monomials_up_to)
+                   mono_divides, mono_lcm, mono_mul)
 
 DEFAULT_MAX_BASIS = 500
 DEFAULT_MAX_PAIRS = 50000
@@ -280,28 +279,3 @@ def ideal_power(ideal, m):
             p = p * q
         gens.append(p)
     return Ideal(ideal.nvars, field, gens)
-
-
-def truncated_membership(f, gens, bound):
-    """Whether f lies in the span of {m*g : deg(m*g) <= bound} by row reduction.
-
-    Independent of the Buchberger engine; used as a cross-check oracle. A True
-    answer certifies membership; for small bounds a False answer only says no
-    witness exists within the truncation.
-    """
-    if f.degree() > bound:
-        raise ValueError("bound %d smaller than deg f = %d" % (bound, f.degree()))
-    field = f.field
-    index = {m: i for i, m in enumerate(monomials_up_to(f.nvars, bound))}
-    ech = SparseEchelon(field)
-    for g in gens:
-        if g.is_zero():
-            continue
-        dg = g.degree()
-        for m in monomials_up_to(f.nvars, bound - dg):
-            row = {}
-            for mg, c in g.terms.items():
-                row[index[mono_mul(m, mg)]] = c
-            ech.insert(row)
-    vec = {index[m]: c for m, c in f.terms.items()}
-    return ech.contains(vec)

@@ -194,20 +194,9 @@ class Polynomial:
         """Degree of the lowest nonzero homogeneous component; -1 for zero."""
         return min((mono_deg(m) for m in self.terms), default=-1)
 
-    def homogeneous_component(self, d):
-        return Polynomial(self.nvars, self.field,
-                          {m: c for m, c in self.terms.items() if mono_deg(m) == d})
-
     def is_homogeneous(self):
         degs = {mono_deg(m) for m in self.terms}
         return len(degs) <= 1
-
-    def initial_form(self):
-        """(d, lowest-degree homogeneous part); errors on zero."""
-        if self.is_zero():
-            raise ValueError("zero polynomial has no initial form")
-        d = self.low_degree()
-        return d, self.homogeneous_component(d)
 
     def evaluate(self, point):
         if len(point) != self.nvars:
@@ -261,11 +250,6 @@ class Polynomial:
             out = out + g ** e * c
         return out
 
-    def map_coefficients(self, fn, field=None):
-        field = field or self.field
-        return Polynomial(self.nvars, field,
-                          {m: fn(c) for m, c in self.terms.items()})
-
     def text(self, names=None):
         """Canonical string, terms descending under degrevlex."""
         if self.is_zero():
@@ -296,10 +280,6 @@ class Polynomial:
 
     def __repr__(self):
         return self.text()
-
-    @classmethod
-    def parse(cls, s, nvars, field, names=None):
-        return parse_polynomial(s, nvars, field, names=names)
 
 
 _TOKEN = re.compile(
@@ -350,6 +330,9 @@ def parse_polynomial(s, nvars, field, names=None):
             if kind == "op" and tok in "+-":
                 break
             if kind == "op" and tok == "*":
+                if expect_factor:
+                    raise ValueError("'*' needs a factor on each side in %r"
+                                     % s)
                 i += 1
                 expect_factor = True
                 continue

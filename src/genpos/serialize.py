@@ -63,6 +63,15 @@ def polynomial_texts(values, path):
             for i, v in enumerate(values)]
 
 
+def positive_count(value, path):
+    """`value` if it is an integer >= 1 (not a bool); otherwise ValueError
+    naming its JSON path."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError("%s: expected an integer >= 1, got %s"
+                         % (path, json.dumps(value)))
+    return value
+
+
 def curve_to_json(C):
     return {
         "field": field_to_json(C.field),
@@ -100,13 +109,20 @@ def ideal_to_json(I):
     return out
 
 
+def polynomials_from_json(obj, key):
+    """The polynomials `obj[key]` in `obj["vars"]` variables over
+    `obj["field"]`, each entry's shape checked with its JSON path. With key
+    "forms" this reads an arrangement model."""
+    field = field_from_json(obj.get("field"))
+    nvars = positive_count(obj["vars"], "vars")
+    return [parse_polynomial(s, nvars, field)
+            for s in polynomial_texts(obj[key], key)]
+
+
 def ideal_from_json(obj):
     from .groebner import Ideal
-    field = field_from_json(obj.get("field"))
-    nvars = obj["vars"]
-    gens = [parse_polynomial(s, nvars, field)
-            for s in polynomial_texts(obj["gens"], "gens")]
-    return Ideal(nvars, field, gens)
+    gens = polynomials_from_json(obj, "gens")
+    return Ideal(obj["vars"], field_from_json(obj.get("field")), gens)
 
 
 def load_json(path):

@@ -13,7 +13,9 @@ Three routes into the same graded object:
     components, growing the window until the values hold still. The windows
     grow incrementally: one level-filtered echelon (see linalg) takes each
     power product once, at its factor count, and each product is computed
-    once, from the product with one factor fewer.
+    once, from the product with one factor fewer. subalgebra_member fills
+    the same kind of echelon for one degree window and returns the largest
+    n with the query in m^n there, so one span answers every power.
   * branch_tangent_points extracts the tangent directions of a branch
     decomposition; for a germ with smooth branches these are the points whose
     count is the multiplicity.
@@ -164,7 +166,7 @@ def _dict_mul(a, b, p):
     return {e: r for e, c in out.items() if (r := c % p)}
 
 
-def _power_products(rows, p, cap, low=-1, memo=None):
+def _power_products(rows, p, cap, low, memo):
     """Power products of the generators with polynomial degree in (low, cap],
     each once, as (degree, factor count, row) triples in order of degree,
     which keeps the echelon's pivot rows short. `rows` holds (row, degree) per
@@ -174,7 +176,6 @@ def _power_products(rows, p, cap, low=-1, memo=None):
     (sorted index tuples) to their products, so a caller that widens the
     window multiplies only the new ones.
     """
-    memo = {} if memo is None else memo
     out = []
     # an explicit stack, not a recursive closure: the closure's reference
     # cycle would keep every product alive until a full garbage collection
@@ -221,28 +222,34 @@ def _generator_rows(gens, conv):
             for g in gens]
 
 
-def subalgebra_member(p, gens, bound, min_degree=1):
-    """Whether p lies in the span of the power products of the generators that
-    use at least min_degree factors and have polynomial degree <= bound.
+def subalgebra_member(p, gens, bound):
+    """The largest n >= 1 such that p lies in the span of the power products
+    of the generators with at least n factors and polynomial degree <= bound;
+    0 when p lies outside that span for n = 1.
 
-    Exact row reduction over that finite spanning set: min_degree 1 windows
-    the maximal ideal of the generated subalgebra, min_degree 3 its cube.
-    True always exhibits a combination, hence certifies ideal membership;
-    False is exact for the degree window.
+    The span for n windows m^n, m being the ideal the generators span in the
+    subalgebra they generate. One level-filtered echelon takes each product
+    once, at its factor count, and answers every n. A level of n exhibits a
+    combination, hence certifies membership in m^n; the refutation at n + 1
+    is exact for the degree window.
     """
     _check_subalgebra_gens(gens)
     if p.nvars != 1:
         raise ValueError("query must be univariate")
+    if p.is_zero():
+        raise ValueError("the zero query lies in every power of m")
     if p.degree() > bound:
         raise ValueError("degree window %d smaller than deg p = %d"
                          % (bound, p.degree()))
     ech, conv = _echelon_for(p.field)
     rows = _generator_rows(gens, conv)
-    for _, count, row in _power_products(rows, p.field.p, bound):
-        if count >= min_degree:
-            ech.insert(row)
+    for _, count, row in _power_products(rows, p.field.p, bound, 0, {}):
+        ech.insert(row, count)
     query = conv({e[0]: c for e, c in p.terms.items()})
-    return ech.contains(query)
+    level = 0
+    while ech.contains(query, level + 1):
+        level += 1
+    return level
 
 
 def germ_profile(gens, max_degree=6, degree_cap=None, grow_steps=8):

@@ -1,0 +1,35 @@
+import pytest
+
+from genpos.linalg import SparseEchelon
+from genpos.poly import mono_mul, monomials_up_to
+
+
+def truncated_membership(f, gens, bound):
+    """Whether f lies in the span of {m*g : deg(m*g) <= bound} by row reduction.
+
+    Independent of the Buchberger engine; used as a cross-check oracle. A True
+    answer certifies membership; for small bounds a False answer only says no
+    witness exists within the truncation.
+    """
+    if f.degree() > bound:
+        raise ValueError("bound %d smaller than deg f = %d" % (bound, f.degree()))
+    field = f.field
+    index = {m: i for i, m in enumerate(monomials_up_to(f.nvars, bound))}
+    ech = SparseEchelon(field)
+    for g in gens:
+        if g.is_zero():
+            continue
+        dg = g.degree()
+        for m in monomials_up_to(f.nvars, bound - dg):
+            row = {}
+            for mg, c in g.terms.items():
+                row[index[mono_mul(m, mg)]] = c
+            ech.insert(row)
+    vec = {index[m]: c for m, c in f.terms.items()}
+    return ech.contains(vec)
+
+
+@pytest.fixture(name="truncated_membership")
+def truncated_membership_oracle():
+    """The row-reduction membership oracle, for tests in any module."""
+    return truncated_membership

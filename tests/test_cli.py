@@ -319,6 +319,87 @@ def test_tangent_cone_rejects_non_string_polynomials(tmp_path, capsys):
         assert err.startswith("error: %s: expected a " % path), obj
 
 
+def test_membership_fields_must_be_positive_ints(tmp_path, capsys):
+    # one level answers every threshold, so a threshold must be a count
+    from genpos import cli
+
+    germ = {"field": "Q", "parametrization": ["t^2", "t^3"]}
+    cases = [({"query": "t^4", "window": 2.5}, "membership.window", "2.5"),
+             ({"query": "t^4", "window": "30"}, "membership.window", '"30"'),
+             ({"query": "t^4", "window": True}, "membership.window", "true"),
+             ({"query": "t^4", "min_factors": 0}, "membership.min_factors",
+              "0")]
+    for mem, path, got in cases:
+        src = tmp_path / "germ.json"
+        src.write_text(json.dumps(dict(germ, membership=mem)))
+        assert cli.main(["tangent-cone", str(src)]) == 2, mem
+        captured = capsys.readouterr()
+        assert captured.err == ("error: %s: expected an integer >= 1, got %s\n"
+                                % (path, got)), mem
+        assert captured.out == "", mem
+
+
+def test_zero_membership_query_exits_2(tmp_path, capsys):
+    from genpos import cli
+
+    for mem in ({"query": "0", "window": 8}, {"query": "t^2 - t^2"},
+                {"query": "0"}):
+        src = tmp_path / "germ.json"
+        src.write_text(json.dumps({"field": "Q",
+                                   "parametrization": ["t^2", "t^3"],
+                                   "membership": mem}))
+        assert cli.main(["tangent-cone", str(src)]) == 2, mem
+        err = capsys.readouterr().err
+        assert err.startswith("error: membership.query: the zero query"), mem
+
+
+def test_conductor_rejects_flags_its_model_does_not_read(tmp_path, capsys):
+    from genpos import cli
+
+    cases = [("semigroup_2_5.json", "--box", "3", "semigroup"),
+             ("semigroup_2_5.json", "--field", "7", "semigroup"),
+             ("monomial_n3.json", "--field", "7", "monomial-algebra"),
+             ("arrangement_three_lines.json", "--degree-bound", "4",
+              "arrangement"),
+             ("arrangement_three_lines.json", "--subset-budget", "5",
+              "arrangement"),
+             ("conductor_points.json", "--box", "3", "points")]
+    for name, flag, value, model in cases:
+        out = tmp_path / "cert.json"
+        assert cli.main(["conductor", fx(name), flag, value,
+                         "--json-out", str(out)]) == 2, (name, flag)
+        err = capsys.readouterr().err
+        assert err == "error: %s is not read by the %s model\n" % (flag,
+                                                                   model)
+        assert not out.exists()
+    # flags the model reads still run
+    assert cli.main(["conductor", fx("arrangement_three_lines.json"),
+                     "--field", "32003"]) == 0
+    assert cli.main(["conductor", fx("monomial_n3.json"), "--box", "12"]) == 0
+
+
+def test_arrangement_model_shapes_name_their_path(tmp_path, capsys):
+    from genpos import cli
+
+    cases = [({"forms": [3, "x1"]},
+              "forms[0]: expected a polynomial string, got 3"),
+             ({"forms": "x0"},
+              'forms: expected a list of polynomial strings, got "x0"'),
+             ({"vars": "3"}, 'vars: expected an integer >= 1, got "3"'),
+             ({"vars": True}, "vars: expected an integer >= 1, got true"),
+             ({"vars": 0}, "vars: expected an integer >= 1, got 0")]
+    model = {"model": "arrangement", "vars": 3, "field": "Q",
+             "forms": ["x0", "x1", "x0 + x1 + x2"]}
+    for change, message in cases:
+        src = tmp_path / "arr.json"
+        src.write_text(json.dumps(dict(model, **change)))
+        assert cli.main(["conductor", str(src)]) == 2, change
+        assert capsys.readouterr().err == "error: %s\n" % message, change
+    src.write_text(json.dumps(dict(model, forms=[])))
+    assert cli.main(["conductor", str(src)]) == 2
+    assert capsys.readouterr().err == "error: need at least two hyperplanes\n"
+
+
 def test_unexpected_exception_exits_2(tmp_path, monkeypatch, capsys):
     # a defect inside a handler is an error, never the negative result 1
     from genpos import cli

@@ -319,12 +319,12 @@ def test_monomial_conductor_large_box():
     gens = [(8, 0), (0, 1), (1, 1)]
     cond, window = monomial_conductor(gens, 64)
     assert window == 32
-    assert cond == up_closure([(j, 7) for j in range(8)], 32, 2)
+    assert cond == up_closure([(j, 7) for j in range(8)], 32)
 
 
 def test_up_closure():
-    assert up_closure([(1, 1)], 2, 2) == {(1, 1), (1, 2), (2, 1), (2, 2)}
-    assert up_closure([], 2, 2) == set()
+    assert up_closure([(1, 1)], 2) == {(1, 1), (1, 2), (2, 1), (2, 2)}
+    assert up_closure([], 2) == set()
 
 
 # ------------------------------------------------------------------ arrangements

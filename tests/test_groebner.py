@@ -6,7 +6,7 @@ from genpos.errors import BudgetExceededError
 from genpos.groebner import (Ideal, buchberger, divide_exact, ideal_equal,
                              ideal_intersect, ideal_member, ideal_power,
                              ideal_quotient, normal_form, saturation,
-                             spolynomial, truncated_membership)
+                             spolynomial)
 from genpos.poly import DegRevLex, Lex, Polynomial, parse_polynomial
 from genpos.scalars import QQ, PrimeField
 
@@ -157,7 +157,7 @@ def test_spoly_reductions_vanish_seeded():
                 assert normal_form(s, gb, order).is_zero()
 
 
-def test_truncated_membership_agrees_with_groebner():
+def test_truncated_membership_agrees_with_groebner(truncated_membership):
     rng = random.Random(23)
     for trial in range(20):
         field = F11 if trial % 2 else QQ
@@ -194,7 +194,7 @@ def test_truncated_membership_agrees_with_groebner():
                 ideal_member(f, ideal)
 
 
-def test_truncated_membership_direct():
+def test_truncated_membership_direct(truncated_membership):
     x, y = xvars(2)
     gens = [x ** 2 - y]
     assert truncated_membership(x ** 3 - x * y, gens, 5)

@@ -73,8 +73,6 @@ def test_degree_and_low_degree():
     p = x * y ** 2 + x ** 2 + y ** 5
     assert p.degree() == 5
     assert p.low_degree() == 2
-    assert p.homogeneous_component(3) == x * y ** 2
-    assert p.initial_form() == (2, x ** 2)
     assert not p.is_homogeneous()
     assert (x * y).is_homogeneous()
     assert Polynomial.zero(2, QQ).degree() == -1
@@ -121,6 +119,9 @@ def test_parse_errors():
     assert parse_polynomial("", 2, QQ).is_zero()
     with pytest.raises(ValueError):
         parse_polynomial("t + 1", 1, QQ)  # names not given
+    for text in ("*x0", "x0 * * x1", "x0 + *x1"):
+        with pytest.raises(ValueError, match="'\\*' needs a factor"):
+            parse_polynomial(text, 2, QQ)
 
 
 def test_monomials_of_degree():
@@ -150,12 +151,3 @@ def test_evaluate():
     assert p.evaluate([Fraction(2), Fraction(5)]) == Fraction(17)
     w = Polynomial.variable(0, 1, F11)
     assert (w ** 5 - 1).evaluate([F11(3)]) == F11.zero
-
-
-def test_map_coefficients():
-    x, y = xvars(2)
-    p = x + 2 * y
-    q = p.map_coefficients(
-        lambda c: F11(c.numerator) * F11.inv(c.denominator), field=F11)
-    assert q.field == F11
-    assert q.text() == "x0 + 2*x1"

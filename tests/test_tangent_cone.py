@@ -16,10 +16,11 @@ from genpos.poly import (DEGREVLEX, BlockOrder, Polynomial, mono_deg,
                          parse_polynomial)
 from genpos.scalars import QQ, PrimeField
 from genpos.tangent_cone import (Branch, BranchCurve, ConeProfile,
-                                 _check_subalgebra_gens, _echelon_for,
-                                 _stabilized, branch_tangent_points,
-                                 cone_profile, germ_profile,
-                                 lowest_form_ideal, subalgebra_member)
+                                 _check_subalgebra_gens, _dict_mul,
+                                 _echelon_for, _generator_rows, _stabilized,
+                                 branch_tangent_points, cone_profile,
+                                 germ_profile, lowest_form_ideal,
+                                 subalgebra_member)
 
 F11 = PrimeField(11)
 
@@ -164,6 +165,49 @@ def rebuild_germ_profile(gens, max_degree=6, degree_cap=None, grow_steps=8):
         % [list(v) for v in history])
 
 
+# subalgebra_member before it returned the factor-count level, kept as the
+# oracle with its product walker: one fresh level-0 echelon per threshold.
+
+def member_power_products(rows, p, cap, low=-1, memo=None):
+    """Power products of the generators with polynomial degree in (low, cap],
+    each once, as (degree, factor count, row) triples in order of degree."""
+    memo = {} if memo is None else memo
+    out = []
+    stack = [((), {0: 1}, 0)]
+    while stack:
+        key, cur, deg = stack.pop()
+        if deg > low:
+            out.append((deg, len(key), cur))
+        for i in range(key[-1] if key else 0, len(rows)):
+            row, d = rows[i]
+            if deg + d <= cap:
+                child = key + (i,)
+                prod = memo.get(child)
+                if prod is None:
+                    prod = memo[child] = _dict_mul(cur, row, p)
+                stack.append((child, prod, deg + d))
+    out.sort(key=lambda product: product[0])
+    return out
+
+
+def member_oracle(p, gens, bound, min_degree=1):
+    """Whether p lies in the span of the power products of the generators that
+    use at least min_degree factors and have polynomial degree <= bound."""
+    _check_subalgebra_gens(gens)
+    if p.nvars != 1:
+        raise ValueError("query must be univariate")
+    if p.degree() > bound:
+        raise ValueError("degree window %d smaller than deg p = %d"
+                         % (bound, p.degree()))
+    ech, conv = _echelon_for(p.field)
+    rows = _generator_rows(gens, conv)
+    for _, count, row in member_power_products(rows, p.field.p, bound):
+        if count >= min_degree:
+            ech.insert(row)
+    query = conv({e[0]: c for e, c in p.terms.items()})
+    return ech.contains(query)
+
+
 def tvar(field=QQ):
     return Polynomial.variable(0, 1, field)
 
@@ -297,12 +341,13 @@ def test_cone_profile_presentation_independent():
 def test_subalgebra_member_cusp():
     t = tvar()
     gens = (t ** 2, t ** 3)
-    assert subalgebra_member(t ** 2, gens, 10)
-    assert subalgebra_member(t ** 7, gens, 10)
-    assert not subalgebra_member(t, gens, 10)
-    assert not subalgebra_member(t ** 7, gens, 10, min_degree=4)
+    assert subalgebra_member(t ** 2, gens, 10) == 1
+    assert subalgebra_member(t ** 7, gens, 10) == 3  # t^2*t^2*t^3 only
+    assert subalgebra_member(t, gens, 10) == 0
     with pytest.raises(ValueError, match="window"):
         subalgebra_member(t ** 12, gens, 10)
+    with pytest.raises(ValueError, match="zero query"):
+        subalgebra_member(Polynomial.zero(1, QQ), gens, 10)
 
 
 def test_subalgebra_member_validates_gens():
@@ -321,10 +366,8 @@ def test_germ_membership_query_frozen():
     assert query.text(names=("t",)) == "t^22 + 8*t^17 + 3*t^12 + 10*t^7"
     gens = germ_components(unity_field())
     # outside the cube of the maximal ideal at two window sizes, inside m
-    assert not subalgebra_member(query, gens, window, min_degree=min_factors)
-    assert not subalgebra_member(query, gens, window + 10,
-                                 min_degree=min_factors)
-    assert subalgebra_member(query, gens, window)
+    assert 1 <= subalgebra_member(query, gens, window) < min_factors
+    assert subalgebra_member(query, gens, window + 10) < min_factors
 
 
 def test_germ_profile_frozen():
@@ -473,3 +516,40 @@ def test_lowest_forms_match_truncated_oracle(ideal, bound):
     except StabilizationError:
         return
     assert cone_profile(ideal, bound) == expected
+
+
+@st.composite
+def member_queries(draw):
+    """Generators as in `germs`, a degree window, and a nonzero query of degree
+    <= window: a random combination of power products, or a random
+    polynomial."""
+    gens = draw(germs())
+    field = gens[0].field
+    window = draw(st.integers(max(g.degree() for g in gens), 24))
+    coeff = st.integers(-3, 3)
+    q = Polynomial.zero(1, field)
+    if draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 2))):
+            prod = Polynomial.constant(field(draw(coeff)), 1, field)
+            for i in draw(st.lists(st.integers(0, len(gens) - 1),
+                                   min_size=1, max_size=6)):
+                prod = prod * gens[i]
+            if prod.degree() <= window:
+                q = q + prod
+    else:
+        q = Polynomial(1, field, draw(st.dictionaries(
+            st.builds(lambda e: (e,), st.integers(0, window)), coeff,
+            min_size=1, max_size=4)))
+    if q.is_zero():
+        reject()
+    return q, gens, window
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(member_queries())
+def test_subalgebra_member_level_matches_oracle(case):
+    q, gens, window = case
+    level = subalgebra_member(q, gens, window)
+    top = window // min(g.degree() for g in gens)  # largest factor count
+    for n in range(1, top + 2):
+        assert (level >= n) == member_oracle(q, gens, window, n), n
