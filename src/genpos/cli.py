@@ -37,10 +37,11 @@ from .points import (DEFAULT_SUBSET_BUDGET, is_generic_position,
                      is_generic_t_position, nu, random_point_set)
 from .poly import Polynomial, parse_polynomial
 from .scalars import QQ, PrimeField
-from .serialize import (canonical_json, curve_from_json, field_from_json,
-                        ideal_from_json, load_json, point_set_from_json,
-                        point_set_to_json, polynomial_text, polynomial_texts,
-                        polynomials_from_json, positive_count)
+from .serialize import (canonical_json, curve_from_json, exponent_vectors,
+                        field_from_json, ideal_from_json, integer, integers,
+                        load_json, point_set_from_json, point_set_to_json,
+                        polynomial_text, polynomial_texts,
+                        polynomials_from_json)
 from .tangent_cone import (branch_tangent_points, cone_profile, germ_profile,
                            subalgebra_member)
 
@@ -238,15 +239,16 @@ def conductor_certificate_for(obj, args):
             X, dmax=args.degree_bound,
             subset_budget=args.subset_budget or DEFAULT_SUBSET_BUDGET)
     if model == "semigroup":
-        return semigroup_certificate(obj["generators"])
+        return semigroup_certificate(integers(obj["generators"],
+                                              "generators"))
     if model == "monomial-algebra":
         box = args.box if args.box is not None else obj.get("box")
         if box is None:
             raise ValueError("monomial-algebra model needs a box "
                              "(--box or a \"box\" key)")
-        gens = [tuple(int(c) for c in g) for g in obj["generators"]]
-        cand = [tuple(int(c) for c in v) for v in obj["candidate"]]
-        return monomial_conductor_certificate(gens, box, cand)
+        return monomial_conductor_certificate(
+            exponent_vectors(obj["generators"], "generators"), box,
+            exponent_vectors(obj["candidate"], "candidate"))
     if args.field is not None:
         obj = dict(obj, field=args.field)
     return arrangement_certificate(polynomials_from_json(obj, "forms"))
@@ -338,10 +340,10 @@ def germ_report(obj, degree_bound=None):
             raise ValueError("membership.query: the zero query lies in every "
                              "power of the maximal ideal")
         if "window" in mem:
-            positive_count(mem["window"], "membership.window")
+            integer(mem["window"], "membership.window", 1)
         window = degree_bound or mem.get("window", 4 * q.degree())
-        min_factors = positive_count(mem.get("min_factors", 1),
-                                     "membership.min_factors")
+        min_factors = integer(mem.get("min_factors", 1),
+                              "membership.min_factors", 1)
     profile = germ_profile(gens, degree_cap=degree_bound)
     if not mem:
         return profile, None

@@ -7,8 +7,21 @@ were actually processed, never pairs it skipped itself, which avoids the
 circular variant of that optimization. `normal_form` is full reduction by the
 first divisor in basis order, taking each leading term off a heap of order
 keys. Resource caps raise BudgetExceededError.
+
+Over Q, `normal_form` reduces on Python ints (pseudo-division, as in the
+primitive remainder sequences of Geddes, Czapor & Labahn, *Algorithms for
+Computer Algebra*, ch. 7). Each divisor is the primitive integer multiple of
+its basis element, and the live terms are ints equal to one positive integer
+`scale` times the exact rational terms. Scaling all live terms by the same
+positive number changes neither which terms are zero nor the order in which
+leads pop, so every step reduces the same monomial by the same divisor as
+the rational division. A term leaving for the remainder is the exact
+`Fraction(c, scale)` at that moment, so the remainder is term for term the
+one exact division gives, and callers see no difference.
 """
 
+from fractions import Fraction
+from math import gcd, lcm
 from operator import add, le, neg, sub
 
 from .errors import BudgetExceededError
@@ -39,6 +52,11 @@ def normal_form(f, basis, order):
     keeps its entry and is skipped if still absent when it pops; one that
     comes back needs no new entry, because every term a reduction adds is
     smaller than the leading term just removed, so the entry has not popped.
+
+    Each basis element divides as `Polynomial.divisor`: monic over GF(p), the
+    primitive integer multiple over Q. Over Q, cancelling the live lead lc
+    against the divisor lead lcg first multiplies every live term and `scale`
+    by lcg / gcd(lc, lcg) when that is not 1.
     """
     if f.is_zero() or not basis:
         return f
@@ -46,12 +64,13 @@ def normal_form(f, basis, order):
     field = f.field
     p = field.p
     key = order.key
-    divisors = []  # (leading monomial, inverse leading coefficient, tail)
-    for g in basis:
-        if not g.is_zero():
-            (lmg, lcg), *tail = g.terms_sorted(order)
-            divisors.append((lmg, field.inv(lcg), tail))
-    work = dict(f.terms)
+    divisors = [g.divisor(order) for g in basis if not g.is_zero()]
+    if p is None:
+        scale = lcm(*(c.denominator for c in f.terms.values()))
+        work = {m: c.numerator * (scale // c.denominator)
+                for m, c in f.terms.items()}
+    else:
+        work = dict(f.terms)
     seen = set(work)
     heap = [(tuple(map(neg, key(m))), m) for m in work]
     heapify(heap)
@@ -61,13 +80,21 @@ def normal_form(f, basis, order):
         lc = work.pop(lm, None)
         if lc is None:
             continue  # cancelled
-        for lmg, inv, tail in divisors:
+        for lmg, lcg, tail in divisors:
             if all(map(le, lmg, lm)):
                 break
         else:
-            remainder[lm] = lc
+            remainder[lm] = Fraction(lc, scale) if p is None else lc
             continue
-        factor = lc * inv if p is None else lc * inv % p
+        factor = lc
+        if lcg != 1:  # never over GF(p)
+            g = gcd(lc, lcg)
+            factor = lc // g
+            if lcg != g:
+                r = lcg // g
+                for m in work:
+                    work[m] *= r
+                scale *= r
         shift = tuple(map(sub, lm, lmg))
         for m, c in tail:
             mm = tuple(map(add, m, shift))

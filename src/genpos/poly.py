@@ -8,6 +8,7 @@ queries during division loops cost O(1) after the initial sort.
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .scalars import FieldMismatchError
 
@@ -84,7 +85,7 @@ LAZARD = LazardOrder()
 class Polynomial:
     """Immutable-by-convention sparse polynomial: dict of exponent tuple -> coefficient."""
 
-    __slots__ = ("nvars", "field", "terms", "_sorted")
+    __slots__ = ("nvars", "field", "terms", "_sorted", "_divisor")
 
     def __init__(self, nvars, field, terms):
         self.nvars = nvars
@@ -98,6 +99,7 @@ class Polynomial:
                 clean[m] = c
         self.terms = clean
         self._sorted = {}
+        self._divisor = {}
 
     @classmethod
     def zero(cls, nvars, field):
@@ -219,6 +221,31 @@ class Polynomial:
             got = tuple(sorted(self.terms.items(),
                                key=lambda t: order.key(t[0]), reverse=True))
             self._sorted[order] = got
+        return got
+
+    def divisor(self, order):
+        """(leading monomial, leading coefficient, tail) of the multiple of a
+        nonzero polynomial that `groebner.normal_form` divides by; cached per
+        order. Over GF(p) it is the monic multiple. Over Q it is the primitive
+        integer multiple with a positive lead: int coefficients with gcd 1.
+        """
+        got = self._divisor.get(order)
+        if got is None:
+            (lm, lc), *tail = self.terms_sorted(order)
+            p = self.field.p
+            if p is None:
+                den = lcm(*(c.denominator for c in self.terms.values()))
+                num = {m: c.numerator * (den // c.denominator)
+                       for m, c in self.terms.items()}
+                content = gcd(*num.values())
+                if lc < 0:
+                    content = -content
+                got = (lm, num[lm] // content,
+                       tuple((m, num[m] // content) for m, _ in tail))
+            else:
+                inv = self.field.inv(lc)
+                got = (lm, 1, tuple((m, c * inv % p) for m, c in tail))
+            self._divisor[order] = got
         return got
 
     def leading_monomial(self, order):

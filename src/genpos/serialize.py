@@ -43,7 +43,7 @@ def point_set_from_json(obj):
         raise ValueError('a point set must be a JSON object with "r" and '
                          '"points" keys, got %s' % type(obj).__name__)
     field = field_from_json(obj.get("field"))
-    return PointSet.of(obj["r"], field, obj["points"])
+    return PointSet.of(integer(obj["r"], "r", 0), field, obj["points"])
 
 
 def polynomial_text(value, path):
@@ -63,13 +63,33 @@ def polynomial_texts(values, path):
             for i, v in enumerate(values)]
 
 
-def positive_count(value, path):
-    """`value` if it is an integer >= 1 (not a bool); otherwise ValueError
-    naming its JSON path."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError("%s: expected an integer >= 1, got %s"
-                         % (path, json.dumps(value)))
+def integer(value, path, least=None):
+    """`value` if it is an integer (not a bool), and >= `least` when that is
+    given; otherwise ValueError naming its JSON path."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or least is not None and value < least):
+        raise ValueError("%s: expected an integer%s, got %s"
+                         % (path, "" if least is None else " >= %d" % least,
+                            json.dumps(value)))
     return value
+
+
+def integers(values, path):
+    """A JSON list of integers, each checked by `integer`."""
+    if not isinstance(values, list):
+        raise ValueError("%s: expected a list of integers, got %s"
+                         % (path, json.dumps(values)))
+    return [integer(v, "%s[%d]" % (path, i)) for i, v in enumerate(values)]
+
+
+def exponent_vectors(values, path):
+    """A JSON list of integer lists, as tuples; each entry checked by
+    `integer`."""
+    if not isinstance(values, list):
+        raise ValueError("%s: expected a list of integer lists, got %s"
+                         % (path, json.dumps(values)))
+    return [tuple(integers(v, "%s[%d]" % (path, i)))
+            for i, v in enumerate(values)]
 
 
 def curve_to_json(C):
@@ -83,7 +103,7 @@ def curve_to_json(C):
 
 def curve_from_json(obj):
     field = field_from_json(obj.get("field"))
-    r = obj["r"]
+    r = integer(obj["r"], "r", 0)
     branches = obj["branches"]
     if not isinstance(branches, list):
         raise ValueError("branches: expected a list of branches, got %s"
@@ -114,7 +134,7 @@ def polynomials_from_json(obj, key):
     `obj["field"]`, each entry's shape checked with its JSON path. With key
     "forms" this reads an arrangement model."""
     field = field_from_json(obj.get("field"))
-    nvars = positive_count(obj["vars"], "vars")
+    nvars = integer(obj["vars"], "vars", 1)
     return [parse_polynomial(s, nvars, field)
             for s in polynomial_texts(obj[key], key)]
 

@@ -400,6 +400,55 @@ def test_arrangement_model_shapes_name_their_path(tmp_path, capsys):
     assert capsys.readouterr().err == "error: need at least two hyperplanes\n"
 
 
+def test_conductor_generators_must_be_integers(tmp_path, capsys):
+    # a non-integer exponent or generator is an error, never truncated
+    from genpos import cli
+
+    monomial = json.loads(open(fx("monomial_n3.json")).read())
+    cases = [(dict(monomial, generators=[[3.7, 0], [0, 1], [1, 1]]),
+              "generators[0][0]: expected an integer, got 3.7"),
+             (dict(monomial, candidate=[[0, 2], [1, True], [2, 2]]),
+              "candidate[1][1]: expected an integer, got true"),
+             (dict(monomial, candidate=[0, 2]),
+              "candidate[0]: expected a list of integers, got 0"),
+             (dict(monomial, generators="3"),
+              'generators: expected a list of integer lists, got "3"'),
+             ({"model": "semigroup", "generators": [2.9, "5"]},
+              "generators[0]: expected an integer, got 2.9"),
+             ({"model": "semigroup", "generators": [2, "5"]},
+              'generators[1]: expected an integer, got "5"'),
+             ({"model": "semigroup", "generators": 5},
+              "generators: expected a list of integers, got 5")]
+    for obj, message in cases:
+        src = tmp_path / "model.json"
+        out = tmp_path / "cert.json"
+        src.write_text(json.dumps(obj))
+        assert cli.main(["conductor", str(src), "--json-out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: %s\n" % message, obj
+        assert not out.exists()
+
+
+def test_r_must_be_a_nonnegative_integer(tmp_path, capsys):
+    from genpos import cli
+
+    curve = {"field": "Q", "branches": [["t", "t^2"]]}
+    points = {"field": "Q", "points": [["1", "2"]]}
+    for r, got in ((True, "true"), ("1", '"1"'), (1.0, "1.0"), (-1, "-1")):
+        for command, obj in (("tangent-cone", curve), ("points-check", points)):
+            src = tmp_path / "model.json"
+            src.write_text(json.dumps(dict(obj, r=r)))
+            assert cli.main([command, str(src)]) == 2, (command, r)
+            assert capsys.readouterr().err == (
+                "error: r: expected an integer >= 0, got %s\n" % got)
+    # r = 0 is the point P^0 for both models
+    src = tmp_path / "model.json"
+    src.write_text(json.dumps({"field": "Q", "r": 0, "branches": [["t"]]}))
+    assert cli.main(["tangent-cone", str(src)]) == 0
+    src.write_text(json.dumps({"field": "Q", "r": 0, "points": [["1"]]}))
+    assert cli.main(["points-check", str(src)]) == 0
+    capsys.readouterr()
+
+
 def test_unexpected_exception_exits_2(tmp_path, monkeypatch, capsys):
     # a defect inside a handler is an error, never the negative result 1
     from genpos import cli

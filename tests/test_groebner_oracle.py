@@ -6,12 +6,15 @@ versions they replaced: `max` over the live terms with `order.key` on every
 step, and `min` over a dict of pairs. Both strategies are the same (full
 reduction by the first divisor in basis order; normal pair selection with
 creation-index ties), so remainders, pair order and bases must match exactly.
+Over Q `normal_form` reduces on integers and the oracle on `Fraction`s, so
+the remainders must still agree term for term.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from genpos import groebner
 from genpos.groebner import buchberger, normal_form, spolynomial
@@ -176,3 +179,91 @@ def test_buchberger_matches_scan(case):
     # the log is the interreduction of the minimal basis
     assert got_log[:len(want_log)] == want_log
     assert snapshot(*got) == snapshot(*want)
+
+
+# coefficients over Q built to share factors with one another, so that the
+# integer reduction rescales by lcg / gcd(lc, lcg) with both sides nontrivial
+SHARED = [1, 2, 3, 4, 6, 9, 12, 36, 1000, 999983, 10 ** 6]
+
+
+@st.composite
+def shared_factor_coefficient(draw):
+    num = draw(st.sampled_from(SHARED)) * draw(st.integers(-7, 7).filter(bool))
+    den = draw(st.one_of(st.sampled_from(SHARED), st.integers(1, 10 ** 6)))
+    return Fraction(num, den)
+
+
+@st.composite
+def rational_polynomial(draw, nvars, max_terms, max_exp):
+    terms = {}
+    for _ in range(draw(st.integers(1, max_terms))):
+        m = tuple(draw(st.integers(0, max_exp)) for _ in range(nvars))
+        terms[m] = draw(shared_factor_coefficient())
+    return Polynomial(nvars, QQ, terms)
+
+
+@st.composite
+def rational_division_case(draw):
+    """(f, basis, order) over Q: one-element bases half the time, leads of
+    either sign, denominators up to 10^6."""
+    order = draw(st.sampled_from(ORDERS))
+    nvars = draw(st.integers(1, 3))
+    size = draw(st.sampled_from([1, 1, 2, 3]))
+    basis = [draw(rational_polynomial(nvars, 4, 3)) for _ in range(size)]
+    f = draw(rational_polynomial(nvars, 5, 4))
+    for g in basis:
+        f = f + draw(rational_polynomial(nvars, 3, 2)) * g
+    return f, basis, order
+
+
+@PROPERTY
+@given(rational_division_case())
+def test_rational_normal_form_matches_scan(case):
+    f, basis, order = case
+    assert snapshot(normal_form(f, basis, order)) == \
+        snapshot(old_normal_form(f, basis, order))
+
+
+@PROPERTY
+@given(division_case())
+def test_divisor_cache_is_per_order(case):
+    # the same f and basis objects, reduced under every order in turn
+    f, basis, _ = case
+    for order in ORDERS + ORDERS[::-1]:
+        assert snapshot(normal_form(f, basis, order)) == \
+            snapshot(old_normal_form(f, basis, order)), order
+
+
+@st.composite
+def divisor_case(draw):
+    field = draw(st.sampled_from(FIELDS))
+    nvars = draw(st.integers(1, 3))
+    if field.p is None and draw(st.booleans()):
+        g = draw(rational_polynomial(nvars, 5, 3))
+    else:
+        g = draw(polynomial(nvars, field, 5, 3))
+    assume(not g.is_zero())
+    return g, draw(st.sampled_from(ORDERS))
+
+
+@PROPERTY
+@given(divisor_case())
+def test_divisor_is_primitive_or_monic(case):
+    g, order = case
+    field = g.field
+    (lm, lc), *tail = g.terms_sorted(order)
+    got_lm, got_lc, got_tail = g.divisor(order)
+    assert got_lm == lm
+    assert [m for m, _ in got_tail] == [m for m, _ in tail]
+    if field.p:
+        inv = field.inv(lc)
+        assert got_lc == 1
+        assert [c for _, c in got_tail] == [c * inv % field.p for _, c in tail]
+        return
+    # the primitive integer multiple of g with a positive lead
+    coeffs = [got_lc] + [c for _, c in got_tail]
+    assert got_lc > 0
+    assert all(type(c) is int for c in coeffs)
+    assert gcd(*coeffs) == 1
+    k = Fraction(got_lc) / lc
+    assert [Fraction(c) for c in coeffs] == [lc * k] + [c * k for _, c in tail]
