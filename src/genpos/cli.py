@@ -333,6 +333,9 @@ def germ_report(obj, degree_bound=None):
             for s in polynomial_texts(obj["parametrization"],
                                       "parametrization")]
     mem = obj.get("membership")
+    if mem is not None and not isinstance(mem, dict):
+        raise ValueError('membership: expected an object with a "query" key, '
+                         "got %s" % json.dumps(mem))
     if mem:
         text = polynomial_text(mem["query"], "membership.query")
         q = parse_polynomial(text, 1, field, names=("t",))

@@ -1,12 +1,27 @@
 """Deterministic Buchberger engine and ideal operations built on it.
 
 Pair selection is the normal strategy: pairs come off a heap keyed by
-(lcm degree, creation index), so runs are reproducible. Both classic
-Buchberger criteria prune pairs; the chain criterion only trusts pairs that
-were actually processed, never pairs it skipped itself, which avoids the
-circular variant of that optimization. `normal_form` is full reduction by the
-first divisor in basis order, taking each leading term off a heap of order
-keys. Resource caps raise BudgetExceededError.
+(lcm degree, creation index), so runs are reproducible. Pairs are pruned by
+the update of Gebauer & Moeller (1988, "On an installation of Buchberger's
+algorithm", JSC 6), as the UPDATE procedure of Becker & Weispfenning,
+*Groebner Bases* (1993), section 5.5. It runs once per element h joining
+the basis, each input generator and then each nonzero remainder:
+
+- The candidates are the pairs (i, h) over the active indices i, ascending.
+- M: a candidate goes when another candidate's lcm divides its lcm; of
+  candidates with equal lcms the earliest survives.
+- F and the product criterion: a candidate whose leading monomials are
+  coprime forms no pair, but it still prunes the others under M.
+- B_k: an old pair (i, j) goes when lm(h) divides its lcm and that lcm
+  differs from lcm(i, h) and lcm(j, h).
+- An index whose leading monomial lm(h) divides leaves the active list and
+  forms no new pairs. It stays in the basis, so `normal_form` still divides
+  by every element in insertion order.
+
+Every pair that survives to be popped is reduced, and the pair budget counts
+those pops. `normal_form` is full reduction by the first divisor in basis
+order, taking each leading term off a heap of order keys. Resource caps
+raise BudgetExceededError.
 
 Over Q, `normal_form` reduces on Python ints (pseudo-division, as in the
 primitive remainder sequences of Geddes, Czapor & Labahn, *Algorithms for
@@ -25,8 +40,8 @@ from math import gcd, lcm
 from operator import add, le, neg, sub
 
 from .errors import BudgetExceededError
-from .poly import (DEGREVLEX, BlockOrder, Polynomial, mono_deg, mono_div,
-                   mono_divides, mono_lcm, mono_mul)
+from .poly import (DEGREVLEX, BlockOrder, Polynomial, mono_div, mono_divides,
+                   mono_lcm)
 
 DEFAULT_MAX_BASIS = 500
 DEFAULT_MAX_PAIRS = 50000
@@ -116,53 +131,63 @@ def normal_form(f, basis, order):
 def buchberger(gens, order=DEGREVLEX, max_basis=DEFAULT_MAX_BASIS,
                max_pairs=DEFAULT_MAX_PAIRS):
     """Reduced Groebner basis of the given generators."""
-    basis = [g.monic(order) for g in gens if not g.is_zero()]
+    from heapq import heapify, heappop, heappush
+    basis = []
+    lms = []
+    active = []  # indices whose leading monomial no later one divides
+    pairs = []  # heap of (lcm degree, creation index, i, j, lcm)
+    seq = 0
+
+    def update(h):
+        """Add h to the basis and prune pairs by the Gebauer-Moeller
+        criteria."""
+        nonlocal active, pairs, seq
+        j = len(basis)
+        lm = h.leading_monomial(order)
+        basis.append(h)
+        lms.append(lm)
+        # B_k: drop an old pair (a, b) when lm divides its lcm and that lcm
+        # differs from lcm(a, h) and lcm(b, h)
+        pairs = [e for e in pairs
+                 if not all(map(le, lm, e[4]))
+                 or tuple(map(max, lms[e[2]], lm)) == e[4]
+                 or tuple(map(max, lms[e[3]], lm)) == e[4]]
+        heapify(pairs)
+        new = [(i, tuple(map(max, lms[i], lm))) for i in active]
+        for k, (i, l) in enumerate(new):
+            # F and the product criterion: a coprime candidate forms no
+            # pair, but still prunes the others
+            if not any(map(min, lms[i], lm)):
+                continue
+            # M: another candidate's lcm divides this one; of equal lcms the
+            # earliest survives
+            if (any(all(map(le, m, l)) for _, m in new[:k])
+                    or any(m != l and all(map(le, m, l))
+                           for _, m in new[k + 1:])):
+                continue
+            heappush(pairs, (sum(l), seq, i, j, l))
+            seq += 1
+        active = [i for i in active if not all(map(le, lm, lms[i]))]
+        active.append(j)
+
+    for g in gens:
+        if not g.is_zero():
+            update(g.monic(order))
     if not basis:
         return ()
-    lms = [g.leading_monomial(order) for g in basis]
-    from heapq import heappop, heappush
-
-    pairs = []  # heap of (lcm degree, creation index, i, j)
-    seq = 0
-    processed = set()
-
-    def push_pairs(j):
-        nonlocal seq
-        for i in range(j):
-            heappush(pairs, (mono_deg(mono_lcm(lms[i], lms[j])), seq, i, j))
-            seq += 1
-
-    for j in range(len(basis)):
-        push_pairs(j)
 
     handled = 0
     while pairs:
-        _, _, i, j = heappop(pairs)
+        _, _, i, j, _ = heappop(pairs)
         handled += 1
         if handled > max_pairs:
             raise BudgetExceededError("pair budget %d exceeded" % max_pairs)
-        l = mono_lcm(lms[i], lms[j])
-        if l == mono_mul(lms[i], lms[j]):
-            processed.add((i, j))  # coprime leading terms
-            continue
-        chain = False
-        for k in range(len(basis)):
-            if k in (i, j) or not mono_divides(lms[k], l):
-                continue
-            if (min(i, k), max(i, k)) in processed and (min(j, k), max(j, k)) in processed:
-                chain = True
-                break
-        if chain:
-            continue
         s = normal_form(spolynomial(basis[i], basis[j], order), basis, order)
-        processed.add((i, j))
         if s.is_zero():
             continue
-        basis.append(s.monic(order))
-        lms.append(basis[-1].leading_monomial(order))
+        update(s.monic(order))
         if len(basis) > max_basis:
             raise BudgetExceededError("basis budget %d exceeded" % max_basis)
-        push_pairs(len(basis) - 1)
 
     # minimalize: drop elements whose leading monomial another one divides
     keep = []

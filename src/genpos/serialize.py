@@ -26,7 +26,7 @@ def field_from_json(obj):
     if obj == "Q" or obj is None:
         return QQ
     if isinstance(obj, dict) and set(obj) == {"p"}:
-        return PrimeField(obj["p"])
+        return PrimeField(integer(obj["p"], "field.p", 2))
     raise ValueError("unrecognized field descriptor: %r" % (obj,))
 
 
@@ -43,7 +43,15 @@ def point_set_from_json(obj):
         raise ValueError('a point set must be a JSON object with "r" and '
                          '"points" keys, got %s' % type(obj).__name__)
     field = field_from_json(obj.get("field"))
-    return PointSet.of(integer(obj["r"], "r", 0), field, obj["points"])
+    points = obj["points"]
+    if not isinstance(points, list):
+        raise ValueError("points: expected a list of points, got %s"
+                         % json.dumps(points))
+    for i, point in enumerate(points):
+        if not isinstance(point, list):
+            raise ValueError("points[%d]: expected a list of coordinates, "
+                             "got %s" % (i, json.dumps(point)))
+    return PointSet.of(integer(obj["r"], "r", 0), field, points)
 
 
 def polynomial_text(value, path):

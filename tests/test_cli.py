@@ -449,6 +449,68 @@ def test_r_must_be_a_nonnegative_integer(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_point_written_as_a_string_exits_2(tmp_path, capsys):
+    # a string is not read character by character as coordinates
+    from genpos import cli
+
+    cases = [("conductor", {"model": "points",
+                            "points": {"field": "Q", "r": 1,
+                                       "points": ["10", "12", "13"]}}, 0,
+              '"10"'),
+             ("points-check", {"field": "Q", "r": 1,
+                               "points": [["1", "0"], "12"]}, 1, '"12"'),
+             ("points-check", {"field": "Q", "r": 1,
+                               "points": [["1", "0"], 7]}, 1, "7")]
+    for command, obj, i, got in cases:
+        src = tmp_path / "model.json"
+        out = tmp_path / "cert.json"
+        src.write_text(json.dumps(obj))
+        assert cli.main([command, str(src), "--json-out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: points[%d]: expected a list of coordinates, got %s\n"
+            % (i, got)), obj
+        assert not out.exists()
+
+
+def test_prime_field_p_must_be_an_integer(tmp_path, capsys):
+    from genpos import cli
+
+    points = {"r": 1, "points": [["1", "0"], ["1", "1"]]}
+    for p, got in ((True, "true"), ("11", '"11"'), (11.0, "11.0"),
+                   ({}, "{}"), (1, "1")):
+        src = tmp_path / "pts.json"
+        src.write_text(json.dumps(dict(points, field={"p": p})))
+        assert cli.main(["points-check", str(src)]) == 2, p
+        assert capsys.readouterr().err == (
+            "error: field.p: expected an integer >= 2, got %s\n" % got), p
+    src.write_text(json.dumps(dict(points, field={"p": 4})))
+    assert cli.main(["points-check", str(src)]) == 2
+    assert capsys.readouterr().err == "error: 4 is not prime\n"
+    src.write_text(json.dumps(dict(points, field={"p": 11})))
+    assert cli.main(["points-check", str(src)]) == 0
+    capsys.readouterr()
+
+
+def test_membership_and_points_shapes_name_their_path(tmp_path, capsys):
+    from genpos import cli
+
+    germ = {"field": "Q", "parametrization": ["t^2", "t^3"]}
+    cases = [("tangent-cone", dict(germ, membership="x"),
+              'membership: expected an object with a "query" key, got "x"'),
+             ("tangent-cone", dict(germ, membership=[1]),
+              'membership: expected an object with a "query" key, got [1]'),
+             ("conductor", {"model": "points",
+                            "points": {"field": "Q", "r": 1, "points": 2}},
+              "points: expected a list of points, got 2"),
+             ("points-check", {"field": "Q", "r": 1, "points": "12"},
+              'points: expected a list of points, got "12"')]
+    for command, obj, message in cases:
+        src = tmp_path / "model.json"
+        src.write_text(json.dumps(obj))
+        assert cli.main([command, str(src)]) == 2, obj
+        assert capsys.readouterr().err == "error: %s\n" % message, obj
+
+
 def test_unexpected_exception_exits_2(tmp_path, monkeypatch, capsys):
     # a defect inside a handler is an error, never the negative result 1
     from genpos import cli

@@ -1,13 +1,19 @@
-"""Property tests: the heap-ordered Groebner engine against the scan-based one.
+"""Property tests: the Groebner engine against scan-based references.
 
-`normal_form` takes each leading term off a heap of order keys, and
-`buchberger` pops pairs from a heap. The oracles below are the scan-based
-versions they replaced: `max` over the live terms with `order.key` on every
-step, and `min` over a dict of pairs. Both strategies are the same (full
-reduction by the first divisor in basis order; normal pair selection with
-creation-index ties), so remainders, pair order and bases must match exactly.
-Over Q `normal_form` reduces on integers and the oracle on `Fraction`s, so
-the remainders must still agree term for term.
+`normal_form` takes each leading term off a heap of order keys; its oracle is
+the scan-based version it replaced, `max` over the live terms with
+`order.key` on every step. Both use full reduction by the first divisor in
+basis order, so remainders must match exactly. Over Q `normal_form` reduces
+on integers and the oracle on `Fraction`s, so the remainders must still
+agree term for term.
+
+`buchberger` pops pairs from a heap and prunes them with the Gebauer-Moeller
+update. `gm_buchberger` is the same strategy written from Becker &
+Weispfenning's UPDATE (*Groebner Bases*, 1993, section 5.5) on plain lists,
+with `min` over a dict of pairs, so the S-polynomials reduced and their
+remainders must match it exactly. `old_buchberger` is the chain-criterion
+loop the update replaced: it reduces other pairs, but reduced bases are
+unique, so its bases must match too.
 """
 
 from fractions import Fraction
@@ -19,7 +25,8 @@ from hypothesis import assume, given, settings, strategies as st
 from genpos import groebner
 from genpos.groebner import buchberger, normal_form, spolynomial
 from genpos.poly import (DEGREVLEX, LEX, BlockOrder, Polynomial, mono_deg,
-                         mono_div, mono_divides, mono_lcm, mono_mul)
+                         mono_div, mono_divides, mono_lcm, mono_mul,
+                         parse_polynomial)
 from genpos.scalars import QQ, PrimeField
 
 FIELDS = [QQ, PrimeField(11), PrimeField(2 ** 31 - 1)]
@@ -109,6 +116,68 @@ def old_buchberger(gens, order, log):
     return tuple(reduced)
 
 
+def gm_buchberger(gens, order, log):
+    """Becker & Weispfenning's GROEBNERNEW2 with UPDATE: each input, then each
+    nonzero remainder, goes through `update`. Pairs are chosen by (lcm degree,
+    creation index); appends each (S-polynomial, remainder)."""
+    f = []  # every element, in the order it joined
+    G = []  # the active indices
+    B = {}  # (i, j) -> (lcm degree, creation index)
+    seq = 0
+
+    def lm(i):
+        return f[i].leading_monomial(order)
+
+    def coprime(a, b):
+        return mono_lcm(lm(a), lm(b)) == mono_mul(lm(a), lm(b))
+
+    def update(h):
+        nonlocal G, seq
+        ih = len(f)
+        f.append(h)
+        mh = lm(ih)
+        C = list(G)
+        D = []
+        while C:
+            g1 = C.pop()  # last first: of equal lcms the earliest survives
+            l1 = mono_lcm(mh, lm(g1))
+            if coprime(ih, g1) or not any(
+                    mono_divides(mono_lcm(mh, lm(g2)), l1) for g2 in C + D):
+                D.append(g1)
+        E = [g for g in G if g in D and not coprime(ih, g)]  # ascending
+        for g1, g2 in list(B):
+            l = mono_lcm(lm(g1), lm(g2))
+            if (mono_divides(mh, l) and mono_lcm(lm(g1), mh) != l
+                    and mono_lcm(lm(g2), mh) != l):
+                del B[(g1, g2)]
+        for g in E:
+            B[(g, ih)] = (mono_deg(mono_lcm(lm(g), mh)), seq)
+            seq += 1
+        G = [g for g in G if not mono_divides(mh, lm(g))] + [ih]
+
+    for g in gens:
+        if not g.is_zero():
+            update(g.monic(order))
+    while B:
+        (i, j) = min(B, key=lambda k: B[k])
+        del B[(i, j)]
+        sp = spolynomial(f[i], f[j], order)
+        s = old_normal_form(sp, f, order)
+        log.append(snapshot(sp, s))
+        if not s.is_zero():
+            update(s.monic(order))
+    # the active elements form a Groebner basis; reduce it
+    minimal = [f[g] for g in G
+               if not any(h != g and mono_divides(lm(h), lm(g)) for h in G)]
+    reduced = []
+    for i, g in enumerate(minimal):
+        r = old_normal_form(g, minimal[:i] + minimal[i + 1:], order)
+        if not r.is_zero():
+            reduced.append(r.monic(order))
+    reduced.sort(key=lambda g: order.key(g.leading_monomial(order)))
+    return tuple(reduced)
+
+
 def snapshot(*polys):
     """Terms in insertion order, so equal snapshots mean equal construction."""
     return tuple(tuple(p.terms.items()) for p in polys)
@@ -158,27 +227,61 @@ def test_normal_form_matches_scan(case):
         snapshot(old_normal_form(f, basis, order))
 
 
-@PROPERTY
-@given(ideal_case())
-def test_buchberger_matches_scan(case):
-    gens, order = case
-    want_log = []
-    want = old_buchberger(gens, order, want_log)
-    got_log = []
+def logged_buchberger(gens, order):
+    """`buchberger`, with a snapshot of every `normal_form` call it makes:
+    the S-polynomial reductions first, then the interreduction of the
+    minimal basis."""
+    log = []
     inner = groebner.normal_form
 
     def logged(f, basis, order):
         r = inner(f, basis, order)
-        got_log.append(snapshot(f, r))
+        log.append(snapshot(f, r))
         return r
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(groebner, "normal_form", logged)
         got = buchberger(gens, order)
-    # the S-polynomial reductions come first, in the same order; the rest of
-    # the log is the interreduction of the minimal basis
+    return got, log
+
+
+@PROPERTY
+@given(ideal_case())
+def test_buchberger_matches_scan(case):
+    gens, order = case
+    want_log = []
+    want = gm_buchberger(gens, order, want_log)
+    got, got_log = logged_buchberger(gens, order)
+    # the same S-polynomials reduced in the same order, then the interreduction
     assert got_log[:len(want_log)] == want_log
+    assert len(got_log) == len(want_log) + len(got)
     assert snapshot(*got) == snapshot(*want)
+    # the chain-criterion loop reduces other pairs but reaches the same basis
+    assert snapshot(*got) == snapshot(*old_buchberger(gens, order, []))
+
+
+def cyclic(n, field):
+    """Generators of the cyclic-n ideal, as the benchmark writes them."""
+    texts = [" + ".join("*".join("x%d" % ((i + j) % n) for j in range(k))
+                        for i in range(n)) for k in range(1, n)]
+    texts.append("*".join("x%d" % i for i in range(n)) + " - 1")
+    return [parse_polynomial(t, n, field) for t in texts]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)],
+                         ids=["Q", "GF32003"])
+def test_cyclic_reduces_fewer_pairs(n, field):
+    gens = cyclic(n, field)
+    want_log, old_log = [], []
+    want = gm_buchberger(gens, DEGREVLEX, want_log)
+    old = old_buchberger(gens, DEGREVLEX, old_log)
+    got, got_log = logged_buchberger(gens, DEGREVLEX)
+    assert got_log[:len(want_log)] == want_log
+    assert snapshot(*got) == snapshot(*want) == snapshot(*old)
+    assert len(got) == {4: 7, 5: 20}[n]
+    # S-pair reductions: cyclic-4 12 -> 11, cyclic-5 230 -> 111
+    assert len(want_log) < len(old_log)
 
 
 # coefficients over Q built to share factors with one another, so that the
