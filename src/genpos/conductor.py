@@ -4,7 +4,8 @@ Each model computes the conductor two ways: a formula predicted by the graded
 structure (a power of the maximal ideal, or an intersection of prime powers)
 and a brute-force oracle that knows nothing about the formula. Certificates
 report claimed vs oracle plus the hypotheses the prediction needs; a mismatch
-is a first-class result, not an error.
+is a first-class result, not an error. The points model only calls the checks
+of `points`; the point set itself shares its degree echelons among them.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -14,9 +15,8 @@ from .errors import StabilizationError
 from .groebner import (Ideal, ideal_equal, ideal_intersect, ideal_member,
                        ideal_power, saturation)
 from .linalg import rank, rref
-from .points import (DEFAULT_SUBSET_BUDGET, echelons_to_full_rank,
-                     hilbert_profile, is_generic_position,
-                     is_generic_t_position, nu)
+from .points import (DEFAULT_SUBSET_BUDGET, hilbert_profile,
+                     is_generic_position, is_generic_t_position, nu)
 from .poly import Polynomial
 
 
@@ -47,23 +47,15 @@ class ConductorCertificate:
 
 # ---------------------------------------------------------------- points
 
-def _sigma_window(X, dmax):
+def points_conductor_sigma(X, dmax=None):
+    """Least degree from which the coordinate ring fills all of k^e, checked
+    through dmax. This is the degree where the graded conductor starts."""
     floor = nu(X.e, X.r) + 2
     if dmax is None:
-        return floor + 2
-    if dmax < floor:
+        dmax = floor + 2
+    elif dmax < floor:
         raise ValueError("dmax must be at least nu + 2 = %d" % floor)
-    return dmax
-
-
-def points_conductor_sigma(X, dmax=None, echelons=None):
-    """Least degree from which the coordinate ring fills all of k^e, checked
-    through dmax. This is the degree where the graded conductor starts.
-
-    `echelons` is the `echelons_to_full_rank` list when the caller has it.
-    """
-    dmax = _sigma_window(X, dmax)
-    prof = hilbert_profile(X, dmax, echelons)
+    prof = hilbert_profile(X, dmax)
     if prof.stabilization_degree is None:
         raise StabilizationError("no full-rank degree through %d (H = %s)"
                                  % (dmax, list(prof.values)))
@@ -76,18 +68,14 @@ def points_conductor_certificate(X, dmax=None,
 
     The prediction needs X in generic position and in generic (e-1)-position;
     when either fails the verdict is hypotheses-failed with both numbers still
-    reported. One echelon per degree, up to the first full-rank degree, serves
-    the oracle and both hypothesis checks.
+    reported. The oracle and both hypothesis checks read X's memoized degree
+    echelons, so each degree is reduced once.
     """
     claimed_nu = nu(X.e, X.r)
-    echelons = echelons_to_full_rank(X, _sigma_window(X, dmax))
-    sigma, values = points_conductor_sigma(X, dmax, echelons)
-    full = is_generic_position(X, echelons)
-    if X.e >= 2:
-        sub = is_generic_t_position(X, X.e - 1, subset_budget, echelons)
-        sub_ok = sub.generic
-    else:
-        sub_ok = True
+    sigma, values = points_conductor_sigma(X, dmax)
+    full = is_generic_position(X)
+    sub_ok = X.e < 2 or is_generic_t_position(X, X.e - 1,
+                                              subset_budget).generic
     hypotheses = {
         "generic_position": full.generic,
         "generic_position_e_minus_1": sub_ok,

@@ -3,13 +3,14 @@
 A set of e points is in generic position when every degree-n evaluation matrix
 has the maximal rank min(e, C(n+r, r)); it is in generic t-position when every
 t-point subset is in generic position. Certificates carry the smallest failing
-degree and an explicit hypersurface witness read off the null space. Callers
-that check several properties of one set reduce each degree's evaluation
-matrix once (`degree_echelon`) and pass the echelons down.
+degree and an explicit hypersurface witness read off the null space. Every
+check reads a degree's evaluation matrix and its RREF through
+`PointSet.echelon`, which reduces each degree once per set, so the checks run
+on one set share their work.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from itertools import combinations
 
 from .errors import BudgetExceededError
@@ -17,6 +18,7 @@ from .linalg import kernel_vector, rank, rref
 from .poly import Polynomial, monomials_of_degree
 
 DEFAULT_SUBSET_BUDGET = 20000
+MAX_RESAMPLES = 1000  # random_point_set gives up after this many repeats
 
 
 def binom(n, k):
@@ -46,11 +48,15 @@ def normalize_point(coords, field):
 
 @dataclass(frozen=True)
 class PointSet:
-    """Distinct points of P^r, each normalized so its first nonzero coordinate is 1."""
+    """Distinct points of P^r, each normalized so its first nonzero coordinate
+    is 1. `echelon(d)` fills a per-set memo that equality, hashing and repr
+    ignore."""
 
     r: int
     field: object
     points: tuple
+    _echelons: dict = dataclass_field(default_factory=dict, init=False,
+                                      repr=False, compare=False)
 
     @classmethod
     def of(cls, r, field, coords):
@@ -69,6 +75,16 @@ class PointSet:
 
     def subset(self, idxs):
         return PointSet(self.r, self.field, tuple(self.points[i] for i in idxs))
+
+    def echelon(self, d):
+        """(rows, monos, red, pivots): the degree-d evaluation matrix and its
+        RREF, built on first use."""
+        got = self._echelons.get(d)
+        if got is None:
+            rows, monos = evaluation_matrix(self, d)
+            got = (rows, monos) + rref(rows, self.field)
+            self._echelons[d] = got
+        return got
 
 
 def evaluation_matrix(X, n):
@@ -97,46 +113,25 @@ def hilbert_function(X, n):
     return len(rref(rows, X.field)[1])
 
 
-def degree_echelon(X, d):
-    """(rows, monos, red, pivots): the degree-d evaluation matrix and its RREF."""
-    rows, monos = evaluation_matrix(X, d)
-    red, pivots = rref(rows, X.field)
-    return rows, monos, red, pivots
-
-
-def echelons_to_full_rank(X, dmax):
-    """Degree echelons for d = 0, 1, ... up to the first degree of rank e, or
-    through dmax if the rank never gets there.
-
-    Full rank carries up: a degree-d separator of p times a coordinate that
-    does not vanish at p is a degree-(d+1) separator, so H(d') = e for d' > d.
-    """
-    echelons = []
-    for d in range(dmax + 1):
-        echelons.append(degree_echelon(X, d))
-        if len(echelons[-1][3]) == X.e:
-            break
-    return echelons
-
-
 @dataclass(frozen=True)
 class HilbertProfile:
     values: tuple
     stabilization_degree: object  # int, or None if e was not reached
 
 
-def hilbert_profile(X, upto, echelons=None):
+def hilbert_profile(X, upto):
     """H(0..upto) plus the first degree where H reaches e (None if never).
 
-    Ranks are computed only up to that degree; `echelons` is the
-    `echelons_to_full_rank(X, upto)` list when the caller already has it.
+    Ranks are computed only up to that degree. Full rank carries up: a
+    degree-d separator of p times a coordinate that does not vanish at p is a
+    degree-(d+1) separator, so H(d') = e for d' > d.
     """
-    if echelons is None:
-        echelons = echelons_to_full_rank(X, upto)
-    values = [len(pivots) for _, _, _, pivots in echelons]
-    stab = len(values) - 1 if values[-1] == X.e else None
-    return HilbertProfile(tuple(values + [X.e] * (upto + 1 - len(values))),
-                          stab)
+    values = []
+    for d in range(upto + 1):
+        values.append(len(X.echelon(d)[3]))
+        if values[-1] == X.e:
+            return HilbertProfile(tuple(values + [X.e] * (upto - d)), d)
+    return HilbertProfile(tuple(values), None)
 
 
 @dataclass(frozen=True)
@@ -168,14 +163,12 @@ class GenericityCertificate:
         }
 
 
-def _generic_check(X, echelons=None):
-    """(failing_degree, witness, hilbert_values) over degrees 0..nu(e, r),
-    reading `echelons[n]` (a `degree_echelon` of X) when given."""
+def _generic_check(X):
+    """(failing_degree, witness, hilbert_values) over degrees 0..nu(e, r)."""
     bound = nu(X.e, X.r)
     values = []
     for n in range(bound + 1):
-        rows, monos, red, pivots = (degree_echelon(X, n) if echelons is None
-                                    else echelons[n])
+        _, monos, red, pivots = X.echelon(n)
         h = len(pivots)
         values.append(h)
         if h < min(X.e, binom(n + X.r, X.r)):
@@ -187,9 +180,9 @@ def _generic_check(X, echelons=None):
     return None, None, values
 
 
-def is_generic_position(X, echelons=None):
+def is_generic_position(X):
     """Certify generic position by checking ranks up to degree nu(e, r)."""
-    failing, witness, values = _generic_check(X, echelons)
+    failing, witness, values = _generic_check(X)
     return GenericityCertificate(
         generic=failing is None, t=X.e, e=X.e, r=X.r,
         checked_degrees=tuple(range(len(values))),
@@ -209,7 +202,7 @@ def _separated_points(rows, pivots, field):
     return {q for row, q in zip(red, piv) if not any(row[f] for f in free)}
 
 
-def _first_failing_subset(X, t, echelons):
+def _first_failing_subset(X, t):
     """Lex-first t-subset of X not in generic position, or None.
 
     A t-set is in generic position exactly when two degrees pass, with
@@ -225,7 +218,7 @@ def _first_failing_subset(X, t, echelons):
     if t == X.e - 1:
         bad = set()
         for d in degrees:
-            rows, _, _, pivots = echelons[d]
+            rows, _, _, pivots = X.echelon(d)
             want = min(t, binom(d + X.r, X.r))
             sep = _separated_points(rows, pivots, X.field)
             bad.update(q for q in range(X.e)
@@ -235,20 +228,19 @@ def _first_failing_subset(X, t, echelons):
         return tuple(i for i in range(X.e) if i != max(bad))
     for idxs in combinations(range(X.e), t):
         for d in degrees:
-            rows, _, _, pivots = echelons[d]
+            rows, _, _, pivots = X.echelon(d)
             sub = [[rows[i][c] for c in pivots] for i in idxs]
             if rank(sub, X.field) != min(t, binom(d + X.r, X.r)):
                 return idxs
     return None
 
 
-def is_generic_t_position(X, t, subset_budget=DEFAULT_SUBSET_BUDGET,
-                          echelons=None):
+def is_generic_t_position(X, t, subset_budget=DEFAULT_SUBSET_BUDGET):
     """Certify that every t-subset is in generic position, subsets in lex order.
 
-    Reads `echelons[d]` (a `degree_echelon` of X) for d = nu(t, r) - 1 and
-    nu(t, r) when given. A failing certificate is the per-subset
-    `_generic_check` of the lex-first failing subset.
+    Reads X's echelons in degrees nu(t, r) - 1 and nu(t, r). A failing
+    certificate is the per-subset `_generic_check` of the lex-first failing
+    subset.
     """
     if not 1 <= t <= X.e:
         raise ValueError("t must be between 1 and e")
@@ -256,10 +248,7 @@ def is_generic_t_position(X, t, subset_budget=DEFAULT_SUBSET_BUDGET,
     if total > subset_budget:
         raise BudgetExceededError(
             "C(%d, %d) = %d subsets exceed budget %d" % (X.e, t, total, subset_budget))
-    n = nu(t, X.r)
-    if echelons is None:
-        echelons = {d: degree_echelon(X, d) for d in (n - 1, n) if d >= 0}
-    idxs = _first_failing_subset(X, t, echelons)
+    idxs = _first_failing_subset(X, t)
     if idxs is not None:
         failing, witness, values = _generic_check(X.subset(idxs))
         assert failing is not None, idxs
@@ -270,11 +259,11 @@ def is_generic_t_position(X, t, subset_budget=DEFAULT_SUBSET_BUDGET,
             failing_degree=failing, witness=witness, failing_subset=idxs)
     return GenericityCertificate(
         generic=True, t=t, e=X.e, r=X.r,
-        checked_degrees=tuple(range(n + 1)),
+        checked_degrees=tuple(range(nu(t, X.r) + 1)),
         hilbert_values=(), failing_degree=None)
 
 
-def random_point_set(rng, e, r, field, max_tries=1000):
+def random_point_set(rng, e, r, field):
     """e distinct random points of P^r; returns (point set, resample count)."""
     pts = []
     seen = set()
@@ -287,7 +276,7 @@ def random_point_set(rng, e, r, field, max_tries=1000):
         p = normalize_point(coords, field)
         if p in seen:
             resamples += 1
-            if resamples > max_tries:
+            if resamples > MAX_RESAMPLES:
                 raise RuntimeError("could not draw %d distinct points" % e)
             continue
         seen.add(p)

@@ -39,16 +39,12 @@ def mono_lcm(a, b):
 class DegRevLex:
     """Total degree first, ties broken by smallest trailing exponent difference."""
 
-    name: str = "degrevlex"
-
     def key(self, m):
         return (sum(m), *(-e for e in reversed(m)))
 
 
 @dataclass(frozen=True)
 class Lex:
-    name: str = "lex"
-
     def key(self, m):
         return m
 
@@ -58,7 +54,6 @@ class BlockOrder:
     """Eliminates the first `split` variables: degrevlex on that block, then the rest."""
 
     split: int
-    name: str = "block"
 
     def key(self, m):
         head, tail = m[:self.split], m[self.split:]
@@ -70,8 +65,6 @@ class BlockOrder:
 class LazardOrder:
     """Order on k[t, x], t = variable 0: total degree, then the larger power
     of t (on homogeneous input, the lower x-degree), then degrevlex on x."""
-
-    name: str = "lazard"
 
     def key(self, m):
         return (sum(m), m[0], *(-e for e in reversed(m[1:])))
@@ -405,11 +398,3 @@ def monomials_of_degree(nvars, d):
             for rest in rec(n - 1, k - first):
                 yield (first,) + rest
     return list(rec(nvars, d))
-
-
-def monomials_up_to(nvars, d):
-    """Exponent tuples of degree <= d, ascending degree then lex descending."""
-    out = []
-    for k in range(d + 1):
-        out.extend(monomials_of_degree(nvars, k))
-    return out

@@ -51,6 +51,10 @@ def point_set_from_json(obj):
         if not isinstance(point, list):
             raise ValueError("points[%d]: expected a list of coordinates, "
                              "got %s" % (i, json.dumps(point)))
+        for j, c in enumerate(point):
+            if isinstance(c, bool) or not isinstance(c, (str, int)):
+                raise ValueError("points[%d][%d]: expected a scalar string or "
+                                 "an integer, got %s" % (i, j, json.dumps(c)))
     return PointSet.of(integer(obj["r"], "r", 0), field, points)
 
 
@@ -125,16 +129,6 @@ def curve_from_json(obj):
         parsed.append(Branch(tuple(
             parse_polynomial(c, 1, field, names=("t",)) for c in comps)))
     return BranchCurve(r=r, field=field, branches=tuple(parsed))
-
-
-def ideal_to_json(I):
-    out = {
-        "vars": I.nvars,
-        "gens": [g.text() for g in I.gens],
-    }
-    if I.field is not QQ:
-        out["field"] = field_to_json(I.field)
-    return out
 
 
 def polynomials_from_json(obj, key):

@@ -1,7 +1,12 @@
 import pytest
 
 from genpos.linalg import SparseEchelon
-from genpos.poly import mono_mul, monomials_up_to
+from genpos.poly import mono_mul, monomials_of_degree
+
+
+def monomials_up_to(nvars, d):
+    """Exponent tuples of degree <= d, ascending degree then lex descending."""
+    return [m for k in range(d + 1) for m in monomials_of_degree(nvars, k)]
 
 
 def truncated_membership(f, gens, bound):

@@ -472,6 +472,36 @@ def test_point_written_as_a_string_exits_2(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_coordinates_must_be_strings_or_integers(tmp_path, capsys):
+    # a JSON boolean is not the scalar 0 or 1, and a float names its path
+    from genpos import cli
+
+    pts = [[True, False, 0], [0, True, 0], [0, 0, 1]]
+    cases = [("points-check", {"r": 2, "points": pts}, 0, 0, "true"),
+             ("conductor", {"model": "points", "points": {"r": 2,
+                                                          "points": pts}},
+              0, 0, "true"),
+             ("points-check", {"r": 1, "points": [["1", "0"], [1.5, 1]]},
+              1, 0, "1.5"),
+             ("conductor", {"model": "points",
+                            "points": {"r": 1, "points": [[1, 0], [1, None]]}},
+              1, 1, "null")]
+    for command, obj, i, j, got in cases:
+        src = tmp_path / "model.json"
+        out = tmp_path / "cert.json"
+        src.write_text(json.dumps(obj))
+        assert cli.main([command, str(src), "--json-out", str(out)]) == 2, obj
+        assert capsys.readouterr().err == (
+            "error: points[%d][%d]: expected a scalar string or an integer, "
+            "got %s\n" % (i, j, got)), obj
+        assert not out.exists()
+    # the same points written as integers are certified
+    src.write_text(json.dumps({"r": 2, "points": [[1, 0, 0], [0, 1, 0],
+                                                  [0, 0, 1]]}))
+    assert cli.main(["points-check", str(src)]) == 0
+    capsys.readouterr()
+
+
 def test_prime_field_p_must_be_an_integer(tmp_path, capsys):
     from genpos import cli
 

@@ -11,6 +11,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from genpos import points
 from genpos.conductor import points_conductor_certificate, points_conductor_sigma
 from genpos.errors import StabilizationError
 from genpos.linalg import nullspace_vector
@@ -171,3 +172,58 @@ def test_conductor_certificate_matches_old_path(family, data):
                                "generic_position_e_minus_1": sub}
     assert cert.oracle == {"sigma": values.index(X.e),
                            "hilbert_values": values}
+
+
+# PointSet.echelon: one memo per set, shared by every check on that set.
+
+@pytest.mark.parametrize("coords", [
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, 2, 3], [1, 3, 7],
+     [1, 5, 2]],
+    [[1, i, i * i] for i in range(7)]], ids=["generic", "conic"])
+def test_each_degree_is_built_once_per_set(monkeypatch, coords):
+    X = PointSet.of(2, QQ, coords)
+    built = []
+
+    def counted(Y, n):
+        if Y is X:
+            built.append(n)
+        return evaluation_matrix(Y, n)
+
+    monkeypatch.setattr(points, "evaluation_matrix", counted)
+    is_generic_position(X)
+    sigma = points_conductor_certificate(X).oracle["sigma"]
+    assert sorted(built) == sorted(set(built)) == list(range(sigma + 1))
+
+
+@FAMILIES
+@PROPERTY
+@given(data=st.data())
+def test_warmed_memo_gives_the_same_certificates(family, data):
+    X = data.draw(family)
+    warm = PointSet(X.r, X.field, X.points)
+    hilbert_profile(warm, nu(X.e, X.r) + 6)
+    is_generic_t_position(warm, data.draw(st.integers(1, X.e)))
+
+    def certificates(Y):
+        out = [is_generic_position(Y).as_dict()]
+        out += [is_generic_t_position(Y, t).as_dict()
+                for t in range(1, Y.e + 1)]
+        try:
+            out.append(points_conductor_certificate(Y).as_dict())
+        except StabilizationError as exc:
+            out.append(str(exc))
+        return out
+
+    assert certificates(warm) == certificates(X)
+
+
+def test_memo_leaves_equality_hash_and_repr_alone():
+    coords = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
+    X = PointSet.of(2, QQ, coords)
+    before = (hash(X), repr(X))
+    points_conductor_certificate(X)
+    assert X._echelons
+    assert X == PointSet.of(2, QQ, coords)
+    assert (hash(X), repr(X)) == before == (hash(PointSet.of(2, QQ, coords)),
+                                            repr(PointSet.of(2, QQ, coords)))
+    assert "_echelons" not in repr(X)

@@ -166,4 +166,4 @@ def test_random_point_set_exhaustion():
     F2 = PrimeField(2)
     # P^1 over F_2 has only 3 points
     with pytest.raises(RuntimeError):
-        random_point_set(random.Random(0), 4, 1, F2, max_tries=20)
+        random_point_set(random.Random(0), 4, 1, F2)

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import monomials_up_to
 from genpos.poly import (BlockOrder, DegRevLex, Lex, Polynomial, mono_deg,
                          mono_div, mono_divides, mono_lcm, mono_mul,
-                         monomials_of_degree, monomials_up_to,
-                         parse_polynomial)
+                         monomials_of_degree, parse_polynomial)
 from genpos.scalars import QQ, FieldMismatchError, PrimeField
 
 F11 = PrimeField(11)
