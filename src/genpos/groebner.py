@@ -19,9 +19,14 @@ the basis, each input generator and then each nonzero remainder:
   by every element in insertion order.
 
 Every pair that survives to be popped is reduced, and the pair budget counts
-those pops. `normal_form` is full reduction by the first divisor in basis
-order, taking each leading term off a heap of order keys. Resource caps
-raise BudgetExceededError.
+those pops; the basis budget counts every element, input generators too.
+Resource caps raise BudgetExceededError.
+
+`normal_form` is full reduction by the first divisor in basis order, on
+packed monomials (see `poly`): live terms are keyed by the int order keys K,
+a divisor divides when its exponent pack E passes the guard test, and a new
+term costs two int additions. A guard bit set by a new term (lex and block
+orders can raise exponents) redoes the call with twice the bits.
 
 Over Q, `normal_form` reduces on Python ints (pseudo-division, as in the
 primitive remainder sequences of Geddes, Czapor & Labahn, *Algorithms for
@@ -36,37 +41,48 @@ one exact division gives, and callers see no difference.
 """
 
 from fractions import Fraction
+from functools import reduce
+from itertools import chain, combinations_with_replacement
 from math import gcd, lcm
-from operator import add, le, neg, sub
+from operator import add, le, mul, sub
 
 from .errors import BudgetExceededError
-from .poly import (DEGREVLEX, BlockOrder, Polynomial, mono_div, mono_divides,
-                   mono_lcm)
+from .poly import DEGREVLEX, BlockOrder, Packing, Polynomial
 
 DEFAULT_MAX_BASIS = 500
 DEFAULT_MAX_PAIRS = 50000
+BITS = 15  # value bits per packed exponent before any widening
 
 
 def spolynomial(f, g, order):
-    """S-polynomial of f and g."""
-    lmf, lmg = f.leading_monomial(order), g.leading_monomial(order)
-    l = mono_lcm(lmf, lmg)
-    mf = Polynomial.monomial(mono_div(l, lmf), f.nvars, f.field,
-                             f.field.inv(f.leading_coefficient(order)))
-    mg = Polynomial.monomial(mono_div(l, lmg), g.nvars, g.field,
-                             g.field.inv(g.leading_coefficient(order)))
-    return mf * f - mg * g
+    """S-polynomial of f and g from their divisors' tails shifted to the lcm
+    l of the leads: tail_f * (l / lm_f) - tail_g * (l / lm_g), the tails
+    monic over GF(p); over Q the primitive tails over their leads a and b,
+    summed on integers as (b * tail_f - a * tail_g) / (a * b)."""
+    bits = max(BITS, max(chain(*f.terms, *g.terms), default=0).bit_length())
+    l = tuple(map(max, f.leading_monomial(order), g.leading_monomial(order)))
+    a, b = f.divisor(order, bits)[2], g.divisor(order, bits)[2]
+    terms = {}
+    for h, mult in ((f, b), (g, -a)):
+        (lm, _), *rest = h.terms_sorted(order)
+        shift = tuple(map(sub, l, lm))
+        for (m, _), (_, _, c) in zip(rest, h.divisor(order, bits)[3]):
+            m = tuple(map(add, m, shift))
+            terms[m] = terms.get(m, 0) + mult * c
+    if f.field.p is None:
+        terms = {m: Fraction(c, a * b) for m, c in terms.items()}
+    return Polynomial(f.nvars, f.field, terms)
 
 
 def normal_form(f, basis, order):
     """Remainder of f under full multivariate division by `basis`.
 
     The leading live term is reduced by the first basis element whose leading
-    monomial divides it, or else moved to the remainder. Every monomial seen
-    is pushed once onto a heap of negated order keys. A term that cancels
-    keeps its entry and is skipped if still absent when it pops; one that
-    comes back needs no new entry, because every term a reduction adds is
-    smaller than the leading term just removed, so the entry has not popped.
+    monomial divides it, or else moved to the remainder, the only place a
+    term is unpacked. Every key seen is pushed once onto a heap of negated
+    keys. A term that cancels keeps its entry and is skipped if still absent
+    when it pops; one that comes back needs no new entry, because every term
+    a reduction adds is smaller than the leading term just removed.
 
     Each basis element divides as `Polynomial.divisor`: monic over GF(p), the
     primitive integer multiple over Q. Over Q, cancelling the live lead lc
@@ -75,31 +91,45 @@ def normal_form(f, basis, order):
     """
     if f.is_zero() or not basis:
         return f
+    bits = BITS
+    while (r := _reduce(f, basis, order, bits)) is None:
+        bits *= 2
+    return r
+
+
+def _reduce(f, basis, order, bits):
+    """`normal_form` with `bits` bits per exponent; None if one needs more."""
     from heapq import heapify, heappop, heappush  # loaded on first use
-    field = f.field
-    p = field.p
-    key = order.key
-    divisors = [g.divisor(order) for g in basis if not g.is_zero()]
+    p = f.field.p
+    divisors = [g.divisor(order, bits) for g in basis if not g.is_zero()]
+    packing = Packing(order, f.nvars, bits)
+    if None in divisors or not packing.fits(f.terms):
+        return None
+    guard = packing.guard
     if p is None:
         scale = lcm(*(c.denominator for c in f.terms.values()))
-        work = {m: c.numerator * (scale // c.denominator)
-                for m, c in f.terms.items()}
-    else:
-        work = dict(f.terms)
-    seen = set(work)
-    heap = [(tuple(map(neg, key(m))), m) for m in work]
+    work = {}  # K -> live coefficient
+    packs = {}  # K -> E, for every key ever live
+    monos = {}  # K -> exponent tuple, for the terms of f
+    for m, c in f.terms.items():
+        e, k = packing.pack(m)
+        packs[k], monos[k] = e, m
+        work[k] = c if p else c.numerator * (scale // c.denominator)
+    heap = [-k for k in work]
     heapify(heap)
     remainder = {}
     while heap:
-        lm = heappop(heap)[1]
-        lc = work.pop(lm, None)
+        k = -heappop(heap)
+        lc = work.pop(k, None)
         if lc is None:
             continue  # cancelled
-        for lmg, lcg, tail in divisors:
-            if all(map(le, lmg, lm)):
+        e = packs[k]
+        for eg, kg, lcg, tail in divisors:
+            if not (e - eg) & guard:
                 break
         else:
-            remainder[lm] = Fraction(lc, scale) if p is None else lc
+            remainder[monos.get(k) or packing.unpack(e)] = \
+                Fraction(lc, scale) if p is None else lc
             continue
         factor = lc
         if lcg != 1:  # never over GF(p)
@@ -110,37 +140,38 @@ def normal_form(f, basis, order):
                 for m in work:
                     work[m] *= r
                 scale *= r
-        shift = tuple(map(sub, lm, lmg))
-        for m, c in tail:
-            mm = tuple(map(add, m, shift))
-            old = work.get(mm)
+        se, sk = e - eg, k - kg
+        for te, tk, c in tail:
+            mk = tk + sk
+            old = work.get(mk)
             if old is None:
-                work[mm] = -factor * c if p is None else -factor * c % p
-                if mm not in seen:
-                    seen.add(mm)
-                    heappush(heap, (tuple(map(neg, key(mm))), mm))
+                work[mk] = -factor * c if p is None else -factor * c % p
+                if mk not in packs:
+                    me = te + se
+                    if me & guard:
+                        return None
+                    packs[mk] = me
+                    heappush(heap, -mk)
                 continue
             s = old - factor * c if p is None else (old - factor * c) % p
             if s:
-                work[mm] = s
+                work[mk] = s
             else:
-                del work[mm]
-    return Polynomial(f.nvars, field, remainder)
+                del work[mk]
+    return Polynomial(f.nvars, f.field, remainder, order)
 
 
 def buchberger(gens, order=DEGREVLEX, max_basis=DEFAULT_MAX_BASIS,
                max_pairs=DEFAULT_MAX_PAIRS):
     """Reduced Groebner basis of the given generators."""
     from heapq import heapify, heappop, heappush
-    basis = []
-    lms = []
+    basis, lms = [], []
     active = []  # indices whose leading monomial no later one divides
     pairs = []  # heap of (lcm degree, creation index, i, j, lcm)
     seq = 0
 
     def update(h):
-        """Add h to the basis and prune pairs by the Gebauer-Moeller
-        criteria."""
+        """Add h to the basis; prune pairs by the Gebauer-Moeller criteria."""
         nonlocal active, pairs, seq
         j = len(basis)
         lm = h.leading_monomial(order)
@@ -169,6 +200,8 @@ def buchberger(gens, order=DEGREVLEX, max_basis=DEFAULT_MAX_BASIS,
             seq += 1
         active = [i for i in active if not all(map(le, lm, lms[i]))]
         active.append(j)
+        if len(basis) > max_basis:
+            raise BudgetExceededError("basis budget %d exceeded" % max_basis)
 
     for g in gens:
         if not g.is_zero():
@@ -186,28 +219,22 @@ def buchberger(gens, order=DEGREVLEX, max_basis=DEFAULT_MAX_BASIS,
         if s.is_zero():
             continue
         update(s.monic(order))
-        if len(basis) > max_basis:
-            raise BudgetExceededError("basis budget %d exceeded" % max_basis)
 
     # minimalize: drop elements whose leading monomial another one divides
-    keep = []
-    for i, g in enumerate(basis):
-        if not any(j != i and mono_divides(lms[j], lms[i])
-                   and (lms[j] != lms[i] or j < i) for j in range(len(basis))):
-            keep.append(g)
+    keep = [g for i, g in enumerate(basis)
+            if not any(j != i and all(map(le, lms[j], lms[i]))
+                       and (lms[j] != lms[i] or j < i)
+                       for j in range(len(basis)))]
     # interreduce to the unique reduced basis
-    reduced = []
-    for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1:]
-        r = normal_form(g, others, order)
-        if not r.is_zero():
-            reduced.append(r.monic(order))
-    reduced.sort(key=lambda g: order.key(g.leading_monomial(order)))
-    return tuple(reduced)
+    reduced = [normal_form(g, keep[:i] + keep[i + 1:], order)
+               for i, g in enumerate(keep)]
+    return tuple(sorted((r.monic(order) for r in reduced if not r.is_zero()),
+                        key=lambda g: order.key(g.leading_monomial(order))))
 
 
 class Ideal:
-    """Polynomial ideal with cached reduced bases per monomial order."""
+    """Polynomial ideal with cached reduced bases per monomial order and
+    budgets."""
 
     def __init__(self, nvars, field, gens):
         self.nvars = nvars
@@ -228,21 +255,18 @@ class Ideal:
 
     def groebner_basis(self, order=DEGREVLEX, max_basis=DEFAULT_MAX_BASIS,
                        max_pairs=DEFAULT_MAX_PAIRS):
-        got = self._bases.get(order)
-        if got is None:
-            got = buchberger(self.gens, order, max_basis, max_pairs)
-            self._bases[order] = got
-        return got
+        key = (order, max_basis, max_pairs)
+        if key not in self._bases:
+            self._bases[key] = buchberger(self.gens, *key)
+        return self._bases[key]
 
     def __repr__(self):
         return "Ideal(%s)" % ", ".join(g.text() for g in self.gens)
 
 
 def ideal_member(f, ideal, order=DEGREVLEX):
-    if f.is_zero():
-        return True
-    gb = ideal.groebner_basis(order)
-    return normal_form(f, gb, order).is_zero()
+    return f.is_zero() or normal_form(f, ideal.groebner_basis(order),
+                                      order).is_zero()
 
 
 def ideal_equal(a, b, order=DEGREVLEX):
@@ -267,29 +291,23 @@ def ideal_intersect(a, b):
     one = Polynomial.constant(field.one, n, field)
     gens = [u * _shift_vars(g, 1, n) for g in a.gens]
     gens += [(one - u) * _shift_vars(g, 1, n) for g in b.gens]
-    gb = buchberger(gens, BlockOrder(split=1))
-    out = []
-    for g in gb:
-        if all(m[0] == 0 for m in g.terms):
-            out.append(Polynomial(a.nvars, field,
-                                  {m[1:]: c for m, c in g.terms.items()}))
-    return Ideal(a.nvars, field, out)
+    return Ideal(a.nvars, field, [
+        Polynomial(a.nvars, field, {m[1:]: c for m, c in g.terms.items()})
+        for g in buchberger(gens, BlockOrder(split=1))
+        if all(m[0] == 0 for m in g.terms)])
 
 
 def divide_exact(f, g, order=DEGREVLEX):
     """Quotient of f by g when the division is exact; errors otherwise."""
-    q = Polynomial.zero(f.nvars, f.field)
-    r = f
+    q, r = Polynomial.zero(f.nvars, f.field), f
+    (lmg, lcg), inv = g.terms_sorted(order)[0], f.field.inv
     while not r.is_zero():
-        lm = r.leading_monomial(order)
-        lmg = g.leading_monomial(order)
-        if not mono_divides(lmg, lm):
+        lm, lc = r.terms_sorted(order)[0]
+        if not all(map(le, lmg, lm)):
             raise ValueError("division is not exact")
-        t = Polynomial.monomial(mono_div(lm, lmg), f.nvars, f.field,
-                                r.leading_coefficient(order)
-                                * f.field.inv(g.leading_coefficient(order)))
-        q = q + t
-        r = r - t * g
+        t = Polynomial.monomial(tuple(map(sub, lm, lmg)), f.nvars, f.field,
+                                lc * inv(lcg))
+        q, r = q + t, r - t * g
     return q
 
 
@@ -297,37 +315,25 @@ def ideal_quotient(ideal, f):
     """(ideal : f) for a single nonzero polynomial f."""
     if f.is_zero():
         raise ValueError("quotient by the zero polynomial")
-    fi = Ideal(ideal.nvars, ideal.field, [f])
-    inter = ideal_intersect(ideal, fi)
+    inter = ideal_intersect(ideal, Ideal(ideal.nvars, ideal.field, [f]))
     return Ideal(ideal.nvars, ideal.field,
                  [divide_exact(g, f) for g in inter.gens])
 
 
 def saturation(ideal, f):
     """(ideal : f^infinity) together with the stabilization exponent."""
-    cur = ideal
-    k = 0
-    while True:
-        nxt = ideal_quotient(cur, f)
-        if ideal_equal(nxt, cur):
-            return cur, k
-        cur = nxt
-        k += 1
+    cur, k = ideal, 0
+    while not ideal_equal(nxt := ideal_quotient(cur, f), cur):
+        cur, k = nxt, k + 1
+    return cur, k
 
 
 def ideal_power(ideal, m):
     """m-th power; the zeroth power is the unit ideal."""
     if m < 0:
         raise ValueError("negative ideal power")
-    field = ideal.field
     if m == 0:
-        return Ideal(ideal.nvars, field,
-                     [Polynomial.constant(field.one, ideal.nvars, field)])
-    from itertools import combinations_with_replacement
-    gens = []
-    for combo in combinations_with_replacement(ideal.gens, m):
-        p = combo[0]
-        for q in combo[1:]:
-            p = p * q
-        gens.append(p)
-    return Ideal(ideal.nvars, field, gens)
+        one = Polynomial.constant(ideal.field.one, ideal.nvars, ideal.field)
+        return Ideal(ideal.nvars, ideal.field, [one])
+    return Ideal(ideal.nvars, ideal.field, [
+        reduce(mul, c) for c in combinations_with_replacement(ideal.gens, m)])

@@ -3,36 +3,28 @@
 Monomials are exponent tuples; variables print as x0..x{n-1}. Term maps are
 plain dicts; per-order sorted views are cached on first use so leading-term
 queries during division loops cost O(1) after the initial sort.
+
+The division engine packs monomials into ints, after Monagan & Pearce (2011,
+"Sparse polynomial division using a heap", JSC 46). Order keys are linear,
+so `order.weights(n, w)` reads the key of each x_i as one int W_i with the
+entries as base-2^w digits: K(m) = sum of e_i * W_i sorts as `order.key(m)`
+while the entries after the first stay within +-2^(w-1), and K(a * b) =
+K(a) + K(b). A `Packing` gives each exponent `bits` bits under a guard bit
+in E(m): (E(b) - E(a)) & guard == 0 exactly when a | b, as a field that
+goes negative borrows through its guard bit, and E(a) + E(b) sets a guard
+bit exactly when an exponent reaches 2^bits. Only lex and block orders can
+raise an exponent in a reduction; `groebner` then redoes the call with
+twice the bits.
 """
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import chain
+from math import gcd, lcm, prod
+from operator import add, mul
 
 from .scalars import FieldMismatchError
-
-
-def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_deg(m):
-    return sum(m)
-
-
-def mono_divides(a, b):
-    """a | b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
-
-
-def mono_div(a, b):
-    """a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)
@@ -42,11 +34,17 @@ class DegRevLex:
     def key(self, m):
         return (sum(m), *(-e for e in reversed(m)))
 
+    def weights(self, n, w):
+        return tuple((1 << w * n) - (1 << w * i) for i in range(n))
+
 
 @dataclass(frozen=True)
 class Lex:
     def key(self, m):
         return m
+
+    def weights(self, n, w):
+        return tuple(1 << w * (n - 1 - i) for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -60,6 +58,12 @@ class BlockOrder:
         return (sum(head), *(-e for e in reversed(head)),
                 sum(tail), *(-e for e in reversed(tail)))
 
+    def weights(self, n, w):
+        s = min(self.split, n)
+        return tuple((1 << w * (n + 1)) - (1 << w * (n + 1 - s + i)) if i < s
+                     else (1 << w * (n - s)) - (1 << w * (i - s))
+                     for i in range(n))
+
 
 @dataclass(frozen=True)
 class LazardOrder:
@@ -69,6 +73,35 @@ class LazardOrder:
     def key(self, m):
         return (sum(m), m[0], *(-e for e in reversed(m[1:])))
 
+    def weights(self, n, w):
+        return tuple((1 << w * n) + (1 << w * (n - 1)) if i == 0
+                     else (1 << w * n) - (1 << w * (i - 1)) for i in range(n))
+
+
+class Packing:
+    """Packs E and K for `order` on `nvars` variables, `bits` per exponent."""
+
+    __slots__ = ("bits", "guard", "_shifts", "_ew", "_kw")
+
+    def __init__(self, order, nvars, bits):
+        self.bits = bits
+        self._shifts = range(0, (bits + 1) * nvars, bits + 1)
+        self._ew = tuple(1 << s for s in self._shifts)
+        self.guard = sum(self._ew) << bits
+        self._kw = order.weights(nvars, bits + nvars.bit_length() + 2)
+
+    def fits(self, monomials):
+        """Whether every exponent has at most `bits` bits."""
+        return not max(chain(*monomials), default=0) >> self.bits
+
+    def pack(self, m):
+        """(E(m), K(m)) of a monomial that fits."""
+        return sum(map(mul, m, self._ew)), sum(map(mul, m, self._kw))
+
+    def unpack(self, e):
+        mask = (1 << self.bits) - 1
+        return tuple([e >> s & mask for s in self._shifts])
+
 
 DEGREVLEX = DegRevLex()
 LEX = Lex()
@@ -76,11 +109,12 @@ LAZARD = LazardOrder()
 
 
 class Polynomial:
-    """Immutable-by-convention sparse polynomial: dict of exponent tuple -> coefficient."""
+    """Immutable-by-convention sparse polynomial: dict of exponent tuple -> coefficient.
+    Terms given already descending under `order` seed its sorted view."""
 
     __slots__ = ("nvars", "field", "terms", "_sorted", "_divisor")
 
-    def __init__(self, nvars, field, terms):
+    def __init__(self, nvars, field, terms, order=None):
         self.nvars = nvars
         self.field = field
         clean = {}
@@ -91,7 +125,7 @@ class Polynomial:
                     raise ValueError("monomial %r has wrong arity" % (m,))
                 clean[m] = c
         self.terms = clean
-        self._sorted = {}
+        self._sorted = {} if order is None else {order: tuple(clean.items())}
         self._divisor = {}
 
     @classmethod
@@ -106,8 +140,7 @@ class Polynomial:
     def variable(cls, i, nvars, field):
         if not 0 <= i < nvars:
             raise ValueError("variable index out of range")
-        m = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, field, {m: field.one})
+        return cls.monomial([int(j == i) for j in range(nvars)], nvars, field)
 
     @classmethod
     def monomial(cls, m, nvars, field, c=None):
@@ -154,7 +187,7 @@ class Polynomial:
         terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
+                m = tuple(map(add, m1, m2))
                 terms[m] = terms.get(m, 0) + c1 * c2
         return Polynomial(self.nvars, self.field, terms)
 
@@ -183,62 +216,61 @@ class Polynomial:
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
-        return max((mono_deg(m) for m in self.terms), default=-1)
+        return max(map(sum, self.terms), default=-1)
 
     def low_degree(self):
         """Degree of the lowest nonzero homogeneous component; -1 for zero."""
-        return min((mono_deg(m) for m in self.terms), default=-1)
+        return min(map(sum, self.terms), default=-1)
 
     def is_homogeneous(self):
-        degs = {mono_deg(m) for m in self.terms}
-        return len(degs) <= 1
+        return len(set(map(sum, self.terms))) <= 1
 
     def evaluate(self, point):
         if len(point) != self.nvars:
             raise ValueError("point has wrong arity")
         field = self.field
         point = [field(x) for x in point]
-        total = field.zero
-        for m, c in self.terms.items():
-            v = c
-            for x, e in zip(point, m):
-                if e:
-                    v = field(v * x ** e)
-            total = field(total + v)
-        return total
+        return field(sum(c * prod(x ** e for x, e in zip(point, m) if e)
+                         for m, c in self.terms.items()))
 
     def terms_sorted(self, order):
-        """Terms sorted descending under `order`; cached per order."""
+        """Terms descending under `order`, by packed keys; cached per order."""
         got = self._sorted.get(order)
         if got is None:
+            w = order.weights(self.nvars, self.degree().bit_length() + 1)
             got = tuple(sorted(self.terms.items(),
-                               key=lambda t: order.key(t[0]), reverse=True))
+                               key=lambda t: sum(map(mul, t[0], w)),
+                               reverse=True))
             self._sorted[order] = got
         return got
 
-    def divisor(self, order):
-        """(leading monomial, leading coefficient, tail) of the multiple of a
-        nonzero polynomial that `groebner.normal_form` divides by; cached per
-        order. Over GF(p) it is the monic multiple. Over Q it is the primitive
-        integer multiple with a positive lead: int coefficients with gcd 1.
-        """
-        got = self._divisor.get(order)
-        if got is None:
-            (lm, lc), *tail = self.terms_sorted(order)
-            p = self.field.p
-            if p is None:
-                den = lcm(*(c.denominator for c in self.terms.values()))
-                num = {m: c.numerator * (den // c.denominator)
-                       for m, c in self.terms.items()}
-                content = gcd(*num.values())
-                if lc < 0:
-                    content = -content
-                got = (lm, num[lm] // content,
-                       tuple((m, num[m] // content) for m, _ in tail))
-            else:
-                inv = self.field.inv(lc)
-                got = (lm, 1, tuple((m, c * inv % p) for m, c in tail))
-            self._divisor[order] = got
+    def divisor(self, order, bits):
+        """Packed (E, K, lc, ((E, K, c), ...)) of the multiple of a nonzero
+        polynomial that `groebner.normal_form` divides by, the tail in
+        `terms_sorted` order, or None if an exponent needs more than `bits`
+        bits; cached per order and width. Over GF(p) it is the monic
+        multiple. Over Q it is the primitive integer multiple with a positive
+        lead: int coefficients with gcd 1."""
+        try:
+            return self._divisor[order, bits]
+        except KeyError:
+            pass
+        packing = Packing(order, self.nvars, bits)
+        ts = self.terms_sorted(order)
+        lc, p = ts[0][1], self.field.p
+        if p is None:
+            den = lcm(*(c.denominator for _, c in ts))
+            num = [c.numerator * (den // c.denominator) for _, c in ts]
+            content = gcd(*num) if lc > 0 else -gcd(*num)
+            coeffs = [c // content for c in num]
+        else:
+            inv = self.field.inv(lc)
+            coeffs = [c * inv % p for _, c in ts]
+        got = None
+        if packing.fits(self.terms):
+            packed = [(*packing.pack(m), c) for (m, _), c in zip(ts, coeffs)]
+            got = (*packed[0], tuple(packed[1:]))
+        self._divisor[order, bits] = got
         return got
 
     def leading_monomial(self, order):
@@ -254,12 +286,12 @@ class Polynomial:
         return ts[0][1]
 
     def monic(self, order):
-        if self.is_zero():
+        if self.is_zero() or (lc := self.leading_coefficient(order)) == 1:
             return self
-        lc = self.leading_coefficient(order)
-        if lc == self.field.one:
-            return self
-        return self * self.field.inv(lc)
+        inv = self.field.inv(lc)
+        return Polynomial(self.nvars, self.field,
+                          {m: c * inv for m, c in self.terms_sorted(order)},
+                          order)
 
     def compose1(self, g):
         """Substitute g for the single variable; both univariate over the same field."""
@@ -278,32 +310,21 @@ class Polynomial:
             names = tuple("x%d" % i for i in range(self.nvars))
         parts = []
         for m, c in self.terms_sorted(DEGREVLEX):
-            factors = []
-            for i, e in enumerate(m):
-                if e == 1:
-                    factors.append(names[i])
-                elif e > 1:
-                    factors.append("%s^%d" % (names[i], e))
+            factors = [names[i] if e == 1 else "%s^%d" % (names[i], e)
+                       for i, e in enumerate(m) if e]
             neg = c < 0  # never for GF(p), whose scalars lie in [0, p)
             coef = str(-c if neg else c)
-            if factors and coef == "1":
-                body = "*".join(factors)
-            elif factors:
-                body = coef + "*" + "*".join(factors)
-            else:
-                body = coef
-            if not parts:
-                parts.append(("-" if neg else "") + body)
-            else:
-                parts.append(("- " if neg else "+ ") + body)
+            body = "*".join(([] if factors and coef == "1" else [coef])
+                            + factors)
+            sign = ("- " if neg else "+ ") if parts else ("-" if neg else "")
+            parts.append(sign + body)
         return " ".join(parts)
 
     def __repr__(self):
         return self.text()
 
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[\^\*\+\-]))")
+_TOKEN = re.compile(r"\s*(\d+(?:/\d+)?|[A-Za-z_][A-Za-z_0-9]*|[\^\*\+\-])")
 
 
 def parse_polynomial(s, nvars, field, names=None):
@@ -312,79 +333,51 @@ def parse_polynomial(s, nvars, field, names=None):
         names = tuple("x%d" % i for i in range(nvars))
     index = {nm: i for i, nm in enumerate(names)}
     s = s.strip().replace("**", "^")
-    if s == "0":
-        return Polynomial.zero(nvars, field)
-    pos = 0
-    tokens = []
+    tokens, pos = [], 0
     while pos < len(s):
         m = _TOKEN.match(s, pos)
-        if not m or m.end() == pos:
+        if not m:
             raise ValueError("bad polynomial text near %r" % s[pos:pos + 20])
-        if m.group("num"):
-            tokens.append(("num", m.group("num")))
-        elif m.group("var"):
-            tokens.append(("var", m.group("var")))
-        else:
-            tokens.append(("op", m.group("op")))
+        tokens.append(m.group(1))
         pos = m.end()
-
     terms = {}
-    i = 0
-    n = len(tokens)
-    first = True
-    while i < n:
+    i, n = 0, len(tokens)
+    while i < n:  # a term: signs, then factors joined by '*'
         sign = 1
-        while i < n and tokens[i][0] == "op" and tokens[i][1] in "+-":
-            if tokens[i][1] == "-":
-                sign = -sign
+        while i < n and tokens[i] in "+-":
+            sign = -sign if tokens[i] == "-" else sign
             i += 1
-        if i >= n:
+        if i == n:
             raise ValueError("dangling sign in %r" % s)
-        if not first and sign == 1 and tokens[i - 1][1] not in "+-":
-            raise ValueError("missing operator in %r" % s)
-        coeff = Fraction(sign)
-        expo = [0] * nvars
-        expect_factor = True
-        while i < n:
-            kind, tok = tokens[i]
-            if kind == "op" and tok in "+-":
-                break
-            if kind == "op" and tok == "*":
-                if expect_factor:
-                    raise ValueError("'*' needs a factor on each side in %r"
-                                     % s)
-                i += 1
-                expect_factor = True
-                continue
-            if not expect_factor:
-                raise ValueError("missing '*' near %r in %r" % (tok, s))
-            if kind == "num":
-                coeff *= Fraction(tok)
-                i += 1
-            elif kind == "var":
-                if tok not in index:
-                    raise ValueError("unknown variable %s (expected one of %s)"
-                                     % (tok, ", ".join(names)))
-                idx = index[tok]
-                e = 1
-                if i + 1 < n and tokens[i + 1] == ("op", "^"):
-                    if i + 2 >= n or tokens[i + 2][0] != "num" or "/" in tokens[i + 2][1]:
-                        raise ValueError("bad exponent in %r" % s)
-                    e = int(tokens[i + 2][1])
-                    i += 3
-                else:
-                    i += 1
-                expo[idx] += e
-            else:
+        coeff, expo = Fraction(sign), [0] * nvars
+        while True:  # a factor; the end of the text reads as a '+'
+            tok = tokens[i] if i < n else "+"
+            if tok == "*":
+                raise ValueError("'*' needs a factor on each side in %r" % s)
+            if tok in "+-":
+                raise ValueError("empty term in %r" % s)
+            if tok == "^":
                 raise ValueError("unexpected token %r in %r" % (tok, s))
-            expect_factor = False
-        if expect_factor:
-            raise ValueError("empty term in %r" % s)
+            i += 1
+            if tok[0].isdigit():
+                coeff *= Fraction(tok)
+            elif tok not in index:
+                raise ValueError("unknown variable %s (expected one of %s)"
+                                 % (tok, ", ".join(names)))
+            elif i < n and tokens[i] == "^":
+                if i + 1 == n or not tokens[i + 1].isdigit():
+                    raise ValueError("bad exponent in %r" % s)
+                expo[index[tok]] += int(tokens[i + 1])
+                i += 2
+            else:
+                expo[index[tok]] += 1
+            if i == n or tokens[i] in "+-":
+                break
+            if tokens[i] != "*":
+                raise ValueError("missing '*' near %r in %r" % (tokens[i], s))
+            i += 1
         m = tuple(expo)
-        c = field(coeff)
-        prev = terms.get(m, field.zero)
-        terms[m] = prev + c
-        first = False
+        terms[m] = terms.get(m, field.zero) + field(coeff)
     return Polynomial(nvars, field, terms)
 
 

@@ -22,13 +22,13 @@ Three routes into the same graded object:
 """
 
 from dataclasses import dataclass
+from operator import le
 
 from .errors import StabilizationError
 from .groebner import buchberger
 from .linalg import IntegerEchelon, SparseEchelon, to_integer_vec
 from .points import PointSet, normalize_point
-from .poly import (DEGREVLEX, LAZARD, Polynomial, mono_deg, mono_divides,
-                   monomials_of_degree)
+from .poly import DEGREVLEX, LAZARD, Polynomial, monomials_of_degree
 from .scalars import QQ
 
 
@@ -93,7 +93,7 @@ def lowest_form_ideal(ideal):
     order.
     """
     n, field = ideal.nvars, ideal.field
-    gens = [Polynomial(n + 1, field, {(g.degree() - mono_deg(m),) + m: c
+    gens = [Polynomial(n + 1, field, {(g.degree() - sum(m),) + m: c
                                       for m, c in g.terms.items()})
             for g in ideal.gens]
     forms = []
@@ -145,7 +145,7 @@ def cone_profile(ideal, bound=8):
     leads = [f.leading_monomial(DEGREVLEX) for f in lowest_form_ideal(ideal)]
     values = []
     for top in (bound, 2 * bound, 4 * bound):
-        values += [sum(not any(mono_divides(lead, m) for lead in leads)
+        values += [sum(not any(all(map(le, lead, m)) for lead in leads)
                        for m in monomials_of_degree(ideal.nvars, d))
                    for d in range(len(values), top + 1)]
         if values[-3:] == values[-1:] * 3:

@@ -1,7 +1,31 @@
 import pytest
 
 from genpos.linalg import SparseEchelon
-from genpos.poly import mono_mul, monomials_of_degree
+from genpos.poly import monomials_of_degree
+
+
+# exponent-tuple helpers for the tuple-based oracles; the engine packs
+# monomials into ints instead
+def mono_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def mono_deg(m):
+    return sum(m)
+
+
+def mono_divides(a, b):
+    """a | b componentwise."""
+    return all(x <= y for x, y in zip(a, b))
+
+
+def mono_div(a, b):
+    """a / b; caller guarantees divisibility."""
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def mono_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def monomials_up_to(nvars, d):

@@ -131,6 +131,30 @@ def test_budget_errors_are_named():
         buchberger(gens, max_basis=3)
 
 
+def test_input_generators_count_against_the_basis_budget():
+    gens = xvars(4)
+    with pytest.raises(BudgetExceededError, match="basis budget 2 exceeded"):
+        buchberger(gens, max_basis=2)
+    assert len(buchberger(gens, max_basis=4)) == 4
+
+
+def test_groebner_basis_cache_is_keyed_by_budgets():
+    texts = ["x0 + x1 + x2 + x3 + x4",
+             "x0*x1 + x1*x2 + x2*x3 + x3*x4 + x4*x0",
+             "x0*x1*x2 + x1*x2*x3 + x2*x3*x4 + x3*x4*x0 + x4*x0*x1",
+             "x0*x1*x2*x3 + x1*x2*x3*x4 + x2*x3*x4*x0 + x3*x4*x0*x1"
+             " + x4*x0*x1*x2",
+             "x0*x1*x2*x3*x4 - 1"]
+    cyclic5 = [parse_polynomial(t, 5, F11) for t in texts]
+    ideal = Ideal.of(cyclic5)
+    assert len(ideal.groebner_basis()) == 20
+    # a smaller budget is a different call: it raises as on a fresh ideal
+    for target in (ideal, Ideal.of(cyclic5)):
+        with pytest.raises(BudgetExceededError, match="basis budget 5"):
+            target.groebner_basis(max_basis=5)
+    assert ideal.groebner_basis(max_pairs=10 ** 6) == ideal.groebner_basis()
+
+
 def test_spoly_reductions_vanish_seeded():
     # the defining property of a Groebner basis, checked on random ideals
     rng = random.Random(11)

@@ -22,10 +22,10 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import mono_deg, mono_div, mono_divides, mono_lcm, mono_mul
 from genpos import groebner
-from genpos.groebner import buchberger, normal_form, spolynomial
-from genpos.poly import (DEGREVLEX, LEX, BlockOrder, Polynomial, mono_deg,
-                         mono_div, mono_divides, mono_lcm, mono_mul,
+from genpos.groebner import BITS, buchberger, normal_form, spolynomial
+from genpos.poly import (DEGREVLEX, LEX, BlockOrder, Packing, Polynomial,
                          parse_polynomial)
 from genpos.scalars import QQ, PrimeField
 
@@ -354,19 +354,75 @@ def divisor_case(draw):
 def test_divisor_is_primitive_or_monic(case):
     g, order = case
     field = g.field
+    packing = Packing(order, g.nvars, BITS)
     (lm, lc), *tail = g.terms_sorted(order)
-    got_lm, got_lc, got_tail = g.divisor(order)
-    assert got_lm == lm
-    assert [m for m, _ in got_tail] == [m for m, _ in tail]
+    got_e, got_k, got_lc, got_tail = g.divisor(order, BITS)
+    assert (got_e, got_k) == packing.pack(lm)
+    assert [(e, k) for e, k, _ in got_tail] == \
+        [packing.pack(m) for m, _ in tail]
     if field.p:
         inv = field.inv(lc)
         assert got_lc == 1
-        assert [c for _, c in got_tail] == [c * inv % field.p for _, c in tail]
+        assert [c for _, _, c in got_tail] == \
+            [c * inv % field.p for _, c in tail]
         return
     # the primitive integer multiple of g with a positive lead
-    coeffs = [got_lc] + [c for _, c in got_tail]
+    coeffs = [got_lc] + [c for _, _, c in got_tail]
     assert got_lc > 0
     assert all(type(c) is int for c in coeffs)
     assert gcd(*coeffs) == 1
     k = Fraction(got_lc) / lc
     assert [Fraction(c) for c in coeffs] == [lc * k] + [c * k for _, c in tail]
+
+
+# exponents at the edge of the packed field width and past it: x0 - x1^k
+# turns x0^a into powers of x1 up to a*k, so reductions under lex and
+# BlockOrder(1) raise exponents through 2^BITS; k = 2^29 also needs wider
+# fields for the input alone and then once more during the reduction
+TOP = (1 << BITS) - 1
+EDGES = [1, TOP // 3, TOP // 2, TOP, TOP + 1, 2 * TOP, 1 << 29]
+
+
+@st.composite
+def widening_case(draw):
+    field = draw(st.sampled_from(FIELDS))
+    order = draw(st.sampled_from([LEX, BlockOrder(1)]))
+    x0, x1, x2 = (Polynomial.variable(i, 3, field) for i in range(3))
+    k = draw(st.sampled_from(EDGES))
+    c = draw(st.integers(1, 5))
+    basis = [x0 - x1 ** k - c * x2]
+    if draw(st.booleans()):  # a few steps each: x1^j with j >= k / 4
+        j = draw(st.sampled_from([e for e in EDGES if 4 * e >= k]))
+        basis.append(x1 ** j - x2)
+    f = x0 ** draw(st.integers(1, 3)) * x2 + c * x0 + draw(st.integers(-3, 3))
+    return f, basis, order
+
+
+@PROPERTY
+@given(widening_case())
+def test_degree_raising_reductions_widen_the_fields(case):
+    f, basis, order = case
+    assert snapshot(normal_form(f, basis, order)) == \
+        snapshot(old_normal_form(f, basis, order))
+
+
+@pytest.mark.parametrize("order", [LEX, BlockOrder(1)], ids=repr)
+@pytest.mark.parametrize("k", [TOP // 3, TOP, 1 << 29])
+def test_cube_of_x0_reduces_past_the_field_width(order, k):
+    x0, x1 = (Polynomial.variable(i, 2, QQ) for i in range(2))
+    r = normal_form(x0 ** 3, [x0 - x1 ** k], order)
+    assert r == x1 ** (3 * k)
+    assert snapshot(r) == snapshot(old_normal_form(x0 ** 3, [x0 - x1 ** k],
+                                                   order))
+
+
+@pytest.mark.parametrize("k", [TOP, 1 << 29])
+def test_buchberger_past_the_field_width_matches_scan(k):
+    x0, x1, x2 = (Polynomial.variable(i, 3, QQ) for i in range(3))
+    gens = [x0 - x1 ** k, x0 ** 2 - x2]
+    want_log = []
+    want = gm_buchberger(gens, LEX, want_log)
+    got, got_log = logged_buchberger(gens, LEX)
+    assert got_log[:len(want_log)] == want_log
+    assert snapshot(*got) == snapshot(*want)
+    assert {g.leading_monomial(LEX) for g in got} == {(1, 0, 0), (0, 2 * k, 0)}

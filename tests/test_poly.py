@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import monomials_up_to
-from genpos.poly import (BlockOrder, DegRevLex, Lex, Polynomial, mono_deg,
-                         mono_div, mono_divides, mono_lcm, mono_mul,
+from conftest import (mono_deg, mono_div, mono_divides, mono_lcm, mono_mul,
+                      monomials_up_to)
+from genpos.poly import (BlockOrder, DegRevLex, Lex, Polynomial,
                          monomials_of_degree, parse_polynomial)
 from genpos.scalars import QQ, FieldMismatchError, PrimeField
 

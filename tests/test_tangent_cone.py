@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from conftest import monomials_up_to
+from conftest import mono_deg, mono_divides, monomials_up_to
 from genpos.errors import StabilizationError
 from genpos.fixtures import (germ_branch_curve, germ_components,
                              germ_membership_query, tangent_point_set,
@@ -12,8 +12,8 @@ from genpos.fixtures import (germ_branch_curve, germ_components,
 from genpos.groebner import Ideal, buchberger
 from genpos.linalg import SparseEchelon
 from genpos.points import binom, hilbert_function
-from genpos.poly import (DEGREVLEX, BlockOrder, Polynomial, mono_deg,
-                         mono_divides, monomials_of_degree, parse_polynomial)
+from genpos.poly import (DEGREVLEX, BlockOrder, Polynomial,
+                         monomials_of_degree, parse_polynomial)
 from genpos.scalars import QQ, PrimeField
 from genpos.tangent_cone import (Branch, BranchCurve, ConeProfile,
                                  _check_subalgebra_gens, _dict_mul,
