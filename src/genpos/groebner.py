@@ -15,109 +15,127 @@ the basis, each input generator and then each nonzero remainder:
 - B_k: an old pair (i, j) goes when lm(h) divides its lcm and that lcm
   differs from lcm(i, h) and lcm(j, h).
 - An index whose leading monomial lm(h) divides leaves the active list and
-  forms no new pairs. It stays in the basis, so `normal_form` still divides
+  forms no new pairs. It stays in the basis, so the reduction still divides
   by every element in insertion order.
 
 Every pair that survives to be popped is reduced, and the pair budget counts
 those pops; the basis budget counts every element, input generators too.
-Resource caps raise BudgetExceededError.
+Resource caps raise BudgetExceededError, whose message gives the pairs
+popped, the basis size and the pairs still queued at that moment.
 
-`normal_form` is full reduction by the first divisor in basis order, on
-packed monomials (see `poly`): live terms are keyed by the int order keys K,
-a divisor divides when its exponent pack E passes the guard test, and a new
-term costs two int additions. A guard bit set by a new term (lex and block
-orders can raise exponents) redoes the call with twice the bits.
+The run stays packed from the input generators to the reduced basis (see
+`poly`): a monomial is an int order key K and an exponent pack E, a lead
+divides when the guard test on E passes, and lcms and shifts are int
+operations. Each basis element is held as its divisor (E, K, lc, tail), as
+`Polynomial.divisor` defines it. `_spair` writes an S-polynomial from two
+cached tails into a K -> coefficient dict, `_reduce` reduces it (the one
+reduction loop, which `normal_form` also runs on its packed input), and the
+remainder leaves in descending key order, ready to normalize into the next
+divisor. `Polynomial`s are built only for the returned basis. A term that
+sets a guard bit (lex and block orders can raise exponents) restarts the
+call, or the whole run, with twice the bits; the width changes only the
+representation, so a restarted run pops the same pairs under the same
+budgets.
 
-Over Q, `normal_form` reduces on Python ints (pseudo-division, as in the
-primitive remainder sequences of Geddes, Czapor & Labahn, *Algorithms for
-Computer Algebra*, ch. 7). Each divisor is the primitive integer multiple of
-its basis element, and the live terms are ints equal to one positive integer
-`scale` times the exact rational terms. Scaling all live terms by the same
-positive number changes neither which terms are zero nor the order in which
+Over Q everything runs on Python ints (pseudo-division, as in the primitive
+remainder sequences of Geddes, Czapor & Labahn, *Algorithms for Computer
+Algebra*, ch. 7): divisors are primitive, and the terms of a reduction are
+one positive integer `scale` times the exact rational ones. A common
+positive factor changes neither which terms are zero nor the order in which
 leads pop, so every step reduces the same monomial by the same divisor as
-the rational division. A term leaving for the remainder is the exact
-`Fraction(c, scale)` at that moment, so the remainder is term for term the
-one exact division gives, and callers see no difference.
+the rational division, and the results are the exact ones.
 """
 
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, combinations_with_replacement
+from itertools import combinations_with_replacement
 from math import gcd, lcm
-from operator import add, le, mul, sub
+from operator import le, mul, sub
 
 from .errors import BudgetExceededError
-from .poly import DEGREVLEX, BlockOrder, Packing, Polynomial
+from .poly import (DEGREVLEX, BlockOrder, Packing, Polynomial,
+                   packed_divisor)
 
 DEFAULT_MAX_BASIS = 500
 DEFAULT_MAX_PAIRS = 50000
 BITS = 15  # value bits per packed exponent before any widening
 
 
-def spolynomial(f, g, order):
-    """S-polynomial of f and g from their divisors' tails shifted to the lcm
-    l of the leads: tail_f * (l / lm_f) - tail_g * (l / lm_g), the tails
-    monic over GF(p); over Q the primitive tails over their leads a and b,
-    summed on integers as (b * tail_f - a * tail_g) / (a * b)."""
-    bits = max(BITS, max(chain(*f.terms, *g.terms), default=0).bit_length())
-    l = tuple(map(max, f.leading_monomial(order), g.leading_monomial(order)))
-    a, b = f.divisor(order, bits)[2], g.divisor(order, bits)[2]
-    terms = {}
-    for h, mult in ((f, b), (g, -a)):
-        (lm, _), *rest = h.terms_sorted(order)
-        shift = tuple(map(sub, l, lm))
-        for (m, _), (_, _, c) in zip(rest, h.divisor(order, bits)[3]):
-            m = tuple(map(add, m, shift))
-            terms[m] = terms.get(m, 0) + mult * c
-    if f.field.p is None:
-        terms = {m: Fraction(c, a * b) for m, c in terms.items()}
-    return Polynomial(f.nvars, f.field, terms)
-
-
-def normal_form(f, basis, order):
-    """Remainder of f under full multivariate division by `basis`.
-
-    The leading live term is reduced by the first basis element whose leading
-    monomial divides it, or else moved to the remainder, the only place a
-    term is unpacked. Every key seen is pushed once onto a heap of negated
-    keys. A term that cancels keeps its entry and is skipped if still absent
-    when it pops; one that comes back needs no new entry, because every term
-    a reduction adds is smaller than the leading term just removed.
-
-    Each basis element divides as `Polynomial.divisor`: monic over GF(p), the
-    primitive integer multiple over Q. Over Q, cancelling the live lead lc
-    against the divisor lead lcg first multiplies every live term and `scale`
-    by lcg / gcd(lc, lcg) when that is not 1.
-    """
-    if f.is_zero() or not basis:
-        return f
+def _widening(attempt):
+    """attempt(bits) at BITS bits per exponent, then at twice as many, and so
+    on, until it returns something other than None."""
     bits = BITS
-    while (r := _reduce(f, basis, order, bits)) is None:
+    while (got := attempt(bits)) is None:
         bits *= 2
-    return r
+    return got
 
 
-def _reduce(f, basis, order, bits):
-    """`normal_form` with `bits` bits per exponent; None if one needs more."""
-    from heapq import heapify, heappop, heappush  # loaded on first use
+def spolynomial(f, g, order):
+    """S-polynomial of f and g, the unpacked view of `_spair` on their
+    divisors; over Q divided by the product of the divisors' leads."""
     p = f.field.p
-    divisors = [g.divisor(order, bits) for g in basis if not g.is_zero()]
-    packing = Packing(order, f.nvars, bits)
-    if None in divisors or not packing.fits(f.terms):
-        return None
-    guard = packing.guard
-    if p is None:
-        scale = lcm(*(c.denominator for c in f.terms.values()))
-    work = {}  # K -> live coefficient
-    packs = {}  # K -> E, for every key ever live
-    monos = {}  # K -> exponent tuple, for the terms of f
-    for m, c in f.terms.items():
-        e, k = packing.pack(m)
-        packs[k], monos[k] = e, m
-        work[k] = c if p else c.numerator * (scale // c.denominator)
-    heap = [-k for k in work]
+    l = tuple(map(max, f.leading_monomial(order), g.leading_monomial(order)))
+
+    def attempt(bits):
+        packing = Packing(order, f.nvars, bits)
+        df, dg = f.divisor(order, bits), g.divisor(order, bits)
+        if s := df and dg and _spair(df, dg, packing.pack(l), p,
+                                     packing.guard):
+            work, packs = s
+            ab = df[2] * dg[2]
+            return Polynomial(f.nvars, f.field, {
+                packing.unpack(packs[k]): c if p else Fraction(c, ab)
+                for k, c in work.items()})
+
+    return _widening(attempt)
+
+
+def _spair(di, dj, l, p, guard):
+    """Packed S-polynomial of the divisors di and dj (see
+    `Polynomial.divisor`), where l is the packed (E, K) of the lcm of their
+    leads: (work, packs), K -> coefficient and K -> E, or None if a term sets
+    a guard bit. It is b * tail_i * (l / lm_i) - a * tail_j * (l / lm_j) for
+    the divisor leads a and b: over GF(p) both are 1; over Q it is the exact
+    S-polynomial of the monic elements times a * b."""
+    el, kl = l
+    work, packs = {}, {}
+    for (e, k, _, tail), mult in ((di, dj[2]), (dj, -di[2])):
+        se, sk = el - e, kl - k
+        for te, tk, c in tail:
+            mk = tk + sk
+            if mk in packs:
+                work[mk] += mult * c
+                continue
+            me = te + se
+            if me & guard:
+                return None
+            packs[mk] = me
+            work[mk] = mult * c
+    if p:
+        return {k: c % p for k, c in work.items() if c % p}, packs
+    return {k: c for k, c in work.items() if c}, packs
+
+
+def _reduce(work, packs, divisors, p, guard):
+    """Full reduction of the packed polynomial `work` (K -> coefficient,
+    used up) by the first of `divisors` whose lead divides each leading
+    term. `packs` holds the E of every key of `work` and gains new ones.
+    Returns (remainder, scale), the remainder K -> coefficient in descending
+    key order and `scale` (1 over GF(p)) times the exact one; or None if a
+    term sets a guard bit.
+
+    Every key in `packs` is pushed once onto a heap of negated keys. A term
+    that cancels keeps its entry and is skipped if still absent when it pops;
+    one that comes back needs no new entry, because every term a reduction
+    adds is smaller than the leading term just removed. Over Q, cancelling
+    the live lead lc against the divisor lead lcg first multiplies every
+    term and `scale` by lcg / gcd(lc, lcg) when that is not 1.
+    """
+    from heapq import heapify, heappop, heappush  # loaded on first use
+    heap = [-k for k in packs]
     heapify(heap)
     remainder = {}
+    scale = 1
     while heap:
         k = -heappop(heap)
         lc = work.pop(k, None)
@@ -128,8 +146,7 @@ def _reduce(f, basis, order, bits):
             if not (e - eg) & guard:
                 break
         else:
-            remainder[monos.get(k) or packing.unpack(e)] = \
-                Fraction(lc, scale) if p is None else lc
+            remainder[k] = lc
             continue
         factor = lc
         if lcg != 1:  # never over GF(p)
@@ -139,6 +156,8 @@ def _reduce(f, basis, order, bits):
                 r = lcg // g
                 for m in work:
                     work[m] *= r
+                for m in remainder:
+                    remainder[m] *= r
                 scale *= r
         se, sk = e - eg, k - kg
         for te, tk, c in tail:
@@ -158,78 +177,142 @@ def _reduce(f, basis, order, bits):
                 work[mk] = s
             else:
                 del work[mk]
-    return Polynomial(f.nvars, f.field, remainder, order)
+    return remainder, scale
+
+
+def normal_form(f, basis, order):
+    """Remainder of f under full multivariate division by `basis`: f packed
+    and reduced by `_reduce`; the leading live term is reduced by the first
+    basis element whose leading monomial divides it, or else moved to the
+    remainder. Only remainder terms that f does not have are unpacked."""
+    if f.is_zero() or not basis:
+        return f
+    p = f.field.p
+    scale = 1 if p else lcm(*(c.denominator for c in f.terms.values()))
+
+    def attempt(bits):
+        packing = Packing(order, f.nvars, bits)
+        divisors = [g.divisor(order, bits) for g in basis if not g.is_zero()]
+        if None in divisors or not packing.fits(f.terms):
+            return None
+        work, packs, monos = {}, {}, {}  # monos: K -> the terms of f
+        for m, c in f.terms.items():
+            e, k = packing.pack(m)
+            packs[k], monos[k] = e, m
+            work[k] = c if p else c.numerator * (scale // c.denominator)
+        if got := _reduce(work, packs, divisors, p, packing.guard):
+            remainder, r = got
+            return Polynomial(f.nvars, f.field, {
+                monos.get(k) or packing.unpack(packs[k]):
+                    c if p else Fraction(c, scale * r)
+                for k, c in remainder.items()}, order)
+
+    return _widening(attempt)
 
 
 def buchberger(gens, order=DEGREVLEX, max_basis=DEFAULT_MAX_BASIS,
                max_pairs=DEFAULT_MAX_PAIRS):
     """Reduced Groebner basis of the given generators."""
-    from heapq import heapify, heappop, heappush
-    basis, lms = [], []
-    active = []  # indices whose leading monomial no later one divides
-    pairs = []  # heap of (lcm degree, creation index, i, j, lcm)
-    seq = 0
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        return ()
+    return _widening(
+        lambda bits: _buchberger(gens, order, max_basis, max_pairs, bits))
 
-    def update(h):
-        """Add h to the basis; prune pairs by the Gebauer-Moeller criteria."""
+
+def _buchberger(gens, order, max_basis, max_pairs, bits):
+    """`buchberger` at `bits` bits per exponent; None if one needs more."""
+    from heapq import heapify, heappop, heappush
+    nvars, field = gens[0].nvars, gens[0].field
+    p = field.p
+    packing = Packing(order, nvars, bits)
+    guard = packing.guard
+    basis, leads = [], []  # divisors (E, K, lc, tail) and their lead packs
+    active = []  # indices whose leading monomial no later one divides
+    pairs = []  # heap of (lcm degree, creation index, i, j, (E, K) of lcm)
+    seq = popped = 0
+
+    def exceeded(budget, cap):
+        return BudgetExceededError(
+            "%s budget %d exceeded after %d pops (basis %d, %d queued)"
+            % (budget, cap, popped, len(basis), len(pairs)))
+
+    def join(a, b):
+        """E of the lcm of two packed monomials: in each field the entry of
+        a where a - b does not borrow through its guard bit, else of b."""
+        t = ((a | guard) - b) & guard
+        t -= t >> bits
+        return a & t | b & ~t
+
+    def update(d):
+        """Add the divisor d to the basis; prune pairs by the Gebauer-Moeller
+        criteria."""
         nonlocal active, pairs, seq
         j = len(basis)
-        lm = h.leading_monomial(order)
-        basis.append(h)
-        lms.append(lm)
-        # B_k: drop an old pair (a, b) when lm divides its lcm and that lcm
-        # differs from lcm(a, h) and lcm(b, h)
-        pairs = [e for e in pairs
-                 if not all(map(le, lm, e[4]))
-                 or tuple(map(max, lms[e[2]], lm)) == e[4]
-                 or tuple(map(max, lms[e[3]], lm)) == e[4]]
+        h = d[0]
+        basis.append(d)
+        leads.append(h)
+        # B_k: drop an old pair (a, b) when lm(h) divides its lcm and that
+        # lcm differs from lcm(a, h) and lcm(b, h)
+        pairs = [q for q in pairs
+                 if (q[4][0] - h) & guard
+                 or join(leads[q[2]], h) == q[4][0]
+                 or join(leads[q[3]], h) == q[4][0]]
         heapify(pairs)
-        new = [(i, tuple(map(max, lms[i], lm))) for i in active]
+        new = [(i, join(leads[i], h)) for i in active]
         for k, (i, l) in enumerate(new):
             # F and the product criterion: a coprime candidate forms no
             # pair, but still prunes the others
-            if not any(map(min, lms[i], lm)):
+            if l == leads[i] + h:
                 continue
             # M: another candidate's lcm divides this one; of equal lcms the
             # earliest survives
-            if (any(all(map(le, m, l)) for _, m in new[:k])
-                    or any(m != l and all(map(le, m, l))
+            if (any(not (l - m) & guard for _, m in new[:k])
+                    or any(m != l and not (l - m) & guard
                            for _, m in new[k + 1:])):
                 continue
-            heappush(pairs, (sum(l), seq, i, j, l))
+            m = packing.unpack(l)
+            heappush(pairs, (sum(m), seq, i, j, packing.pack(m)))
             seq += 1
-        active = [i for i in active if not all(map(le, lm, lms[i]))]
+        active = [i for i in active if (leads[i] - h) & guard]
         active.append(j)
         if len(basis) > max_basis:
-            raise BudgetExceededError("basis budget %d exceeded" % max_basis)
+            raise exceeded("basis", max_basis)
 
     for g in gens:
-        if not g.is_zero():
-            update(g.monic(order))
-    if not basis:
-        return ()
-
-    handled = 0
+        if (d := g.divisor(order, bits)) is None:
+            return None
+        update(d)
     while pairs:
-        _, _, i, j, _ = heappop(pairs)
-        handled += 1
-        if handled > max_pairs:
-            raise BudgetExceededError("pair budget %d exceeded" % max_pairs)
-        s = normal_form(spolynomial(basis[i], basis[j], order), basis, order)
-        if s.is_zero():
-            continue
-        update(s.monic(order))
+        _, _, i, j, l = heappop(pairs)
+        popped += 1
+        if popped > max_pairs:
+            raise exceeded("pair", max_pairs)
+        s = _spair(basis[i], basis[j], l, p, guard)
+        if (r := s and _reduce(*s, basis, p, guard)) is None:
+            return None
+        if r[0]:
+            update(packed_divisor(r[0], s[1], p))
 
     # minimalize: drop elements whose leading monomial another one divides
-    keep = [g for i, g in enumerate(basis)
-            if not any(j != i and all(map(le, lms[j], lms[i]))
-                       and (lms[j] != lms[i] or j < i)
-                       for j in range(len(basis)))]
+    keep = [d for i, d in enumerate(basis)
+            if not any(j != i and not (d[0] - e) & guard
+                       and (e != d[0] or j < i)
+                       for j, e in enumerate(leads))]
     # interreduce to the unique reduced basis
-    reduced = [normal_form(g, keep[:i] + keep[i + 1:], order)
-               for i, g in enumerate(keep)]
-    return tuple(sorted((r.monic(order) for r in reduced if not r.is_zero()),
-                        key=lambda g: order.key(g.leading_monomial(order))))
+    reduced = []
+    for i, (e, k, lc, tail) in enumerate(keep):
+        packs = {k: e, **{tk: te for te, tk, _ in tail}}
+        work = {k: lc, **{tk: c for _, tk, c in tail}}
+        if (r := _reduce(work, packs, keep[:i] + keep[i + 1:], p,
+                         guard)) is None:
+            return None
+        reduced.append(packed_divisor(r[0], packs, p))
+    reduced.sort(key=lambda d: d[1])
+    return tuple(Polynomial(nvars, field, {
+        packing.unpack(te): c if p else Fraction(c, lc)
+        for te, _, c in ((e, k, lc), *tail)}, order)
+        for e, k, lc, tail in reduced)
 
 
 class Ideal:

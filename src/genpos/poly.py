@@ -13,8 +13,8 @@ K(a) + K(b). A `Packing` gives each exponent `bits` bits under a guard bit
 in E(m): (E(b) - E(a)) & guard == 0 exactly when a | b, as a field that
 goes negative borrows through its guard bit, and E(a) + E(b) sets a guard
 bit exactly when an exponent reaches 2^bits. Only lex and block orders can
-raise an exponent in a reduction; `groebner` then redoes the call with
-twice the bits.
+raise an exponent in a reduction; `groebner` then redoes the call, or the
+whole Buchberger run, with twice the bits.
 """
 
 import re
@@ -101,6 +101,21 @@ class Packing:
     def unpack(self, e):
         mask = (1 << self.bits) - 1
         return tuple([e >> s & mask for s in self._shifts])
+
+
+def packed_divisor(terms, packs, p):
+    """(E, K, lc, ((E, K, c), ...)) of the nonzero packed polynomial `terms`,
+    K -> int coefficient in descending key order, with `packs` K -> E: monic
+    over GF(p), primitive with a positive lead over Q."""
+    items = iter(terms.items())
+    k, lc = next(items)
+    if p:
+        inv = pow(lc, -1, p)
+        return packs[k], k, 1, tuple([(packs[m], m, c * inv % p)
+                                      for m, c in items])
+    content = gcd(*terms.values()) if lc > 0 else -gcd(*terms.values())
+    return packs[k], k, lc // content, tuple([(packs[m], m, c // content)
+                                              for m, c in items])
 
 
 DEGREVLEX = DegRevLex()
@@ -246,7 +261,7 @@ class Polynomial:
 
     def divisor(self, order, bits):
         """Packed (E, K, lc, ((E, K, c), ...)) of the multiple of a nonzero
-        polynomial that `groebner.normal_form` divides by, the tail in
+        polynomial that the `groebner` reduction divides by, the tail in
         `terms_sorted` order, or None if an exponent needs more than `bits`
         bits; cached per order and width. Over GF(p) it is the monic
         multiple. Over Q it is the primitive integer multiple with a positive
@@ -256,20 +271,17 @@ class Polynomial:
         except KeyError:
             pass
         packing = Packing(order, self.nvars, bits)
-        ts = self.terms_sorted(order)
-        lc, p = ts[0][1], self.field.p
-        if p is None:
-            den = lcm(*(c.denominator for _, c in ts))
-            num = [c.numerator * (den // c.denominator) for _, c in ts]
-            content = gcd(*num) if lc > 0 else -gcd(*num)
-            coeffs = [c // content for c in num]
-        else:
-            inv = self.field.inv(lc)
-            coeffs = [c * inv % p for _, c in ts]
         got = None
         if packing.fits(self.terms):
-            packed = [(*packing.pack(m), c) for (m, _), c in zip(ts, coeffs)]
-            got = (*packed[0], tuple(packed[1:]))
+            ts = self.terms_sorted(order)
+            if self.field.p is None:
+                den = lcm(*(c.denominator for _, c in ts))
+                ts = [(m, c.numerator * (den // c.denominator)) for m, c in ts]
+            terms, packs = {}, {}
+            for m, c in ts:
+                e, k = packing.pack(m)
+                terms[k], packs[k] = c, e
+            got = packed_divisor(terms, packs, self.field.p)
         self._divisor[order, bits] = got
         return got
 
@@ -278,20 +290,6 @@ class Polynomial:
         if not ts:
             raise ValueError("zero polynomial has no leading monomial")
         return ts[0][0]
-
-    def leading_coefficient(self, order):
-        ts = self.terms_sorted(order)
-        if not ts:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return ts[0][1]
-
-    def monic(self, order):
-        if self.is_zero() or (lc := self.leading_coefficient(order)) == 1:
-            return self
-        inv = self.field.inv(lc)
-        return Polynomial(self.nvars, self.field,
-                          {m: c * inv for m, c in self.terms_sorted(order)},
-                          order)
 
     def compose1(self, g):
         """Substitute g for the single variable; both univariate over the same field."""

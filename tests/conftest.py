@@ -1,7 +1,7 @@
 import pytest
 
 from genpos.linalg import SparseEchelon
-from genpos.poly import monomials_of_degree
+from genpos.poly import Polynomial, monomials_of_degree
 
 
 # exponent-tuple helpers for the tuple-based oracles; the engine packs
@@ -26,6 +26,14 @@ def mono_div(a, b):
 
 def mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def monic(g, order):
+    """g over its leading coefficient under `order`, its terms inserted in
+    descending order, as `buchberger` builds the elements it returns."""
+    ts = g.terms_sorted(order)
+    inv = g.field.inv(ts[0][1]) if ts else None
+    return Polynomial(g.nvars, g.field, {m: c * inv for m, c in ts})
 
 
 def monomials_up_to(nvars, d):

@@ -298,6 +298,26 @@ def test_tangent_cone_rejects_ideal_off_the_origin(tmp_path):
     assert "Traceback" not in res.stderr
 
 
+def test_groebner_budget_error_exits_2_with_its_counters(tmp_path, capsys,
+                                                         monkeypatch):
+    # no flag sets the Groebner budgets, so the cone's one Buchberger run
+    # gets a pair budget of 1 here
+    from functools import partial
+
+    from genpos import cli, groebner, tangent_cone
+
+    monkeypatch.setattr(tangent_cone, "buchberger",
+                        partial(groebner.buchberger, max_pairs=1))
+    src = tmp_path / "ideal.json"
+    src.write_text(json.dumps({"vars": 3, "gens": [
+        "x0^3 - x1*x2^2", "x1^3 - x0*x2^2", "x2^3 - x0^2*x1"]}))
+    assert cli.main(["tangent-cone", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: budget exceeded: pair budget 1 exceeded "
+                            "after 2 pops (basis 4, 2 queued)\n")
+    assert captured.out == ""
+
+
 def test_tangent_cone_rejects_non_string_polynomials(tmp_path, capsys):
     # each entry is read as a polynomial string; anything else names its path
     from genpos import cli

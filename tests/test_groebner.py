@@ -131,6 +131,24 @@ def test_budget_errors_are_named():
         buchberger(gens, max_basis=3)
 
 
+def test_budget_errors_report_the_counters():
+    # pairs popped, basis size and pairs still queued when the budget blew
+    x, y, z = xvars(3)
+    gens = [x ** 3 - y * z ** 2, y ** 3 - x * z ** 2, z ** 3 - x ** 2 * y]
+    with pytest.raises(BudgetExceededError) as err:
+        buchberger(gens, max_pairs=1)
+    assert str(err.value) == \
+        "pair budget 1 exceeded after 2 pops (basis 4, 2 queued)"
+    with pytest.raises(BudgetExceededError) as err:
+        buchberger(gens, max_basis=3)
+    assert str(err.value) == \
+        "basis budget 3 exceeded after 1 pops (basis 4, 3 queued)"
+    with pytest.raises(BudgetExceededError) as err:
+        buchberger(xvars(4), max_basis=2)
+    assert str(err.value) == \
+        "basis budget 2 exceeded after 0 pops (basis 3, 0 queued)"
+
+
 def test_input_generators_count_against_the_basis_budget():
     gens = xvars(4)
     with pytest.raises(BudgetExceededError, match="basis budget 2 exceeded"):

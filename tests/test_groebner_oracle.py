@@ -11,19 +11,25 @@ agree term for term.
 update. `gm_buchberger` is the same strategy written from Becker &
 Weispfenning's UPDATE (*Groebner Bases*, 1993, section 5.5) on plain lists,
 with `min` over a dict of pairs, so the S-polynomials reduced and their
-remainders must match it exactly. `old_buchberger` is the chain-criterion
-loop the update replaced: it reduces other pairs, but reduced bases are
-unique, so its bases must match too.
+remainders must match it exactly. The oracles form S-polynomials from
+monomial multiples (`old_spolynomial`), apart from the packed `_spair`.
+`buchberger` keeps them packed and over Q scaled by positive integers, so
+both sides are compared as `reduction`s: terms in descending order, over Q
+divided by their positive content.
+`old_buchberger` is the chain-criterion loop the update replaced: it reduces
+other pairs, but reduced bases are unique, so its bases must match too.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import mono_deg, mono_div, mono_divides, mono_lcm, mono_mul
+from conftest import (mono_deg, mono_div, mono_divides, mono_lcm, mono_mul,
+                      monic)
 from genpos import groebner
+from genpos.errors import BudgetExceededError
 from genpos.groebner import BITS, buchberger, normal_form, spolynomial
 from genpos.poly import (DEGREVLEX, LEX, BlockOrder, Packing, Polynomial,
                          parse_polynomial)
@@ -48,7 +54,7 @@ def old_normal_form(f, basis, order):
         lc = work[lm]
         for lmg, g in lm_basis:
             if mono_divides(lmg, lm):
-                factor = field(lc * field.inv(g.leading_coefficient(order)))
+                factor = field(lc * field.inv(g.terms_sorted(order)[0][1]))
                 shift = mono_div(lm, lmg)
                 for m, c in g.terms.items():
                     mm = mono_mul(m, shift)
@@ -64,9 +70,20 @@ def old_normal_form(f, basis, order):
     return Polynomial(f.nvars, field, remainder)
 
 
+def old_spolynomial(f, g, order):
+    """S-polynomial of f and g as a difference of monomial multiples of the
+    monic f and g."""
+    lf, lg = f.leading_monomial(order), g.leading_monomial(order)
+    l = mono_lcm(lf, lg)
+    return (Polynomial.monomial(mono_div(l, lf), f.nvars, f.field)
+            * monic(f, order)
+            - Polynomial.monomial(mono_div(l, lg), g.nvars, g.field)
+            * monic(g, order))
+
+
 def old_buchberger(gens, order, log):
     """Scan-based pair selection; appends each (S-polynomial, remainder)."""
-    basis = [g.monic(order) for g in gens if not g.is_zero()]
+    basis = [monic(g, order) for g in gens if not g.is_zero()]
     if not basis:
         return ()
     lms = [g.leading_monomial(order) for g in basis]
@@ -94,13 +111,13 @@ def old_buchberger(gens, order, log):
                and (min(j, k), max(j, k)) in processed
                for k in range(len(basis))):
             continue
-        sp = spolynomial(basis[i], basis[j], order)
+        sp = old_spolynomial(basis[i], basis[j], order)
         s = old_normal_form(sp, basis, order)
-        log.append(snapshot(sp, s))
+        log.append(reduction(sp.terms, s.terms, sp.field, order))
         processed.add((i, j))
         if s.is_zero():
             continue
-        basis.append(s.monic(order))
+        basis.append(monic(s, order))
         lms.append(basis[-1].leading_monomial(order))
         push_pairs(len(basis) - 1)
     keep = [g for i, g in enumerate(basis)
@@ -111,7 +128,7 @@ def old_buchberger(gens, order, log):
     for i, g in enumerate(keep):
         r = old_normal_form(g, keep[:i] + keep[i + 1:], order)
         if not r.is_zero():
-            reduced.append(r.monic(order))
+            reduced.append(monic(r, order))
     reduced.sort(key=lambda g: order.key(g.leading_monomial(order)))
     return tuple(reduced)
 
@@ -157,15 +174,15 @@ def gm_buchberger(gens, order, log):
 
     for g in gens:
         if not g.is_zero():
-            update(g.monic(order))
+            update(monic(g, order))
     while B:
         (i, j) = min(B, key=lambda k: B[k])
         del B[(i, j)]
-        sp = spolynomial(f[i], f[j], order)
+        sp = old_spolynomial(f[i], f[j], order)
         s = old_normal_form(sp, f, order)
-        log.append(snapshot(sp, s))
+        log.append(reduction(sp.terms, s.terms, sp.field, order))
         if not s.is_zero():
-            update(s.monic(order))
+            update(monic(s, order))
     # the active elements form a Groebner basis; reduce it
     minimal = [f[g] for g in G
                if not any(h != g and mono_divides(lm(h), lm(g)) for h in G)]
@@ -173,7 +190,7 @@ def gm_buchberger(gens, order, log):
     for i, g in enumerate(minimal):
         r = old_normal_form(g, minimal[:i] + minimal[i + 1:], order)
         if not r.is_zero():
-            reduced.append(r.monic(order))
+            reduced.append(monic(r, order))
     reduced.sort(key=lambda g: order.key(g.leading_monomial(order)))
     return tuple(reduced)
 
@@ -181,6 +198,23 @@ def gm_buchberger(gens, order, log):
 def snapshot(*polys):
     """Terms in insertion order, so equal snapshots mean equal construction."""
     return tuple(tuple(p.terms.items()) for p in polys)
+
+
+def canonical(terms, field, order):
+    """Terms descending under `order`; over Q divided by their positive
+    content, so that positive multiples compare equal and negatives do not."""
+    items = sorted(terms.items(), key=lambda t: order.key(t[0]), reverse=True)
+    if field.p is None and items:
+        den = lcm(*(Fraction(c).denominator for _, c in items))
+        nums = [int(Fraction(c) * den) for _, c in items]
+        content = gcd(*nums)
+        items = [(m, c // content) for (m, _), c in zip(items, nums)]
+    return tuple(items)
+
+
+def reduction(f, r, field, order):
+    """Log entry of one reduction: f and its remainder r, as term dicts."""
+    return canonical(f, field, order), canonical(r, field, order)
 
 
 @st.composite
@@ -227,22 +261,43 @@ def test_normal_form_matches_scan(case):
         snapshot(old_normal_form(f, basis, order))
 
 
-def logged_buchberger(gens, order):
-    """`buchberger`, with a snapshot of every `normal_form` call it makes:
-    the S-polynomial reductions first, then the interreduction of the
-    minimal basis."""
-    log = []
-    inner = groebner.normal_form
+@PROPERTY
+@given(division_case())
+def test_spolynomial_matches_products(case):
+    _, basis, order = case
+    for f in basis:
+        for g in basis:
+            if not (f.is_zero() or g.is_zero()):
+                assert spolynomial(f, g, order) == \
+                    old_spolynomial(f, g, order)
 
-    def logged(f, basis, order):
-        r = inner(f, basis, order)
-        log.append(snapshot(f, r))
-        return r
+
+def logged_buchberger(gens, order, **budgets):
+    """`buchberger`, with a `reduction` for every call of the packed
+    reduction loop: the S-polynomial reductions first, then the
+    interreduction of the minimal basis. Also returns the guard masks seen,
+    one per width; a call at a new width means the run restarted wider, and
+    the log starts over with it."""
+    log, guards = [], []
+    inner = groebner._reduce
+    nvars, field = gens[0].nvars, gens[0].field
+
+    def logged(work, packs, divisors, p, guard):
+        if not guards or guard != guards[-1]:
+            guards.append(guard)
+            log.clear()
+        packing = Packing(order, nvars, (guard & -guard).bit_length() - 1)
+        f = {packing.unpack(packs[k]): c for k, c in work.items()}
+        got = inner(work, packs, divisors, p, guard)
+        if got is not None:
+            r = {packing.unpack(packs[k]): c for k, c in got[0].items()}
+            log.append(reduction(f, r, field, order))
+        return got
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(groebner, "normal_form", logged)
-        got = buchberger(gens, order)
-    return got, log
+        mp.setattr(groebner, "_reduce", logged)
+        got = buchberger(gens, order, **budgets)
+    return got, log, guards
 
 
 @PROPERTY
@@ -251,7 +306,7 @@ def test_buchberger_matches_scan(case):
     gens, order = case
     want_log = []
     want = gm_buchberger(gens, order, want_log)
-    got, got_log = logged_buchberger(gens, order)
+    got, got_log, _ = logged_buchberger(gens, order)
     # the same S-polynomials reduced in the same order, then the interreduction
     assert got_log[:len(want_log)] == want_log
     assert len(got_log) == len(want_log) + len(got)
@@ -276,12 +331,14 @@ def test_cyclic_reduces_fewer_pairs(n, field):
     want_log, old_log = [], []
     want = gm_buchberger(gens, DEGREVLEX, want_log)
     old = old_buchberger(gens, DEGREVLEX, old_log)
-    got, got_log = logged_buchberger(gens, DEGREVLEX)
+    got, got_log, _ = logged_buchberger(gens, DEGREVLEX)
     assert got_log[:len(want_log)] == want_log
+    assert len(got_log) == len(want_log) + len(got)
     assert snapshot(*got) == snapshot(*want) == snapshot(*old)
     assert len(got) == {4: 7, 5: 20}[n]
     # S-pair reductions: cyclic-4 12 -> 11, cyclic-5 230 -> 111
-    assert len(want_log) < len(old_log)
+    assert len(want_log) == {4: 11, 5: 111}[n]
+    assert len(old_log) == {4: 12, 5: 230}[n]
 
 
 # coefficients over Q built to share factors with one another, so that the
@@ -422,7 +479,27 @@ def test_buchberger_past_the_field_width_matches_scan(k):
     gens = [x0 - x1 ** k, x0 ** 2 - x2]
     want_log = []
     want = gm_buchberger(gens, LEX, want_log)
-    got, got_log = logged_buchberger(gens, LEX)
+    got, got_log, guards = logged_buchberger(gens, LEX)
+    assert len(guards) > 1  # x1^(2k) outgrows the first width that fits
     assert got_log[:len(want_log)] == want_log
+    assert len(got_log) == len(want_log) + len(got)
     assert snapshot(*got) == snapshot(*want)
     assert {g.leading_monomial(LEX) for g in got} == {(1, 0, 0), (0, 2 * k, 0)}
+
+
+@pytest.mark.parametrize("k", [TOP, 1 << 29])
+def test_pair_budget_counts_one_run_across_the_restart(k):
+    # the widened run pops the same pairs from the start, so the budget the
+    # run needs is the number of pairs gm_buchberger pops, restart or not
+    x0, x1, x2 = (Polynomial.variable(i, 3, QQ) for i in range(3))
+    gens = [x0 - x1 ** k, x0 ** 2 - x2]
+    want_log = []
+    want = gm_buchberger(gens, LEX, want_log)
+    pops = len(want_log)
+    got, _, guards = logged_buchberger(gens, LEX, max_pairs=pops)
+    assert len(guards) > 1
+    assert snapshot(*got) == snapshot(*want)
+    with pytest.raises(BudgetExceededError,
+                       match="pair budget %d exceeded after %d pops"
+                       % (pops - 1, pops)):
+        buchberger(gens, LEX, max_pairs=pops - 1)

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import monic
 from genpos.groebner import buchberger
 from genpos.poly import DEGREVLEX, Polynomial
 from genpos.scalars import QQ, PrimeField
@@ -36,7 +37,7 @@ def from_sympy(poly, nvars, field):
     for m, c in poly.terms():
         c = Fraction(int(c.p), int(c.q)) if field.p is None else int(c)
         terms[tuple(m)] = c
-    return Polynomial(nvars, field, terms).monic(DEGREVLEX)
+    return monic(Polynomial(nvars, field, terms), DEGREVLEX)
 
 
 def sympy_basis(gens, nvars, field):
