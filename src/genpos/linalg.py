@@ -1,10 +1,17 @@
 """Exact row reduction over the package's fields.
 
-Dense RREF serves the small evaluation matrices of point sets; the sparse
-incremental echelons serve degree-truncated spans, where rows arrive one at a
-time and only ranks and membership residues are needed. IntegerEchelon is a
-fraction-free variant for rational data that clears to integers, which keeps
-the big truncated-span computations out of Fraction normalization costs.
+One routine, `eliminate`, reduces dense rows of ints mod p, or over Q integer
+rows (scaling a row moves no rank, pivot column or RREF). It never normalizes
+a pivot row: over Q it is fraction-free, with Bareiss's exact division by the
+previous pivot (Bareiss 1968, Math. Comp. 22), over GF(p) it cross-multiplies.
+`rank` needs forward elimination only; `rref` normalizes the reduced form,
+the one place a Fraction is built.
+
+The sparse incremental echelons serve degree-truncated spans, where rows
+arrive one at a time and only ranks and membership residues are needed.
+IntegerEchelon is a fraction-free variant for rational data that clears to
+integers, which keeps the big truncated-span computations out of Fraction
+normalization costs.
 
 Both incremental echelons are level-filtered. A row inserted at level L lies
 in V_L, the span of every row inserted at level >= L, so the V_L shrink as L
@@ -17,49 +24,79 @@ whatever order the rows arrive. At the default level 0 no swap ever happens.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+
+
+def integer_rows(rows, field):
+    """Rows as `eliminate` takes them: over GF(p) ints in [0, p), over Q each
+    row of ints and Fractions times the lcm of its denominators."""
+    if field.p is not None:
+        return [[field(v) for v in row] for row in rows]
+    out = []
+    for row in rows:
+        den = lcm(*(v.denominator for v in row))
+        out.append([v.numerator * (den // v.denominator) for v in row])
+    return out
+
+
+def add_row(pivots, row, p):
+    """Reduce `row` against the pivot rows [(col, prow), ...] in the order
+    they were found and append a nonzero residue, led by its first nonzero
+    column. Over Q a step is (a*row - f*prow) / previous a, exact (Bareiss)."""
+    prev = 1
+    for c, prow in pivots:
+        a, f = prow[c], row[c]
+        if p is None:
+            row = [(a * x - f * y) // prev for x, y in zip(row, prow)]
+            prev = a
+        elif f:
+            row = [(a * x - f * y) % p for x, y in zip(row, prow)]
+    lead = next((c for c, v in enumerate(row) if v), None)
+    if lead is not None:
+        pivots.append((lead, row))
+
+
+def eliminate(rows, p, reduced=False):
+    """Pivot rows [(col, row), ...] of canonical `rows`, sorted by column:
+    each is zero left of its lead, so the leads are the RREF's pivots. With
+    `reduced`, each is also zero on the other leads (over Q with the content
+    divided out), so it is a nonzero multiple of its RREF row."""
+    pivots = []
+    for row in rows:
+        if len(pivots) == len(row):
+            break
+        add_row(pivots, row, p)
+    pivots.sort(key=lambda piv: piv[0])
+    if not reduced:
+        return pivots
+    for k, (c, prow) in enumerate(pivots):
+        for i, (ci, row) in enumerate(pivots[:k]):
+            a, f = prow[c], row[c]
+            if f and p is None:
+                row = [a * x - f * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                pivots[i] = ci, [x // g for x in row]
+            elif f:
+                pivots[i] = ci, [(a * x - f * y) % p for x, y in zip(row, prow)]
+    return pivots
 
 
 def rref(rows, field):
-    """Reduced row echelon form. Returns (new_rows, pivot_columns).
-
-    Input rows are canonicalized through `field(...)`; the hot loops then
-    reduce mod p inline over GF(p) and use plain Fraction arithmetic over Q.
-    """
-    rows = [[field(v) for v in r] for r in rows]
-    if not rows:
-        return rows, []
+    """Reduced row echelon form. Returns (new_rows, pivot_columns)."""
     p = field.p
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = field.inv(rows[r][col])
+    red = eliminate(integer_rows(rows, field), p, reduced=True)
+    out = []
+    for c, row in red:
         if p is None:
-            prow = [v * inv for v in rows[r]]
+            out.append([Fraction(v, row[c]) for v in row])
         else:
-            prow = [v * inv % p for v in rows[r]]
-        rows[r] = prow
-        for i in range(len(rows)):
-            f = rows[i][col]
-            if i != r and f:
-                if p is None:
-                    rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-                else:
-                    rows[i] = [(a - f * b) % p for a, b in zip(rows[i], prow)]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+            inv = pow(row[c], -1, p)
+            out.append([v * inv % p for v in row])
+    return out, [c for c, _ in red]
 
 
 def rank(rows, field):
-    return len(rref(rows, field)[1])
+    return len(eliminate(integer_rows(rows, field), field.p))
 
 
 def kernel_vector(red, pivots, ncols, field):
@@ -253,13 +290,6 @@ class IntegerEchelon:
 
 def to_integer_vec(vec):
     """Clear a dict of Fractions/ints to a primitive integer dict."""
-    denom = 1
-    for v in vec.values():
-        if isinstance(v, Fraction):
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-    out = {}
-    for c, v in vec.items():
-        iv = int(v * denom) if isinstance(v, Fraction) else v * denom
-        if iv:
-            out[c] = iv
-    return _strip_content(out)
+    den = lcm(*(v.denominator for v in vec.values()))
+    return _strip_content({c: v.numerator * (den // v.denominator)
+                           for c, v in vec.items() if v})

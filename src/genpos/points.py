@@ -4,9 +4,12 @@ A set of e points is in generic position when every degree-n evaluation matrix
 has the maximal rank min(e, C(n+r, r)); it is in generic t-position when every
 t-point subset is in generic position. Certificates carry the smallest failing
 degree and an explicit hypersurface witness read off the null space. Every
-check reads a degree's evaluation matrix and its RREF through
-`PointSet.echelon`, which reduces each degree once per set, so the checks run
-on one set share their work.
+check reads a degree's evaluation matrix and its pivot columns through
+`PointSet.echelon`, which eliminates each degree once per set, so the checks
+run on one set share their work. Over Q a point is evaluated at its integer
+representative, which scales its degree-d row by a nonzero constant and so
+moves no rank, pivot column, separator or RREF. Only the witness of a failing
+degree is read off an RREF.
 """
 
 import math
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field as dataclass_field
 from itertools import combinations
 
 from .errors import BudgetExceededError
-from .linalg import kernel_vector, rank, rref
+from .linalg import add_row, eliminate, integer_rows, kernel_vector, rank, rref
 from .poly import Polynomial, monomials_of_degree
 
 DEFAULT_SUBSET_BUDGET = 20000
@@ -77,12 +80,12 @@ class PointSet:
         return PointSet(self.r, self.field, tuple(self.points[i] for i in idxs))
 
     def echelon(self, d):
-        """(rows, monos, red, pivots): the degree-d evaluation matrix and its
-        RREF, built on first use."""
+        """(rows, monos, pivots): the degree-d evaluation matrix and its
+        pivot columns, built on first use."""
         got = self._echelons.get(d)
         if got is None:
             rows, monos = evaluation_matrix(self, d)
-            got = (rows, monos) + rref(rows, self.field)
+            got = rows, monos, [c for c, _ in eliminate(rows, self.field.p)]
             self._echelons[d] = got
         return got
 
@@ -90,15 +93,17 @@ class PointSet:
 def evaluation_matrix(X, n):
     """Rows indexed by points, columns by the degree-n monomials (lex descending).
 
-    Over GF(p) each product is reduced mod p as it is formed.
+    Over GF(p) each product is reduced mod p as it is formed. Over Q each
+    point is cleared of denominators first (primitive, as its first nonzero
+    coordinate is 1), so the rows are ints.
     """
     monos = monomials_of_degree(X.r + 1, n)
     p = X.field.p
     rows = []
-    for pt in X.points:
+    for pt in X.points if p else integer_rows(X.points, X.field):
         row = []
         for m in monos:
-            v = X.field.one
+            v = 1
             for x, exp in zip(pt, m):
                 if exp:
                     v = v * x ** exp if p is None else v * x ** exp % p
@@ -110,7 +115,7 @@ def evaluation_matrix(X, n):
 def hilbert_function(X, n):
     """Rank of the degree-n evaluation matrix."""
     rows, _ = evaluation_matrix(X, n)
-    return len(rref(rows, X.field)[1])
+    return rank(rows, X.field)
 
 
 @dataclass(frozen=True)
@@ -128,7 +133,7 @@ def hilbert_profile(X, upto):
     """
     values = []
     for d in range(upto + 1):
-        values.append(len(X.echelon(d)[3]))
+        values.append(len(X.echelon(d)[2]))
         if values[-1] == X.e:
             return HilbertProfile(tuple(values + [X.e] * (upto - d)), d)
     return HilbertProfile(tuple(values), None)
@@ -168,10 +173,11 @@ def _generic_check(X):
     bound = nu(X.e, X.r)
     values = []
     for n in range(bound + 1):
-        _, monos, red, pivots = X.echelon(n)
+        rows, monos, pivots = X.echelon(n)
         h = len(pivots)
         values.append(h)
         if h < min(X.e, binom(n + X.r, X.r)):
+            red, pivots = rref(rows, X.field)
             vec = kernel_vector(red, pivots, len(monos), X.field)
             witness = Polynomial(X.r + 1, X.field, dict(zip(monos, vec)))
             lead = next(c for c in vec if c)
@@ -190,16 +196,18 @@ def is_generic_position(X):
         failing_degree=failing, witness=witness)
 
 
-def _separated_points(rows, pivots, field):
+def _separated_points(rows, pivots, p):
     """Points q with a separator in this degree (a form vanishing on every
     other point but not on q): exactly those where every left-kernel vector
     of the evaluation matrix is 0. The left kernel is the null space of the
-    transposed pivot columns, so q is separated when it is a pivot of that
-    RREF whose row is zero on every free column."""
-    red, piv = rref([[row[c] for row in rows] for c in pivots], field)
-    piv_set = set(piv)
-    free = [q for q in range(len(rows)) if q not in piv_set]
-    return {q for row, q in zip(red, piv) if not any(row[f] for f in free)}
+    transposed pivot columns, so q is separated when it is a pivot of their
+    reduced form whose row is zero on every free column."""
+    if len(pivots) == len(rows):  # full row rank: no left kernel
+        return set(range(len(rows)))
+    red = eliminate([[row[c] for row in rows] for c in pivots], p,
+                    reduced=True)
+    free = set(range(len(rows))) - {q for q, _ in red}
+    return {q for q, row in red if not any(row[f] for f in free)}
 
 
 def _first_failing_subset(X, t):
@@ -212,26 +220,47 @@ def _first_failing_subset(X, t):
     of X's evaluation matrix, which span its column space. For t = e-1 the
     subset X minus q has rank H_X(d) - [q has a degree-d separator], so no
     subset is enumerated; the lex-first failing one omits the largest bad q.
+
+    Otherwise the t-subsets are walked in lex order, depth first: a subset
+    keeps the echelons of the prefix it shares with the one before and adds
+    its other rows one at a time. Once a prefix's rank plus the rows still to
+    come falls short of a degree's target, every subset with that prefix
+    fails, and the current one is the lex-first of them.
     """
     n = nu(t, X.r)
     degrees = [d for d in (n - 1, n) if d >= 0]
+    p = X.field.p
     if t == X.e - 1:
         bad = set()
         for d in degrees:
-            rows, _, _, pivots = X.echelon(d)
+            rows, _, pivots = X.echelon(d)
             want = min(t, binom(d + X.r, X.r))
-            sep = _separated_points(rows, pivots, X.field)
+            sep = _separated_points(rows, pivots, p)
             bad.update(q for q in range(X.e)
                        if len(pivots) - (q in sep) != want)
         if not bad:
             return None
         return tuple(i for i in range(X.e) if i != max(bad))
+    targets = []
+    for d in degrees:
+        rows, _, pivots = X.echelon(d)
+        targets.append(([[row[c] for c in pivots] for row in rows],
+                        min(t, binom(d + X.r, X.r)), []))
+    sizes = [[0] * len(targets)]  # echelon sizes before each row of prev
+    prev = (-1,) * t
     for idxs in combinations(range(X.e), t):
-        for d in degrees:
-            rows, _, _, pivots = X.echelon(d)
-            sub = [[rows[i][c] for c in pivots] for i in idxs]
-            if rank(sub, X.field) != min(t, binom(d + X.r, X.r)):
-                return idxs
+        k = next(j for j, (a, b) in enumerate(zip(prev, idxs)) if a != b)
+        prev = idxs
+        del sizes[k + 1:]
+        for (_, _, ech), size in zip(targets, sizes[k]):
+            del ech[size:]
+        for j in range(k, t):
+            for sub, want, ech in targets:
+                if len(ech) < want:
+                    add_row(ech, sub[idxs[j]], p)
+                if len(ech) + t - 1 - j < want:
+                    return idxs
+            sizes.append([len(ech) for _, _, ech in targets])
     return None
 
 

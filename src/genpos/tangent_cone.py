@@ -261,8 +261,9 @@ def germ_profile(gens, max_degree=6, degree_cap=None, grow_steps=8):
     window grows until the whole profile holds still for three consecutive
     windows; drifting values raise StabilizationError rather than being
     reported. One level-filtered echelon serves every window: each product
-    goes in once, at its factor count, when the window first reaches its
-    degree.
+    goes in once, when the window first reaches its degree, at its factor
+    count capped at max_degree + 1. Only rank_from(n) for n <= max_degree + 1
+    is read, and the cap leaves the rows it counts unchanged.
     """
     _check_subalgebra_gens(gens)
     maxdeg = max(g.degree() for g in gens)
@@ -275,7 +276,7 @@ def germ_profile(gens, max_degree=6, degree_cap=None, grow_steps=8):
     history = []
     for _ in range(grow_steps):
         for _, count, row in _power_products(rows, field.p, cap, low, memo):
-            ech.insert(row, count)
+            ech.insert(row, min(count, max_degree + 1))
         low = cap
         dims = [ech.rank_from(n) for n in range(1, max_degree + 2)]
         history.append(tuple([1] + [a - b for a, b in zip(dims, dims[1:])]))

@@ -1,11 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genpos.linalg import (IntegerEchelon, SparseEchelon, nullspace_vector,
-                           rank, rref, to_integer_vec)
+from genpos.linalg import (IntegerEchelon, SparseEchelon, eliminate,
+                           integer_rows, nullspace_vector, rank, rref,
+                           to_integer_vec)
 from genpos.scalars import QQ, PrimeField
 
 F11 = PrimeField(11)
@@ -32,6 +34,86 @@ def test_rank():
     assert rank([q(1, 0), q(0, 1)], QQ) == 2
     assert rank([], QQ) == 0
     assert rank([[F11(1), F11(3)], [F11(2), F11(6)]], F11) == 1
+
+
+# The dense routine against the RREF it replaced, kept verbatim as the oracle.
+
+def oracle_rref(rows, field):
+    """Reduced row echelon form. Returns (new_rows, pivot_columns).
+
+    Input rows are canonicalized through `field(...)`; the hot loops then
+    reduce mod p inline over GF(p) and use plain Fraction arithmetic over Q.
+    """
+    rows = [[field(v) for v in r] for r in rows]
+    if not rows:
+        return rows, []
+    p = field.p
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = field.inv(rows[r][col])
+        if p is None:
+            prow = [v * inv for v in rows[r]]
+        else:
+            prow = [v * inv % p for v in rows[r]]
+        rows[r] = prow
+        for i in range(len(rows)):
+            f = rows[i][col]
+            if i != r and f:
+                if p is None:
+                    rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
+                else:
+                    rows[i] = [(a - f * b) % p for a, b in zip(rows[i], prow)]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+DENSE_FIELDS = [PrimeField(7), PrimeField(2 ** 31 - 1), QQ]
+entries = st.one_of(st.integers(-4, 4), st.integers(-2 ** 40, 2 ** 40),
+                    st.fractions(min_value=-9, max_value=9,
+                                 max_denominator=6))
+
+
+@st.composite
+def dense_matrices(draw):
+    """Wide and tall matrices with zero rows and repeated rows mixed in."""
+    ncols = draw(st.integers(0, 7))
+    row = st.lists(entries, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=8))
+    for _ in range(draw(st.integers(0, 2))):
+        spot = draw(st.integers(0, len(rows)))
+        extra = [0] * ncols if draw(st.booleans()) or not rows else rows[0]
+        rows.insert(spot, list(extra))
+    return rows
+
+
+@pytest.mark.parametrize("field", DENSE_FIELDS, ids=repr)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(rows=dense_matrices())
+def test_dense_elimination_matches_oracle_rref(field, rows):
+    want, want_pivots = oracle_rref(rows, field)
+    forward = eliminate(integer_rows(rows, field), field.p)
+    assert [c for c, _ in forward] == want_pivots
+    assert rank(rows, field) == len(want_pivots)
+    got, pivots = rref(rows, field)
+    assert pivots == want_pivots
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert [(type(x), x) for x in a] == [(type(y), y) for y in b]
+    if field.p is None:
+        # Bareiss rows hold minors of the integer rows: Hadamard's bound
+        ints = integer_rows(rows, field)
+        bound = math.prod(max(1, math.isqrt(sum(v * v for v in r)) + 1)
+                          for r in ints)
+        assert all(abs(v) <= bound for _, r in forward for v in r)
 
 
 def test_nullspace_vector_deterministic():

@@ -1,12 +1,16 @@
 """Property tests: the one-pass point engine against the per-degree path.
 
 The engine reduces each degree's evaluation matrix once, stops at the first
-full-rank degree and reads generic (e-1)-position off separators. The oracles
-below redo everything the old way: `hilbert_function` for every degree, a
-fresh `nullspace_vector` for the witness, and a lex loop over all t-subsets.
+full-rank degree, reads generic (e-1)-position off separators and walks the
+other t-subsets depth first on prefix echelons. The oracles below redo
+everything the old way: `hilbert_function` for every degree, a fresh
+`nullspace_vector` for the witness, a lex loop over all t-subsets, and
+evaluation matrices of Fractions at the normalized points.
 """
 
+from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,13 +18,14 @@ from hypothesis import given, settings, strategies as st
 from genpos import points
 from genpos.conductor import points_conductor_certificate, points_conductor_sigma
 from genpos.errors import StabilizationError
-from genpos.linalg import nullspace_vector
+from genpos.linalg import integer_rows, nullspace_vector
 from genpos.points import (GenericityCertificate, PointSet, binom,
                            evaluation_matrix, hilbert_function,
                            hilbert_profile, is_generic_position,
                            is_generic_t_position, normalize_point, nu)
-from genpos.poly import Polynomial
+from genpos.poly import Polynomial, monomials_of_degree
 from genpos.scalars import QQ, PrimeField
+from genpos.serialize import canonical_json
 
 FIELDS = [PrimeField(11), PrimeField(2 ** 31 - 1), QQ]
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
@@ -67,9 +72,29 @@ def brute_t_position(X, t):
         hilbert_values=()).as_dict()
 
 
-def point_set(r, field, coords):
-    """Distinct nonzero points among coords, in first-seen order; a draw
-    with none becomes the single point [1:0:...:0]."""
+def fraction_evaluation_matrix(X, n):
+    """Rows indexed by points, columns by the degree-n monomials (lex descending).
+
+    Over GF(p) each product is reduced mod p as it is formed.
+    """
+    monos = monomials_of_degree(X.r + 1, n)
+    p = X.field.p
+    rows = []
+    for pt in X.points:
+        row = []
+        for m in monos:
+            v = X.field.one
+            for x, exp in zip(pt, m):
+                if exp:
+                    v = v * x ** exp if p is None else v * x ** exp % p
+            row.append(v)
+        rows.append(row)
+    return rows, monos
+
+
+def point_set(r, field, coords, limit=MAX_E):
+    """The first `limit` distinct nonzero points among coords; a draw with
+    none becomes the single point [1:0:...:0]."""
     seen = []
     for c in coords:
         c = [field(v) for v in c]
@@ -77,7 +102,7 @@ def point_set(r, field, coords):
             p = normalize_point(c, field)
             if p not in seen:
                 seen.append(p)
-    return PointSet(r, field, tuple(seen[:MAX_E]) or ((field.one,) + (field.zero,) * r,))
+    return PointSet(r, field, tuple(seen[:limit]) or ((field.one,) + (field.zero,) * r,))
 
 
 small = st.integers(-3, 3)
@@ -85,8 +110,8 @@ sizes = st.integers(1, MAX_E)
 
 
 @st.composite
-def random_sets(draw):
-    field = draw(st.sampled_from(FIELDS))
+def random_sets(draw, field=None):
+    field = field or draw(st.sampled_from(FIELDS))
     r = draw(st.integers(1, 3))
     e = draw(sizes)
     coord = (st.integers(0, field.p - 1)
@@ -97,8 +122,8 @@ def random_sets(draw):
 
 
 @st.composite
-def degenerate_sets(draw):
-    field = draw(st.sampled_from(FIELDS))
+def degenerate_sets(draw, field=None):
+    field = field or draw(st.sampled_from(FIELDS))
     r = draw(st.integers(2, 3))
     e = draw(st.integers(3, MAX_E))
     kind = draw(st.sampled_from(["line", "normal-curve", "hyperplane",
@@ -227,3 +252,87 @@ def test_memo_leaves_equality_hash_and_repr_alone():
     assert (hash(X), repr(X)) == before == (hash(PointSet.of(2, QQ, coords)),
                                             repr(PointSet.of(2, QQ, coords)))
     assert "_echelons" not in repr(X)
+
+
+# Integer rows over Q: the certificates of the Fraction rows, byte for byte.
+
+def all_certificates(X):
+    X = PointSet(X.r, X.field, X.points)  # a fresh memo
+    out = [is_generic_position(X).as_dict()]
+    out += [is_generic_t_position(X, t).as_dict() for t in range(1, X.e + 1)]
+    out.append(hilbert_profile(X, nu(X.e, X.r) + 4).values)
+    try:
+        out.append(points_conductor_certificate(X).as_dict())
+    except StabilizationError as exc:
+        out.append(str(exc))
+    return canonical_json(out)
+
+
+@pytest.mark.parametrize("family", [random_sets(QQ), degenerate_sets(QQ)],
+                         ids=["random", "degenerate"])
+@PROPERTY
+@given(data=st.data())
+def test_integer_rows_give_the_fraction_rows_certificates(family, data):
+    X = data.draw(family)
+    scale = data.draw(st.lists(st.integers(1, 9), min_size=X.r + 1,
+                               max_size=X.r + 1))
+    # points with denominators, so the integer representatives differ
+    X = PointSet.of(X.r, QQ, [[Fraction(c, k) for c, k in zip(pt, scale)]
+                              for pt in X.points])
+    got = all_certificates(X)
+
+    def fraction_rows(Y, n):
+        # the engine takes integer rows: clear each Fraction row
+        rows, monos = fraction_evaluation_matrix(Y, n)
+        return integer_rows(rows, Y.field), monos
+
+    with mock.patch.object(points, "evaluation_matrix", fraction_rows):
+        assert all_certificates(X) == got
+
+
+# The depth-first subset walk against the lex loop, beyond MAX_E, with a
+# dependent subset planted at random positions.
+
+@pytest.mark.parametrize("field", [PrimeField(2 ** 31 - 1), QQ], ids=repr)
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_subset_walk_matches_lex_loop_beyond_max_e(field, data):
+    e = data.draw(st.integers(8, 9))
+    r = data.draw(st.integers(2, 3))
+    planted = data.draw(st.sets(st.integers(0, e - 1), min_size=3,
+                                max_size=e - 2))
+    kind = data.draw(st.sampled_from(["line", "conic"]))
+    params = data.draw(st.lists(st.integers(-20, 20), min_size=e,
+                                max_size=e, unique=True))
+    coords = []
+    for i, s in enumerate(params):
+        if i not in planted:
+            coords.append(data.draw(st.lists(st.integers(-20, 20),
+                                             min_size=r + 1, max_size=r + 1)))
+        elif kind == "line":
+            coords.append([1, s] + [2 * s + 1] * (r - 1))
+        else:
+            coords.append([1, s, s * s] + [0] * (r - 2))
+    X = point_set(r, field, coords, limit=None)
+    for t in range(2, X.e - 1):
+        assert is_generic_t_position(X, t).as_dict() == brute_t_position(X, t)
+
+
+def test_rank_path_builds_no_fraction(monkeypatch):
+    # a generic set over Q: no witness, so no RREF and no Fraction at all
+    X = PointSet.of(2, QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1],
+                            [Fraction(1, 2), 3, Fraction(-7, 3)],
+                            [1, Fraction(5, 4), 2], [3, -1, Fraction(1, 5)]])
+    built = []
+    make = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return make(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    assert is_generic_position(X).generic
+    assert all(is_generic_t_position(X, t).generic for t in range(1, X.e + 1))
+    assert points_conductor_certificate(X).verdict == "match"
+    monkeypatch.undo()
+    assert built == []
