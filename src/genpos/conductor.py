@@ -152,21 +152,6 @@ class NumericalSemigroup:
         return n >= 0 and n >= self.apery[n % self.multiplicity]
 
 
-def nfold_sumset(elements, n, window):
-    """The n-fold sums of `elements` (positive ints) up to `window`, as a
-    bitmask: bit k is set when k is such a sum. Each round costs one shift-or
-    per element on a (window + 1)-bit int.
-    """
-    full = (1 << (window + 1)) - 1
-    sums = 1
-    for _ in range(n):
-        nxt = 0
-        for b in elements:
-            nxt |= sums << b
-        sums = nxt & full
-    return sums
-
-
 def semigroup_certificate(gens):
     """Negative control: a semigroup ring is unibranch, so the power formula's
     distinct-tangents hypothesis always fails for multiplicity >= 2; the
@@ -175,10 +160,11 @@ def semigroup_certificate(gens):
     the failed hypothesis flagged alongside.
 
     The prediction is the extension of the nu-th maximal-ideal power to the
-    normalization k[t]; its exponent set is computed by brute-force nu-fold
-    sums of semigroup elements and is t^(nu*e)k[t]. The oracle conductor is
-    t^c k[t]. Both are reported within the window [0, c + nu*e + 5]; the sets
-    are intervals, so any divergence shows at their start points.
+    normalization k[t], which is t^(nu*e)k[t]: order is additive, so a sum of
+    nu elements of m has order at least nu*e, and t^(nu*e) = (t^e)^nu is one.
+    The oracle conductor is t^c k[t]. Both are reported within the window
+    [0, c + nu*e + 5]; the sets are intervals, so any divergence shows at
+    their start points.
     """
     S = NumericalSemigroup.from_generators(gens)
     if S.multiplicity < 2:
@@ -186,10 +172,7 @@ def semigroup_certificate(gens):
     r = S.emdim - 1
     nv = nu(S.multiplicity, r)
     window = S.conductor + nv * S.multiplicity + 5
-    elements = [n for n in range(1, window + 1) if S.contains(n)]
-    sums = nfold_sumset(elements, nv, window)
-    start = (sums & -sums).bit_length() - 1
-    assert start == nv * S.multiplicity
+    start = nv * S.multiplicity
     predicted = list(range(start, window + 1))
     oracle_set = list(range(S.conductor, window + 1))
     agrees = start == S.conductor

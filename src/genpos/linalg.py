@@ -7,13 +7,16 @@ previous pivot (Bareiss 1968, Math. Comp. 22), over GF(p) it cross-multiplies.
 `rank` needs forward elimination only; `rref` normalizes the reduced form,
 the one place a Fraction is built.
 
-The sparse incremental echelons serve degree-truncated spans, where rows
-arrive one at a time and only ranks and membership residues are needed.
-IntegerEchelon is a fraction-free variant for rational data that clears to
-integers, which keeps the big truncated-span computations out of Fraction
-normalization costs.
+One incremental echelon, SparseEchelon, serves degree-truncated spans, where
+sparse rows arrive one at a time and only ranks and membership residues are
+needed. It takes rows as `eliminate` does and runs one reduction loop for
+both fields: over GF(p) a step subtracts a multiple of a monic pivot row mod
+p, over Q it cross-multiplies by the pivot's lead and divides out the
+content, so no Fraction is built. IntegerEchelon is the same class bound to
+Q; it keeps its name and its own `insert` because the benchmark tracer times
+`IntegerEchelon.insert` and `SparseEchelon.insert` by name, one per field.
 
-Both incremental echelons are level-filtered. A row inserted at level L lies
+The incremental echelon is level-filtered. A row inserted at level L lies
 in V_L, the span of every row inserted at level >= L, so the V_L shrink as L
 grows. The invariant is that for every n the pivot rows of level >= n are an
 echelon basis of V_n. An incoming row reduces only against pivots of level
@@ -25,6 +28,8 @@ whatever order the rows arrive. At the default level 0 no swap ever happens.
 
 from fractions import Fraction
 from math import gcd, lcm
+
+from .scalars import QQ
 
 
 def integer_rows(rows, field):
@@ -126,11 +131,14 @@ def nullspace_vector(rows, ncols, field):
 class SparseEchelon:
     """Incremental echelon of sparse rows (dict col -> coefficient) over a field.
 
-    Pivot rows are normalized to leading coefficient 1 at their smallest column.
-    Each pivot row carries the level it was inserted at (see the module
-    docstring); `rank_from(n)` counts the pivots of level >= n. Insertion order
-    is the only state; all loops run over sorted keys so ranks, residues, and
-    stored rows are deterministic.
+    Rows come as `eliminate` takes them: ints in [0, p) over GF(p), over Q
+    integer rows, each standing for its rational span. A pivot row is
+    normalized at its smallest column as `poly.packed_divisor` normalizes a
+    divisor: monic over GF(p), primitive with a positive lead over Q. Each
+    pivot row carries the level it was inserted at (see the module
+    docstring); `rank_from(n)` counts the pivots of level >= n. Insertion
+    order is the only state; all loops run over sorted keys so ranks,
+    residues, and stored rows are deterministic.
     """
 
     def __init__(self, field):
@@ -146,11 +154,14 @@ class SparseEchelon:
         """Dimension of the span of the rows inserted at level >= `level`."""
         return sum(lv >= level for lv in self.levels.values())
 
-    def _reduce(self, vec, level):
-        # vec is canonical and reduced in place, against pivots of level >=
-        # `level` only: it stops at the first lead no such pivot holds
+    def reduce(self, vec, level=0):
+        """Residue of vec against the pivots of level >= `level`, over Q up to
+        a positive scalar (vec is not mutated); it stops at the first lead no
+        such pivot holds. A step subtracts f * (monic row) mod p, or over Q
+        cross-multiplies by the pivot's lead and divides out the content."""
         p = self.field.p
         pivots, levels = self.pivots, self.levels
+        vec = {c: v for c, v in vec.items() if v}
         while vec:
             lead = min(vec)
             prow = pivots.get(lead)
@@ -158,27 +169,22 @@ class SparseEchelon:
                 return vec
             f = vec[lead]
             if p is None:
-                for c, v in prow.items():
-                    s = vec.get(c, 0) - f * v
-                    if s:
-                        vec[c] = s
-                    else:
-                        vec.pop(c, None)
-            else:
-                for c, v in prow.items():
-                    s = (vec.get(c, 0) - f * v) % p
-                    if s:
-                        vec[c] = s
-                    else:
-                        vec.pop(c, None)
+                a = prow[lead]
+                for c in vec:
+                    vec[c] *= a
+            for c, v in prow.items():
+                s = vec.get(c, 0) - f * v
+                if p is not None:
+                    s %= p
+                if s:
+                    vec[c] = s
+                else:
+                    vec.pop(c, None)
+            if p is None and vec:
+                g = gcd(*vec.values())
+                if g > 1:
+                    vec = {c: v // g for c, v in vec.items()}
         return vec
-
-    def reduce(self, vec, level=0):
-        """Residue of vec against the pivots of level >= `level` (vec is not
-        mutated)."""
-        field = self.field
-        return self._reduce({c: r for c, v in vec.items() if (r := field(v))},
-                            level)
 
     def insert(self, vec, level=0):
         """Reduce and adopt vec as a pivot row of `level`; returns True if the
@@ -193,17 +199,19 @@ class SparseEchelon:
         p = self.field.p
         while res:
             lead = min(res)
-            inv = self.field.inv(res[lead])
             if p is None:
-                row = {c: v * inv for c, v in res.items()}
+                g = gcd(*res.values())
+                g = g if res[lead] > 0 else -g
+                row = res if g == 1 else {c: v // g for c, v in res.items()}
             else:
+                inv = pow(res[lead], -1, p)
                 row = {c: v * inv % p for c, v in res.items()}
             displaced = self.pivots.get(lead)
             low = self.levels.get(lead)
             self.pivots[lead], self.levels[lead] = row, level
             if displaced is None:
                 break
-            res, level = self._reduce(displaced, low), low
+            res, level = self.reduce(displaced, low), low
         return True
 
     def contains(self, vec, level=0):
@@ -211,85 +219,19 @@ class SparseEchelon:
         return not self.reduce(vec, level)
 
 
-def _strip_content(vec):
-    g = 0
-    for v in vec.values():
-        g = gcd(g, v)
-        if g == 1:
-            break
-    if g > 1:
-        vec = {c: v // g for c, v in vec.items()}
-    return vec
-
-
-class IntegerEchelon:
-    """Fraction-free incremental echelon over Z; spans and residues agree with Q.
-
-    Rows are integer dicts kept primitive (content 1). Elimination uses
-    cross-multiplication, so no Fraction ever appears; a residue of zero is
-    exactly rational-span membership. Levels work as in SparseEchelon.
-    """
+class IntegerEchelon(SparseEchelon):
+    """SparseEchelon over Q. The benchmark tracer times `insert` per class, so
+    this name and its own `insert` keep the Q rows apart from GF(p)."""
 
     def __init__(self):
-        self.pivots = {}
-        self.levels = {}
+        super().__init__(QQ)
 
-    @property
-    def rank(self):
-        return len(self.pivots)
-
-    def rank_from(self, level):
-        """Dimension of the span of the rows inserted at level >= `level`."""
-        return sum(lv >= level for lv in self.levels.values())
-
-    def reduce(self, vec, level=0):
-        """Residue of vec against the pivots of level >= `level`, up to a
-        nonzero scalar (vec is not mutated)."""
-        pivots, levels = self.pivots, self.levels
-        vec = {c: v for c, v in vec.items() if v}
-        while vec:
-            lead = min(vec)
-            prow = pivots.get(lead)
-            if prow is None or levels[lead] < level:
-                return vec
-            a, b = prow[lead], vec[lead]
-            for c in vec:
-                vec[c] *= a
-            for c, v in prow.items():
-                s = vec.get(c, 0) - b * v
-                if s:
-                    vec[c] = s
-                else:
-                    vec.pop(c, None)
-            vec = _strip_content(vec)
-        return vec
-
-    def insert(self, vec, level=0):
-        """As SparseEchelon.insert; pivot rows have a positive lead instead of
-        lead 1."""
-        res = self.reduce(vec, level)
-        if not res:
-            return False
-        while res:
-            lead = min(res)
-            if res[lead] < 0:
-                res = {c: -v for c, v in res.items()}
-            displaced = self.pivots.get(lead)
-            low = self.levels.get(lead)
-            self.pivots[lead], self.levels[lead] = res, level
-            if displaced is None:
-                break
-            res, level = self.reduce(displaced, low), low
-        return True
-
-    def contains(self, vec, level=0):
-        """Whether vec lies in the rational span of the rows of level >=
-        `level`."""
-        return not self.reduce(vec, level)
+    insert = SparseEchelon.insert
 
 
 def to_integer_vec(vec):
     """Clear a dict of Fractions/ints to a primitive integer dict."""
     den = lcm(*(v.denominator for v in vec.values()))
-    return _strip_content({c: v.numerator * (den // v.denominator)
-                           for c, v in vec.items() if v})
+    vec = {c: v.numerator * (den // v.denominator) for c, v in vec.items() if v}
+    g = gcd(*vec.values())
+    return {c: v // g for c, v in vec.items()} if g > 1 else vec

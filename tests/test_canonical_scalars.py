@@ -64,8 +64,12 @@ def test_rref_rows_are_canonical(field, rows):
 @given(vecs=st.lists(st.dictionaries(st.integers(0, 5), raw, max_size=4),
                      max_size=6))
 def test_sparse_echelon_rows_are_canonical(field, vecs):
+    # the echelon takes rows as `eliminate` does, ints in [0, p), and keeps
+    # every pivot row and residue there
     ech = SparseEchelon(field)
     for v in vecs:
+        v = {c: field(x) for c, x in v.items()}
+        assert canonical(ech.reduce(v).values(), field)
         ech.insert(v)
         assert ech.contains(v)
     for lead, row in ech.pivots.items():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product as iproduct
@@ -9,7 +10,7 @@ from genpos.conductor import (NumericalSemigroup, arrangement_certificate,
                               arrangement_conductor_ideal,
                               arrangement_strata, monomial_conductor,
                               monomial_conductor_certificate,
-                              monomial_semigroup_points, nfold_sumset,
+                              monomial_semigroup_points,
                               points_conductor_certificate,
                               points_conductor_sigma, semigroup_certificate,
                               symbolic_power, up_closure)
@@ -184,6 +185,37 @@ def test_semigroup_properties_seeded():
         assert bigger.conductor <= S.conductor
 
 
+# The brute-force prediction `semigroup_certificate` built before it read the
+# start in closed form, kept as the oracle of that closed form.
+
+def nfold_sumset(elements, n, window):
+    """The n-fold sums of `elements` (positive ints) up to `window`, as a
+    bitmask: bit k is set when k is such a sum. Each round costs one shift-or
+    per element on a (window + 1)-bit int.
+    """
+    full = (1 << (window + 1)) - 1
+    sums = 1
+    for _ in range(n):
+        nxt = 0
+        for b in elements:
+            nxt |= sums << b
+        sums = nxt & full
+    return sums
+
+
+def sumset_inputs(gens):
+    """(semigroup elements up to the window, nu, window) as the certificate
+    takes them."""
+    S = NumericalSemigroup.from_generators(gens)
+    nv = nu(S.multiplicity, S.emdim - 1)
+    window = S.conductor + nv * S.multiplicity + 5
+    return [n for n in range(1, window + 1) if S.contains(n)], nv, window
+
+
+SUMSET_SEMIGROUPS = ((2, 3), (2, 5), (3, 4, 5), (4, 5), (12, 13), (13, 15),
+                     (17, 20))
+
+
 def test_nfold_sumset_matches_comprehension():
     def comprehension(elements, n, window):
         sums = {0}
@@ -194,17 +226,27 @@ def test_nfold_sumset_matches_comprehension():
     def bits(mask):
         return {k for k in range(mask.bit_length()) if mask >> k & 1}
 
-    for gens in ((2, 3), (2, 5), (3, 4, 5), (4, 5), (12, 13), (13, 15),
-                 (17, 20)):
-        S = NumericalSemigroup.from_generators(gens)
-        nv = nu(S.multiplicity, S.emdim - 1)
-        window = S.conductor + nv * S.multiplicity + 5
-        elements = [n for n in range(1, window + 1) if S.contains(n)]
+    for gens in SUMSET_SEMIGROUPS:
+        elements, nv, window = sumset_inputs(gens)
         assert bits(nfold_sumset(elements, nv, window)) == comprehension(
             elements, nv, window), gens
     assert bits(nfold_sumset([3, 7], 3, 20)) == comprehension([3, 7], 3, 20)
     assert nfold_sumset([3, 7], 0, 20) == 1
     assert nfold_sumset([30], 1, 20) == 0
+
+
+def test_semigroup_start_matches_sumset():
+    # the closed-form start nu*e against the lowest brute-force nu-fold sum:
+    # the semigroups above, <a, a+1> up to a = 30, and the gap pairs <a, a+k>
+    # (k = 2..5 coprime to a) of the benchmark's semigroup models
+    cases = list(SUMSET_SEMIGROUPS) + [(a, a + 1) for a in range(2, 31)]
+    cases += [(a, a + k) for a in (5, 7, 9, 11, 13, 17) for k in (2, 3, 4, 5)
+              if math.gcd(a, a + k) == 1]
+    for gens in cases:
+        sums = nfold_sumset(*sumset_inputs(gens))
+        cert = semigroup_certificate(gens)
+        assert cert.claimed["start"] == (sums & -sums).bit_length() - 1, gens
+        assert cert.claimed["exponent_set"][0] == cert.claimed["start"]
 
 
 # ------------------------------------------------------------------ monomial algebras

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import ReferenceEchelon
 from genpos.linalg import (IntegerEchelon, SparseEchelon, eliminate,
                            integer_rows, nullspace_vector, rank, rref,
                            to_integer_vec)
@@ -125,43 +126,49 @@ def test_nullspace_vector_deterministic():
     assert v == q(1, 0)
 
 
-def sv(*vals):
-    return {i: Fraction(v) for i, v in enumerate(vals) if v}
-
-
 def test_sparse_echelon_incremental():
+    # over Q the engine takes integer rows, each standing for its span
     ech = SparseEchelon(QQ)
-    assert ech.insert(sv(1, 2, 0))
-    assert ech.insert(sv(0, 1, 1))
-    assert not ech.insert(sv(1, 3, 1))  # dependent on the first two
+    assert ech.insert({0: 1, 1: 2})
+    assert ech.insert({1: 1, 2: 1})
+    assert not ech.insert({0: 1, 1: 3, 2: 1})  # dependent on the first two
     assert ech.rank == 2
-    assert ech.contains(sv(2, 5, 1))
-    assert not ech.contains(sv(0, 0, 1))
+    assert ech.contains({0: 2, 1: 5, 2: 1})
+    assert not ech.contains({2: 1})
     assert ech.reduce({}) == {}
 
 
 def test_sparse_pivot_rows_normalized():
+    # as poly.packed_divisor: primitive with a positive lead over Q, monic
+    # over GF(p)
     ech = SparseEchelon(QQ)
-    ech.insert(sv(3, 6))
-    row = ech.pivots[0]
-    assert row[0] == 1 and row[1] == 2
+    ech.insert({0: 3, 1: 6})
+    ech.insert({1: -4, 2: 6})
+    assert ech.pivots == {0: {0: 1, 1: 2}, 1: {1: 2, 2: -3}}
+    ech = SparseEchelon(F11)
+    ech.insert({0: 3, 1: 6})
+    assert ech.pivots == {0: {0: 1, 1: 2}}
 
 
 def test_integer_echelon_matches_sparse():
+    # IntegerEchelon is SparseEchelon over Q; both agree with the reference
+    # fed the rational rows the integer rows stand for
     rng = random.Random(5)
     for _ in range(20):
         n = rng.randint(2, 5)
-        vecs = [sv(*[rng.randint(-4, 4) for _ in range(n)])
+        vecs = [{c: rng.randint(-4, 4) for c in range(n)}
                 for _ in range(rng.randint(1, 6))]
         sp = SparseEchelon(QQ)
         ie = IntegerEchelon()
+        ref = ReferenceEchelon(QQ)
         for v in vecs:
-            a = sp.insert(dict(v))
-            b = ie.insert(to_integer_vec(v))
-            assert a == b
-        assert sp.rank == ie.rank
-        probe = sv(*[rng.randint(-4, 4) for _ in range(n)])
-        assert sp.contains(dict(probe)) == ie.contains(to_integer_vec(probe))
+            a = sp.insert(v)
+            assert ie.insert(v) == a
+            assert ref.insert({c: Fraction(x) for c, x in v.items()}) == a
+        assert sp.pivots == ie.pivots and sp.levels == ie.levels
+        assert sp.rank == ref.rank
+        probe = {c: rng.randint(-4, 4) for c in range(n)}
+        assert ie.contains(probe) == ref.contains(probe)
 
 
 def test_to_integer_vec_clears_denominators():
@@ -180,44 +187,70 @@ def test_fp_echelon():
 
 
 # Level-filtered echelons: whatever order rows arrive in, the pivots of level
-# >= L must span exactly the rows inserted at level >= L.
+# >= L must span exactly the rows inserted at level >= L. The engine must also
+# match the reference echelon step for step: the same insert answers, and
+# pivot rows and residues that are the reference's ones over GF(p), and over
+# Q the reference's ones made primitive (monic rows keep a positive lead).
 
-ECHELONS = {"GF(7)": (PrimeField(7), lambda: SparseEchelon(PrimeField(7))),
-            "GF(2^31-1)": (PrimeField(2 ** 31 - 1),
-                           lambda: SparseEchelon(PrimeField(2 ** 31 - 1))),
-            "Q": (QQ, IntegerEchelon)}
+ECHELON_FIELDS = {"GF(7)": PrimeField(7), "GF(2^31-1)": PrimeField(2 ** 31 - 1),
+                  "Q": QQ}
 
 sparse_rows = st.dictionaries(st.integers(0, 5), st.integers(-3, 3), max_size=4)
 
 
-@pytest.mark.parametrize("name", sorted(ECHELONS))
+def primitive(vec):
+    """A rational dict scaled by a positive number to a primitive int dict."""
+    den = math.lcm(*(Fraction(v).denominator for v in vec.values()))
+    ints = {c: int(v * den) for c, v in vec.items() if v}
+    g = math.gcd(*ints.values())
+    return {c: v // g for c, v in ints.items()}
+
+
+@pytest.mark.parametrize("name", sorted(ECHELON_FIELDS))
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(rows=st.lists(st.tuples(sparse_rows, st.integers(0, 3)), max_size=9),
-       probes=st.lists(st.tuples(st.lists(st.integers(-2, 2), max_size=9),
-                                 st.integers(0, 4)), max_size=4))
+       probes=st.lists(st.lists(st.integers(-2, 2), max_size=9), max_size=4))
 def test_filtered_echelon_matches_rank(name, rows, probes):
-    field, make = ECHELONS[name]
-    ech = make()
+    field = ECHELON_FIELDS[name]
+    ech = IntegerEchelon() if field == QQ else SparseEchelon(field)
+    ref = ReferenceEchelon(field)
+
+    def engine_row(vec):
+        if field.p is None:
+            return primitive(vec)
+        return {c: field(v) for c, v in vec.items()}
+
     for vec, level in rows:
-        ech.insert(vec, level)
+        # over Q the raw rows, not always primitive, go in as they are
+        raw = vec if field.p is None else engine_row(vec)
+        assert ech.insert(raw, level) == ref.insert(vec, level)
+    assert ech.levels == ref.levels
+    assert ech.pivots == {c: engine_row(row) for c, row in ref.pivots.items()}
 
     def dense(vec):
         return [field(vec.get(c, 0)) for c in range(6)]
 
     for level in range(5):
         span = [dense(v) for v, lv in rows if lv >= level]
-        assert ech.rank_from(level) == rank(span, field)
+        assert ech.rank_from(level) == ref.rank_from(level) == rank(span, field)
     assert ech.rank_from(0) == ech.rank
-    # probes are combinations of the inserted rows, of every level, so both
-    # answers of contains turn up
-    for coeffs, level in probes:
+    # probes are the inserted rows and combinations of them, of every level,
+    # so both answers of contains turn up
+    vecs = [vec for vec, _ in rows]
+    for coeffs in probes:
         probe = {}
         for k, (vec, _) in zip(coeffs, rows):
             for c, v in vec.items():
                 probe[c] = probe.get(c, 0) + k * v
-        span = [dense(v) for v, lv in rows if lv >= level]
-        inside = rank(span + [dense(probe)], field) == rank(span, field)
-        assert ech.contains(probe, level) == inside
+        vecs.append(probe)
+    for vec in vecs:
+        for level in range(5):
+            span = [dense(v) for v, lv in rows if lv >= level]
+            inside = rank(span + [dense(vec)], field) == rank(span, field)
+            res = ech.reduce(engine_row(vec), level)
+            assert res == engine_row(ref.reduce(vec, level))
+            assert ech.contains(engine_row(vec), level) == inside
+            assert ref.contains(vec, level) == inside
 
 
 def test_filtered_echelon_swap_keeps_lower_levels():

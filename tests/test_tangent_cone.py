@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from conftest import mono_deg, mono_divides, monomials_up_to
+from conftest import (ReferenceEchelon, mono_deg, mono_divides,
+                      monomials_up_to)
 from genpos.errors import StabilizationError
 from genpos.fixtures import (germ_branch_curve, germ_components,
                              germ_membership_query, tangent_point_set,
                              unity_field)
 from genpos.groebner import Ideal, buchberger
-from genpos.linalg import SparseEchelon
 from genpos.points import binom, hilbert_function
 from genpos.poly import (DEGREVLEX, BlockOrder, Polynomial,
                          monomials_of_degree, parse_polynomial)
@@ -55,7 +55,7 @@ def truncated_lowest_form_ideal(ideal, bound):
     gb = ideal.groebner_basis(DEGREVLEX)
     monos = monomials_up_to(ideal.nvars, bound)
     index = {m: i for i, m in enumerate(monos)}
-    ech = SparseEchelon(ideal.field)
+    ech = ReferenceEchelon(ideal.field)
     for g in gb:
         low = g.low_degree()
         if low > bound:
