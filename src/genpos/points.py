@@ -4,16 +4,25 @@ A set of e points is in generic position when every degree-n evaluation matrix
 has the maximal rank min(e, C(n+r, r)); it is in generic t-position when every
 t-point subset is in generic position. Certificates carry the smallest failing
 degree and an explicit hypersurface witness read off the null space. Every
-check reads a degree's evaluation matrix and its pivot columns through
-`PointSet.echelon`, which eliminates each degree once per set, so the checks
-run on one set share their work. Over Q a point is evaluated at its integer
-representative, which scales its degree-d row by a nonzero constant and so
-moves no rank, pivot column, separator or RREF. Only the witness of a failing
-degree is read off an RREF.
+check reads a degree's pivot columns (lex descending) through
+`PointSet.echelon`, which builds each degree once per set, so the checks run
+on one set share their work. Degree d is built from the border of degree
+d-1: only the columns x_i * m, m a degree-(d-1) pivot monomial, each cell a
+coordinate times a degree-(d-1) cell. No pivot is lost (the order-ideal
+argument of Moeller & Buchberger 1982 and Marinari, Moeller & Mora 1993): if
+f = m - sum c * m' (m' > m) vanishes on X, so does x_i * f, and lex is
+multiplicative, so x_i * m is not a pivot either. Every pivot is thus a
+candidate, every other column lies in the span of earlier pivots, and
+elimination on the candidates keeps exactly the full matrix's pivots. Over Q
+a point is evaluated at its integer representative, which scales its
+degree-d row by a nonzero constant and so moves no rank, pivot column,
+separator or RREF. Only the witness of a failing degree is read off an RREF
+of the full evaluation matrix.
 """
 
 import math
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 from itertools import combinations
 
 from .errors import BudgetExceededError
@@ -79,14 +88,32 @@ class PointSet:
     def subset(self, idxs):
         return PointSet(self.r, self.field, tuple(self.points[i] for i in idxs))
 
+    @cached_property
+    def _coords(self):  # the points as `evaluation_matrix` evaluates them
+        return self.points if self.field.p else integer_rows(self.points, self.field)
+
     def echelon(self, d):
-        """(rows, monos, pivots): the degree-d evaluation matrix and its
-        pivot columns, built on first use."""
-        got = self._echelons.get(d)
-        if got is None:
-            rows, monos = evaluation_matrix(self, d)
-            got = rows, monos, [c for c, _ in eliminate(rows, self.field.p)]
-            self._echelons[d] = got
+        """(rows, monos): the pivot monomials of the degree-d evaluation
+        matrix, lex descending, and its rows restricted to them, built once
+        from degree d-1 (see the module docstring): forward elimination on
+        the distinct x_i * m, m a degree-(d-1) pivot, sorted as
+        `monomials_of_degree` sorts."""
+        if d in self._echelons:
+            return self._echelons[d]
+        p = self.field.p
+        if d == 0:
+            monos, rows = [(0,) * (self.r + 1)], [[1] for _ in self.points]
+        else:
+            old, prev = self.echelon(d - 1)
+            cands = {m[:i] + (m[i] + 1,) + m[i + 1:]: (j, i)
+                     for j, m in enumerate(prev) for i in range(self.r + 1)}
+            monos = sorted(cands, reverse=True)
+            cells = [cands[m] for m in monos]
+            rows = [[row[j] * pt[i] if p is None else row[j] * pt[i] % p
+                     for j, i in cells] for row, pt in zip(old, self._coords)]
+        piv = [c for c, _ in eliminate(rows, p)]
+        got = [[row[c] for c in piv] for row in rows], [monos[c] for c in piv]
+        self._echelons[d] = got
         return got
 
 
@@ -133,7 +160,7 @@ def hilbert_profile(X, upto):
     """
     values = []
     for d in range(upto + 1):
-        values.append(len(X.echelon(d)[2]))
+        values.append(len(X.echelon(d)[1]))
         if values[-1] == X.e:
             return HilbertProfile(tuple(values + [X.e] * (upto - d)), d)
     return HilbertProfile(tuple(values), None)
@@ -173,10 +200,10 @@ def _generic_check(X):
     bound = nu(X.e, X.r)
     values = []
     for n in range(bound + 1):
-        rows, monos, pivots = X.echelon(n)
-        h = len(pivots)
+        h = len(X.echelon(n)[1])
         values.append(h)
         if h < min(X.e, binom(n + X.r, X.r)):
+            rows, monos = evaluation_matrix(X, n)
             red, pivots = rref(rows, X.field)
             vec = kernel_vector(red, pivots, len(monos), X.field)
             witness = Polynomial(X.r + 1, X.field, dict(zip(monos, vec)))
@@ -196,16 +223,15 @@ def is_generic_position(X):
         failing_degree=failing, witness=witness)
 
 
-def _separated_points(rows, pivots, p):
+def _separated_points(rows, p):
     """Points q with a separator in this degree (a form vanishing on every
     other point but not on q): exactly those where every left-kernel vector
     of the evaluation matrix is 0. The left kernel is the null space of the
-    transposed pivot columns, so q is separated when it is a pivot of their
-    reduced form whose row is zero on every free column."""
-    if len(pivots) == len(rows):  # full row rank: no left kernel
+    transposed pivot columns `rows`, so q is separated when it is a pivot of
+    their reduced form whose row is zero on every free column."""
+    if len(rows[0]) == len(rows):  # full row rank: no left kernel
         return set(range(len(rows)))
-    red = eliminate([[row[c] for row in rows] for c in pivots], p,
-                    reduced=True)
+    red = eliminate([list(col) for col in zip(*rows)], p, reduced=True)
     free = set(range(len(rows))) - {q for q, _ in red}
     return {q for q, row in red if not any(row[f] for f in free)}
 
@@ -233,19 +259,17 @@ def _first_failing_subset(X, t):
     if t == X.e - 1:
         bad = set()
         for d in degrees:
-            rows, _, pivots = X.echelon(d)
+            rows, monos = X.echelon(d)
             want = min(t, binom(d + X.r, X.r))
-            sep = _separated_points(rows, pivots, p)
+            sep = _separated_points(rows, p)
             bad.update(q for q in range(X.e)
-                       if len(pivots) - (q in sep) != want)
+                       if len(monos) - (q in sep) != want)
         if not bad:
             return None
         return tuple(i for i in range(X.e) if i != max(bad))
     targets = []
     for d in degrees:
-        rows, _, pivots = X.echelon(d)
-        targets.append(([[row[c] for c in pivots] for row in rows],
-                        min(t, binom(d + X.r, X.r)), []))
+        targets.append((X.echelon(d)[0], min(t, binom(d + X.r, X.r)), []))
     sizes = [[0] * len(targets)]  # echelon sizes before each row of prev
     prev = (-1,) * t
     for idxs in combinations(range(X.e), t):

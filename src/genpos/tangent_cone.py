@@ -28,7 +28,7 @@ from .errors import StabilizationError
 from .groebner import buchberger
 from .linalg import IntegerEchelon, SparseEchelon, to_integer_vec
 from .points import PointSet, normalize_point
-from .poly import DEGREVLEX, LAZARD, Polynomial, monomials_of_degree
+from .poly import DEGREVLEX, LAZARD, Polynomial
 from .scalars import QQ
 
 
@@ -134,20 +134,33 @@ def _stabilized(values, context):
     return d0
 
 
+def standard_counts(leads, nvars):
+    """H(0), H(1), ...: how many monomials of each degree no lead divides.
+
+    The standard monomials are closed under division, so those of degree d
+    are the x_i * m, m standard of degree d-1, that no lead divides; no other
+    monomial of degree d is tested.
+    """
+    std = {(0,) * nvars}
+    while True:
+        std = {m for m in std if not any(all(map(le, lead, m)) for lead in leads)}
+        yield len(std)
+        std = {m[:i] + (m[i] + 1,) + m[i + 1:] for m in std for i in range(nvars)}
+
+
 def cone_profile(ideal, bound=8):
     """Graded dimensions H(d) of the tangent cone of `ideal` at the origin.
 
     H(d) counts the degree-d monomials that no degrevlex leading monomial of
-    the lowest forms divides, exact in every degree. The values run to
-    `bound`, which doubles at most twice until the last three agree;
-    StabilizationError if they still do not.
+    the lowest forms divides (`standard_counts`), exact in every degree. The
+    values run to `bound`, which doubles at most twice until the last three
+    agree; StabilizationError if they still do not.
     """
     leads = [f.leading_monomial(DEGREVLEX) for f in lowest_form_ideal(ideal)]
+    counts = standard_counts(leads, ideal.nvars)
     values = []
     for top in (bound, 2 * bound, 4 * bound):
-        values += [sum(not any(all(map(le, lead, m)) for lead in leads)
-                       for m in monomials_of_degree(ideal.nvars, d))
-                   for d in range(len(values), top + 1)]
+        values += [next(counts) for _ in range(len(values), top + 1)]
         if values[-3:] == values[-1:] * 3:
             break
     d0 = _stabilized(values, "cone profile")  # at least three values

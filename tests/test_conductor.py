@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from genpos import cli
 from genpos.conductor import (NumericalSemigroup, arrangement_certificate,
                               arrangement_conductor_ideal,
                               arrangement_strata, monomial_conductor,
@@ -18,10 +20,11 @@ from genpos.errors import BudgetExceededError, StabilizationError
 from genpos.fixtures import (arrangement_forms, line_points,
                              off_conic_points, tangent_point_set)
 from genpos.groebner import Ideal, ideal_equal, ideal_member, ideal_power
-from genpos.points import (PointSet, evaluation_matrix, is_generic_t_position,
-                           nu, random_point_set)
+from genpos.points import (PointSet, evaluation_matrix, hilbert_function,
+                           is_generic_t_position, nu, random_point_set)
 from genpos.poly import Polynomial
 from genpos.scalars import QQ, PrimeField
+from genpos.serialize import point_set_from_json
 
 
 # ------------------------------------------------------------------ points
@@ -108,6 +111,51 @@ def test_scaled_points_certificate_e56_r5():
     assert cert.oracle["hilbert_values"][:4] == [1, 6, 21, 56]
     with pytest.raises(BudgetExceededError):
         is_generic_t_position(X, X.e - 1, subset_budget=X.e - 1)
+
+
+
+def collinear_p5(e):
+    """e collinear points of P^5 over GF(2^31-1), as a points-model JSON."""
+    p = 2 ** 31 - 1
+    a, b = [1, 3, 5, 7, 11, 13], [0, 1, 2, 4, 8, 16]
+    pts = [[(x + s * y) % p for x, y in zip(a, b)] for s in range(e)]
+    return {"model": "points",
+            "points": {"field": {"p": p}, "r": 5, "points": pts}}
+
+
+def cli_conductor(tmp_path, obj, bound):
+    src, out = tmp_path / "model.json", tmp_path / "cert.json"
+    src.write_text(json.dumps(obj))
+    code = cli.main(["conductor", str(src), "--degree-bound", str(bound),
+                     "--json-out", str(out)])
+    return code, json.loads(out.read_text())["certificate"]
+
+
+def test_scaled_collinear_points_p5(tmp_path):
+    # H_X(d) = min(d + 1, e) for collinear points: full rank only at e - 1,
+    # far above nu, where C(d + 5, 5) columns would be evaluated in full
+    code, cert = cli_conductor(tmp_path, collinear_p5(20), 22)
+    assert code == 3
+    assert cert["oracle"] == {"sigma": 19,
+                              "hilbert_values": list(range(1, 21)) + [20] * 3}
+    # a smaller set against the full-matrix ranks of `hilbert_function`
+    obj = collinear_p5(8)
+    X = point_set_from_json(obj["points"])
+    values = [hilbert_function(X, d) for d in range(11)]
+    sub = X.subset(range(X.e - 1))
+    generic = [all(hilbert_function(Y, d) == min(Y.e, math.comb(d + 5, 5))
+                   for d in range(nu(Y.e, 5) + 1)) for Y in (X, sub)]
+    code, cert = cli_conductor(tmp_path, obj, 10)
+    assert code == 3
+    assert cert == {
+        "model": "graded-points",
+        "claimed": {"conductor": "maximal ideal power",
+                    "exponent": nu(8, 5)},
+        "oracle": {"sigma": values.index(8), "hilbert_values": values},
+        "hypotheses": {"generic_position": generic[0],
+                       "generic_position_e_minus_1": generic[1]},
+        "verdict": "hypotheses-failed",
+        "details": {"e": 8, "r": 5}}
 
 
 # ------------------------------------------------------------------ semigroups

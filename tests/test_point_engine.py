@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from genpos import points
 from genpos.conductor import points_conductor_certificate, points_conductor_sigma
 from genpos.errors import StabilizationError
-from genpos.linalg import integer_rows, nullspace_vector
+from genpos.linalg import eliminate, integer_rows, nullspace_vector
 from genpos.points import (GenericityCertificate, PointSet, binom,
                            evaluation_matrix, hilbert_function,
                            hilbert_profile, is_generic_position,
@@ -199,6 +199,76 @@ def test_conductor_certificate_matches_old_path(family, data):
                            "hilbert_values": values}
 
 
+# PointSet.echelon builds degree d from the border of the degree d-1 pivot
+# monomials; the oracle eliminates the full evaluation matrix of degree d.
+
+@st.composite
+def planted_sets(draw, field):
+    """Up to 12 points of P^2..P^4, some of them planted on a line or a
+    conic; over Q the coordinates get denominators, so the integer
+    representatives are not the drawn points."""
+    r = draw(st.integers(2, 4))
+    e = draw(st.integers(3, 12))
+    planted = draw(st.sets(st.integers(0, e - 1), min_size=3, max_size=e))
+    kind = draw(st.sampled_from(["line", "conic"]))
+    coords = []
+    for i in range(e):
+        s = draw(st.integers(-20, 20))
+        if i not in planted:
+            coords.append(draw(st.lists(st.integers(-20, 20), min_size=r + 1,
+                                        max_size=r + 1)))
+        elif kind == "line":
+            coords.append([1, s] + [2 * s + 1] * (r - 1))
+        else:
+            coords.append([1, s, s * s] + [0] * (r - 2))
+    if field.p is None:
+        scale = draw(st.lists(st.integers(1, 9), min_size=r + 1,
+                              max_size=r + 1))
+        coords = [[Fraction(c, k) for c, k in zip(pt, scale)]
+                  for pt in coords]
+    return point_set(r, field, coords, limit=None)
+
+
+def full_matrix_echelon(X, d):
+    """(rows, monos) of `PointSet.echelon`, read off the whole matrix."""
+    rows, monos = evaluation_matrix(X, d)
+    piv = [c for c, _ in eliminate(rows, X.field.p)]
+    return [[row[c] for c in piv] for row in rows], [monos[c] for c in piv]
+
+
+ECHELON_FIELDS = [PrimeField(7), PrimeField(2 ** 31 - 1), QQ]
+
+
+@pytest.mark.parametrize("field", ECHELON_FIELDS, ids=repr)
+@pytest.mark.parametrize("family", [random_sets, degenerate_sets,
+                                    planted_sets])
+@PROPERTY
+@given(data=st.data())
+def test_border_echelon_matches_full_matrix(field, family, data):
+    X = data.draw(family(field))
+    top = nu(X.e, X.r) + 4
+    widths = []
+
+    def counted(rows, p, reduced=False):
+        widths.append(len(rows[0]))
+        return eliminate(rows, p, reduced)
+
+    with mock.patch.object(points, "eliminate", counted):
+        X.echelon(top)
+    expected = [full_matrix_echelon(X, d) for d in range(top + 1)]
+    for d in range(top + 1):
+        assert X.echelon(d) == expected[d], d
+        if field.p is None:  # the normalized points' rows give the same pivots
+            rows, monos = fraction_evaluation_matrix(X, d)
+            piv = eliminate(integer_rows(rows, QQ), None)
+            assert [monos[c] for c, _ in piv] == expected[d][1], d
+    # the columns eliminated in degree d > 0 are the x_i * m, m a pivot of
+    # degree d - 1; degree 0 is the column of ones
+    border = [len({m[:i] + (m[i] + 1,) + m[i + 1:] for m in monos
+                   for i in range(X.r + 1)}) for _, monos in expected[:-1]]
+    assert widths == [1] + border
+
+
 # PointSet.echelon: one memo per set, shared by every check on that set.
 
 @pytest.mark.parametrize("coords", [
@@ -209,15 +279,18 @@ def test_each_degree_is_built_once_per_set(monkeypatch, coords):
     X = PointSet.of(2, QQ, coords)
     built = []
 
-    def counted(Y, n):
-        if Y is X:
-            built.append(n)
-        return evaluation_matrix(Y, n)
+    def counted(rows, p, reduced=False):
+        # a degree-d build of X eliminates its e candidate rows once, after
+        # degrees 0..d-1 are in the memo
+        if not reduced and len(rows) == X.e:
+            built.append(len(X._echelons))
+        return eliminate(rows, p, reduced)
 
-    monkeypatch.setattr(points, "evaluation_matrix", counted)
+    monkeypatch.setattr(points, "eliminate", counted)
     is_generic_position(X)
     sigma = points_conductor_certificate(X).oracle["sigma"]
-    assert sorted(built) == sorted(set(built)) == list(range(sigma + 1))
+    assert built == list(range(sigma + 1))
+    assert sorted(X._echelons) == list(range(sigma + 1))
 
 
 @FAMILIES

@@ -20,7 +20,7 @@ from genpos.tangent_cone import (Branch, BranchCurve, ConeProfile,
                                  _echelon_for, _generator_rows, _stabilized,
                                  branch_tangent_points, cone_profile,
                                  germ_profile, lowest_form_ideal,
-                                 subalgebra_member)
+                                 standard_counts, subalgebra_member)
 
 F11 = PrimeField(11)
 
@@ -311,6 +311,21 @@ def test_cone_profile_needs_stable_tail():
                        match=r"cone profile did not stabilize within the bound"
                              r" \(values \[1, 2, .*, 33\]\); raise the bound"):
         cone_profile(Ideal.of(y ** 40 - x ** 41))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_standard_counts_match_monomial_scan(data):
+    # the closure under x_i * m against the scan of every degree-d monomial
+    n = data.draw(st.integers(1, 4))
+    leads = data.draw(st.lists(st.tuples(*[st.integers(0, 4)] * n),
+                               max_size=6))
+    counts = standard_counts(leads, n)
+    for d in range(13):
+        scan = sum(not any(all(a <= b for a, b in zip(lead, m))
+                           for lead in leads)
+                   for m in monomials_of_degree(n, d))
+        assert next(counts) == scan, d
 
 
 def test_cone_matches_point_hilbert_function():
