@@ -12,9 +12,8 @@ from .errors import BudgetExceededError, StabilizationError
 from .groebner import (Ideal, buchberger, ideal_equal, ideal_intersect,
                        ideal_member, ideal_power, ideal_quotient, normal_form,
                        saturation, spolynomial)
-from .points import (PointSet, hilbert_function, hilbert_profile,
-                     is_generic_position, is_generic_t_position, nu,
-                     random_point_set)
+from .points import (PointSet, hilbert_function, is_generic_position,
+                     is_generic_t_position, nu, random_point_set)
 from .poly import (DEGREVLEX, LEX, BlockOrder, Polynomial, parse_polynomial)
 from .scalars import QQ, FieldMismatchError, PrimeField, roots_of_unity
 from .tangent_cone import (Branch, BranchCurve, ConeProfile,
@@ -29,7 +28,7 @@ __all__ = [
     "Ideal", "buchberger", "normal_form", "spolynomial", "ideal_member",
     "ideal_equal", "ideal_intersect", "ideal_quotient", "ideal_power",
     "saturation",
-    "PointSet", "nu", "hilbert_function", "hilbert_profile",
+    "PointSet", "nu", "hilbert_function",
     "is_generic_position", "is_generic_t_position", "random_point_set",
     "Branch", "BranchCurve", "ConeProfile", "branch_tangent_points",
     "lowest_form_ideal", "cone_profile", "germ_profile",

@@ -14,8 +14,8 @@ result (not generic / mismatch / golden divergence), 2 error, 3 a conductor
 hypothesis failed.
 
 Argparse is the only configuration layer: each subcommand accepts just the
-flags its handler reads (and each conductor model just the flags it reads),
-and the handlers take the parsed namespace.
+flags its handler reads (and each conductor model and tangent-cone route
+just the flags it reads), and the handlers take the parsed namespace.
 """
 
 import argparse
@@ -104,8 +104,7 @@ def build_parser():
              ("--field", "--t", "--subset-budget", "--json-out")),
             ("conductor", cmd_conductor,
              "check a conductor formula against its oracle",
-             ("--field", "--degree-bound", "--box", "--subset-budget",
-              "--json-out")),
+             ("--field", "--degree-bound", "--box", "--json-out")),
             ("tangent-cone", cmd_tangent_cone,
              "graded profile of a curve singularity",
              ("--field", "--degree-bound", "--json-out")),
@@ -214,7 +213,7 @@ def _summarize(d):
 
 
 # the conductor flags each model reads; any other flag given is an error
-MODEL_FLAGS = {"points": ("field", "degree_bound", "subset_budget"),
+MODEL_FLAGS = {"points": ("field", "degree_bound"),
                "semigroup": (), "monomial-algebra": ("box",),
                "arrangement": ("field",)}
 
@@ -225,7 +224,7 @@ def conductor_certificate_for(obj, args):
         raise ValueError("unknown conductor model %r (expected points, "
                          "semigroup, monomial-algebra, or arrangement)"
                          % (model,))
-    for name in ("field", "degree_bound", "box", "subset_budget"):
+    for name in ("field", "degree_bound", "box"):
         if getattr(args, name) is not None and name not in MODEL_FLAGS[model]:
             raise ValueError("--%s is not read by the %s model"
                              % (name.replace("_", "-"), model))
@@ -235,9 +234,7 @@ def conductor_certificate_for(obj, args):
             # a non-object is left to point_set_from_json's shape error
             pts = dict(pts, field=args.field)
         X = point_set_from_json(pts)
-        return points_conductor_certificate(
-            X, dmax=args.degree_bound,
-            subset_budget=args.subset_budget or DEFAULT_SUBSET_BUDGET)
+        return points_conductor_certificate(X, dmax=args.degree_bound)
     if model == "semigroup":
         return semigroup_certificate(integers(obj["generators"],
                                               "generators"))
@@ -292,6 +289,9 @@ def cmd_tangent_cone(args):
         if args.field is not None:
             obj = dict(obj, field=args.field)
         if "branches" in obj:
+            if args.degree_bound is not None:
+                raise ValueError("--degree-bound is not read by the branches "
+                                 "route")
             return _cone_from_branches(obj, args)
         if "parametrization" in obj:
             return _cone_from_parametrization(obj, args)

@@ -4,8 +4,8 @@ Each model computes the conductor two ways: a formula predicted by the graded
 structure (a power of the maximal ideal, or an intersection of prime powers)
 and a brute-force oracle that knows nothing about the formula. Certificates
 report claimed vs oracle plus the hypotheses the prediction needs; a mismatch
-is a first-class result, not an error. The points model only calls the checks
-of `points`; the point set itself shares its degree echelons among them.
+is a first-class result, not an error. The points model reads its oracle and
+both hypotheses off the point set's memoized degree echelons.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -15,8 +15,7 @@ from .errors import StabilizationError
 from .groebner import (Ideal, ideal_equal, ideal_intersect, ideal_member,
                        ideal_power, saturation)
 from .linalg import rank, rref
-from .points import (DEFAULT_SUBSET_BUDGET, hilbert_profile,
-                     is_generic_position, is_generic_t_position, nu)
+from .points import _first_failing_subset, binom, nu
 from .poly import Polynomial
 
 
@@ -48,39 +47,43 @@ class ConductorCertificate:
 # ---------------------------------------------------------------- points
 
 def points_conductor_sigma(X, dmax=None):
-    """Least degree from which the coordinate ring fills all of k^e, checked
-    through dmax. This is the degree where the graded conductor starts."""
+    """Least degree from which the coordinate ring fills all of k^e, where the
+    graded conductor starts, and H(0..dmax). Ranks stop there: a degree-d
+    separator of p times a coordinate not vanishing at p is one in degree
+    d+1, so H(d') = e for every d' > d."""
     floor = nu(X.e, X.r) + 2
     if dmax is None:
         dmax = floor + 2
     elif dmax < floor:
-        raise ValueError("dmax must be at least nu + 2 = %d" % floor)
-    prof = hilbert_profile(X, dmax)
-    if prof.stabilization_degree is None:
-        raise StabilizationError("no full-rank degree through %d (H = %s)"
-                                 % (dmax, list(prof.values)))
-    return prof.stabilization_degree, prof.values
+        raise ValueError("the degree bound must be at least nu + 2 = %d, "
+                         "got %d" % (floor, dmax))
+    values = []
+    for d in range(dmax + 1):
+        values.append(len(X.echelon(d)[1]))
+        if values[-1] == X.e:
+            return d, tuple(values + [X.e] * (dmax - d))
+    raise StabilizationError("no full-rank degree through %d (H = %s)"
+                             % (dmax, values))
 
 
-def points_conductor_certificate(X, dmax=None,
-                                 subset_budget=DEFAULT_SUBSET_BUDGET):
+def points_conductor_certificate(X, dmax=None):
     """Conductor exponent of the cone over X: claimed nu(e, r) vs graded oracle.
 
     The prediction needs X in generic position and in generic (e-1)-position;
     when either fails the verdict is hypotheses-failed with both numbers still
-    reported. The oracle and both hypothesis checks read X's memoized degree
-    echelons, so each degree is reduced once.
+    reported. Both are read off ranks, with no witness: sigma >= nu, as
+    H(d) <= C(d+r, r) < e below nu, so the oracle's values hold H(0..nu), and
+    (e-1)-position is read off separators (`_first_failing_subset`).
     """
     claimed_nu = nu(X.e, X.r)
     sigma, values = points_conductor_sigma(X, dmax)
-    full = is_generic_position(X)
-    sub_ok = X.e < 2 or is_generic_t_position(X, X.e - 1,
-                                              subset_budget).generic
+    sub = X.e < 2 or _first_failing_subset(X, X.e - 1) is None
     hypotheses = {
-        "generic_position": full.generic,
-        "generic_position_e_minus_1": sub_ok,
+        "generic_position": all(values[n] == min(X.e, binom(n + X.r, X.r))
+                                for n in range(claimed_nu + 1)),
+        "generic_position_e_minus_1": sub,
     }
-    if not (full.generic and sub_ok):
+    if not all(hypotheses.values()):
         verdict = "hypotheses-failed"
     elif sigma == claimed_nu:
         verdict = "match"

@@ -146,27 +146,6 @@ def hilbert_function(X, n):
 
 
 @dataclass(frozen=True)
-class HilbertProfile:
-    values: tuple
-    stabilization_degree: object  # int, or None if e was not reached
-
-
-def hilbert_profile(X, upto):
-    """H(0..upto) plus the first degree where H reaches e (None if never).
-
-    Ranks are computed only up to that degree. Full rank carries up: a
-    degree-d separator of p times a coordinate that does not vanish at p is a
-    degree-(d+1) separator, so H(d') = e for d' > d.
-    """
-    values = []
-    for d in range(upto + 1):
-        values.append(len(X.echelon(d)[1]))
-        if values[-1] == X.e:
-            return HilbertProfile(tuple(values + [X.e] * (upto - d)), d)
-    return HilbertProfile(tuple(values), None)
-
-
-@dataclass(frozen=True)
 class GenericityCertificate:
     """Outcome of a generic-position check, with an explicit failure witness."""
 

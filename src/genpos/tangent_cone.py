@@ -6,7 +6,8 @@ Three routes into the same graded object:
     within a degree; at t = 1 that is a Lazard standard basis for the local
     degree order, whose lowest forms generate the ideal of the tangent cone.
     cone_profile counts the monomials outside their leading ideal, so its
-    values are exact in every degree, with no truncation window.
+    values are exact in every degree, with no truncation window, and it
+    stops where a degree bound on the leads proves the count constant.
   * germ_profile reads the graded dimensions dim m^n / m^(n+1) straight off a
     parameterized curve's coordinate subalgebra, as rank differences of nested
     degree-windowed spans of power products of the parameterization
@@ -22,6 +23,7 @@ Three routes into the same graded object:
 """
 
 from dataclasses import dataclass
+from itertools import combinations, islice
 from operator import le
 
 from .errors import StabilizationError
@@ -151,19 +153,34 @@ def standard_counts(leads, nvars):
 def cone_profile(ideal, bound=8):
     """Graded dimensions H(d) of the tangent cone of `ideal` at the origin.
 
-    H(d) counts the degree-d monomials that no degrevlex leading monomial of
-    the lowest forms divides (`standard_counts`), exact in every degree. The
-    values run to `bound`, which doubles at most twice until the last three
-    agree; StabilizationError if they still do not.
+    H(d) counts the degree-d monomials that no degrevlex lead of the lowest
+    forms divides (`standard_counts`). The cone is a curve exactly when each
+    pair of variables carries a lead in those two alone; otherwise every
+    x_i^a x_j^b is standard and ValueError says so. From degree
+    deg lcm(leads) - n + 1 on, H is the leads' Hilbert polynomial (Taylor's
+    resolution bounds the series numerator by deg lcm), for a curve the
+    multiplicity. Values run to the first of bound, 2 * bound, 4 * bound at
+    least the exact stabilization degree + 2; StabilizationError if none is.
     """
+    n = ideal.nvars
     leads = [f.leading_monomial(DEGREVLEX) for f in lowest_form_ideal(ideal)]
-    counts = standard_counts(leads, ideal.nvars)
-    values = []
-    for top in (bound, 2 * bound, 4 * bound):
-        values += [next(counts) for _ in range(len(values), top + 1)]
-        if values[-3:] == values[-1:] * 3:
-            break
-    d0 = _stabilized(values, "cone profile")  # at least three values
+    for i, j in combinations(range(n), 2):
+        if not any(sum(m) == m[i] + m[j] for m in leads):
+            raise ValueError("the tangent cone is not a curve germ: no lead "
+                             "in x%d and x%d alone, so H(d) > d" % (i, j))
+    values = list(islice(standard_counts(leads, n),
+                         max(sum(map(max, zip(*leads))) - n + 2, 1)))
+    d0 = len(values) - 1
+    while d0 and values[d0 - 1] == values[-1]:
+        d0 -= 1
+    values += values[-1:] * (4 * bound + 1 - len(values))
+    top = next((b for b in (bound, 2 * bound, 4 * bound) if b >= d0 + 2), None)
+    if top is None:
+        raise StabilizationError(
+            "cone profile did not stabilize within the bound (values %s); "
+            "raise the bound to at least %d (H is constant from degree %d on)"
+            % (values[:4 * bound + 1], -(-(d0 + 2) // 4), d0))
+    values = values[:top + 1]
     return ConeProfile(values=tuple(values), stabilization_degree=d0,
                        multiplicity=values[-1], emdim=values[1])
 

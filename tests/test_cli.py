@@ -131,6 +131,64 @@ def test_tangent_cone_ideal_route(tmp_path):
     assert payload["profile"]["emdim"] == 2
 
 
+def test_tangent_cone_ideal_route_stops_at_the_exact_degree(tmp_path,
+                                                           capsys):
+    # x0*x1 = 0 with an embedded point: H holds at 4 on degrees 3..9, and
+    # only from degree 11 on does it equal the multiplicity 2
+    from genpos import cli
+
+    src, out = tmp_path / "plateau.json", tmp_path / "prof.json"
+    src.write_text(json.dumps({"field": "Q", "vars": 2,
+                               "gens": ["x0^3*x1", "x0*x1^9"]}))
+    for bound in ([], ["--degree-bound", "4"]):
+        assert cli.main(["tangent-cone", str(src), "--json-out", str(out),
+                         *bound]) == 0
+        assert "multiplicity: 2, embedding dimension: 2" in (
+            capsys.readouterr().out)
+        assert json.loads(out.read_text())["profile"] == {
+            "values": [1, 2, 3, 4, 4, 4, 4, 4, 4, 4, 3, 2, 2, 2, 2, 2, 2],
+            "stabilization_degree": 11, "multiplicity": 2, "emdim": 2}
+    # bounds 3, 6, 12 all stop before degree 11 + 2
+    assert cli.main(["tangent-cone", str(src), "--degree-bound", "3"]) == 2
+    assert capsys.readouterr().err.endswith(
+        "raise the bound to at least 4 (H is constant from degree 11 on)\n")
+
+
+def test_tangent_cone_of_a_surface_exits_2_at_once(tmp_path, capsys):
+    from genpos import cli
+
+    src = tmp_path / "surface.json"
+    src.write_text(json.dumps({"field": "Q", "vars": 4,
+                               "gens": ["x0*x1", "x2*x3"]}))
+    assert cli.main(["tangent-cone", str(src)]) == 2
+    assert capsys.readouterr().err == (
+        "error: the tangent cone is not a curve germ: no lead in x0 and x2 "
+        "alone, so H(d) > d\n")
+
+
+def test_tangent_cone_routes_reject_flags_they_do_not_read(tmp_path,
+                                                          capsys):
+    from genpos import cli
+
+    out = tmp_path / "cone.json"
+    assert cli.main(["tangent-cone", fx("germ_curve.json"), "--degree-bound",
+                     "4", "--json-out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: --degree-bound is not read by "
+                                       "the branches route\n")
+    assert not out.exists()
+    assert cli.main(["tangent-cone", fx("germ_curve.json"), "--field",
+                     "Q"]) == 0
+
+
+def test_sigma_floor_error_names_the_degree_bound(capsys):
+    from genpos import cli
+
+    assert cli.main(["conductor", fx("conductor_points.json"),
+                     "--degree-bound", "2"]) == 2
+    assert capsys.readouterr().err == ("error: the degree bound must be at "
+                                       "least nu + 2 = 4, got 2\n")
+
+
 def test_scalar_division_by_p_exits_2(tmp_path):
     # 1/11 has no value in GF(11): an input error, not a negative result
     pts = tmp_path / "pts.json"
@@ -202,6 +260,8 @@ def test_unaccepted_flags_and_values_exit_2():
                  ("points-check", fx("line_points.json"), "--seed", "1"),
                  ("tangent-cone", fx("germ_curve.json"),
                   "--subset-budget", "1"),
+                 ("conductor", fx("arrangement_three_lines.json"),
+                  "--subset-budget", "5"),
                  ("reproduce-examples", "--seed", "1"),
                  ("points-check", fx("line_points.json"), "--t", "0"),
                  ("points-check", fx("line_points.json"), "--t", "3",
@@ -380,8 +440,6 @@ def test_conductor_rejects_flags_its_model_does_not_read(tmp_path, capsys):
              ("semigroup_2_5.json", "--field", "7", "semigroup"),
              ("monomial_n3.json", "--field", "7", "monomial-algebra"),
              ("arrangement_three_lines.json", "--degree-bound", "4",
-              "arrangement"),
-             ("arrangement_three_lines.json", "--subset-budget", "5",
               "arrangement"),
              ("conductor_points.json", "--box", "3", "points")]
     for name, flag, value, model in cases:

@@ -7,7 +7,7 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genpos import cli
+from genpos import cli, points
 from genpos.conductor import (NumericalSemigroup, arrangement_certificate,
                               arrangement_conductor_ideal,
                               arrangement_strata, monomial_conductor,
@@ -77,6 +77,29 @@ def test_points_certificate_failed_hypotheses():
     assert cert.hypotheses["generic_position"] is False
     assert cert.hypotheses_failed
     assert cert.oracle["sigma"] == 4  # still reported
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2 ** 31 - 1)], ids=repr)
+def test_points_certificate_reads_hypotheses_off_ranks(field, monkeypatch):
+    # degenerate sets fail their hypotheses with every witness path refused:
+    # no evaluation matrix, no RREF, no subset point set, no genericity check
+    def refuse(*args, **kwargs):
+        raise AssertionError("the conductor certificate built a witness")
+
+    for name in ("evaluation_matrix", "rref", "_generic_check"):
+        monkeypatch.setattr(points, name, refuse)
+    monkeypatch.setattr(PointSet, "subset", refuse)
+    sets = {
+        "collinear": (2, [[1, s, 2 * s + 1] for s in range(7)], 6),
+        "normal-curve": (3, [[1, s, s * s, s ** 3] for s in range(8)], 3),
+        "hyperplane": (3, [[1, 0, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0],
+                           [1, 1, 1, 0], [1, 2, 3, 0]], 2),
+    }
+    for name, (r, coords, sigma) in sets.items():
+        cert = points_conductor_certificate(PointSet.of(r, field, coords))
+        assert cert.verdict == "hypotheses-failed", name
+        assert cert.hypotheses["generic_position"] is False, name
+        assert cert.oracle["sigma"] == sigma, name
 
 
 def test_line_ladder():

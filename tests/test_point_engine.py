@@ -8,6 +8,7 @@ everything the old way: `hilbert_function` for every degree, a fresh
 evaluation matrices of Fractions at the normalized points.
 """
 
+import contextlib
 from fractions import Fraction
 from itertools import combinations
 from unittest import mock
@@ -21,8 +22,8 @@ from genpos.errors import StabilizationError
 from genpos.linalg import eliminate, integer_rows, nullspace_vector
 from genpos.points import (GenericityCertificate, PointSet, binom,
                            evaluation_matrix, hilbert_function,
-                           hilbert_profile, is_generic_position,
-                           is_generic_t_position, normalize_point, nu)
+                           is_generic_position, is_generic_t_position,
+                           normalize_point, nu)
 from genpos.poly import Polynomial, monomials_of_degree
 from genpos.scalars import QQ, PrimeField
 from genpos.serialize import canonical_json
@@ -166,9 +167,6 @@ def test_sigma_values_match_per_degree_ranks(family, data):
     sigma, values = points_conductor_sigma(X, dmax)
     assert list(values) == expected
     assert sigma == min(d for d, h in enumerate(expected) if h == X.e)
-    prof = hilbert_profile(X, dmax)
-    assert list(prof.values) == expected
-    assert prof.stabilization_degree == sigma
 
 
 @FAMILIES
@@ -195,6 +193,11 @@ def test_conductor_certificate_matches_old_path(family, data):
     sub = X.e < 2 or brute_t_position(X, X.e - 1)["generic"]
     assert cert.hypotheses == {"generic_position": full,
                                "generic_position_e_minus_1": sub}
+    # the certificates of `points-check`, on the same sets
+    assert cert.hypotheses == {
+        "generic_position": is_generic_position(X).generic,
+        "generic_position_e_minus_1": (
+            X.e < 2 or is_generic_t_position(X, X.e - 1).generic)}
     assert cert.oracle == {"sigma": values.index(X.e),
                            "hilbert_values": values}
 
@@ -299,7 +302,8 @@ def test_each_degree_is_built_once_per_set(monkeypatch, coords):
 def test_warmed_memo_gives_the_same_certificates(family, data):
     X = data.draw(family)
     warm = PointSet(X.r, X.field, X.points)
-    hilbert_profile(warm, nu(X.e, X.r) + 6)
+    with contextlib.suppress(StabilizationError):
+        points_conductor_sigma(warm, nu(X.e, X.r) + 6)
     is_generic_t_position(warm, data.draw(st.integers(1, X.e)))
 
     def certificates(Y):
@@ -333,7 +337,7 @@ def all_certificates(X):
     X = PointSet(X.r, X.field, X.points)  # a fresh memo
     out = [is_generic_position(X).as_dict()]
     out += [is_generic_t_position(X, t).as_dict() for t in range(1, X.e + 1)]
-    out.append(hilbert_profile(X, nu(X.e, X.r) + 4).values)
+    out.append([hilbert_function(X, d) for d in range(nu(X.e, X.r) + 5)])
     try:
         out.append(points_conductor_certificate(X).as_dict())
     except StabilizationError as exc:

@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from genpos.conductor import points_conductor_sigma
 from genpos.errors import BudgetExceededError
 from genpos.fixtures import (line_points, off_conic_points, on_conic_points,
                              tangent_point_set)
 from genpos.points import (PointSet, binom, evaluation_matrix,
-                           hilbert_function, hilbert_profile,
-                           is_generic_position, is_generic_t_position, nu,
-                           random_point_set)
+                           hilbert_function, is_generic_position,
+                           is_generic_t_position, nu, random_point_set)
 from genpos.poly import parse_polynomial
 from genpos.scalars import QQ, PrimeField
 
@@ -61,9 +61,7 @@ def test_evaluation_matrix_shape():
 
 def test_six_tangent_points_frozen_profile():
     X = tangent_point_set()
-    prof = hilbert_profile(X, 4)
-    assert prof.values == (1, 3, 4, 5, 6)
-    assert prof.stabilization_degree == 4
+    assert points_conductor_sigma(X, 4) == (4, (1, 3, 4, 5, 6))
     cert = is_generic_position(X)
     assert not cert.generic
     assert cert.failing_degree == 2

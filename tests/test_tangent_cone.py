@@ -1,5 +1,6 @@
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -328,6 +329,44 @@ def test_standard_counts_match_monomial_scan(data):
         assert next(counts) == scan, d
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cone_profile_stop_matches_standard_counts_to_degree_40(data):
+    # a monomial ideal is its own lowest-form ideal. Its H, counted through
+    # degree 40, far past every stop cone_profile can take here (leads of
+    # degree <= 16), decides the outcome: still moving near degree 40 means
+    # no curve; otherwise the profile runs exactly to the first bound that
+    # shows three equal values from the true stabilization degree on
+    n = data.draw(st.integers(1, 4))
+    exps = st.integers(0, 4)
+    leads = data.draw(st.lists(st.tuples(*[exps] * n).filter(any),
+                               min_size=1, max_size=4))
+    for i, j in combinations(range(n), 2):
+        if data.draw(st.integers(0, 5)):  # most pairs get a lead of their own
+            lead = [0] * n
+            lead[i], lead[j] = data.draw(st.tuples(exps, exps).filter(any))
+            leads.append(tuple(lead))
+    ideal = Ideal(n, QQ, [Polynomial(n, QQ, {m: 1}) for m in leads])
+    bound = data.draw(st.integers(1, 8))
+    counts = list(islice(standard_counts(leads, n), 41))
+    s = next(d for d in range(41) if len(set(counts[d:])) == 1)
+    if s > 30:
+        assert all(h > d for d, h in enumerate(counts))
+        with pytest.raises(ValueError, match="not a curve germ"):
+            cone_profile(ideal, bound)
+        return
+    tops = [b for b in (bound, 2 * bound, 4 * bound) if b >= s + 2]
+    if not tops:
+        with pytest.raises(StabilizationError,
+                           match="constant from degree %d on" % s):
+            cone_profile(ideal, bound)
+        return
+    profile = cone_profile(ideal, bound)
+    assert profile.values == tuple(counts[:tops[0] + 1])
+    assert profile.stabilization_degree == s
+    assert profile.multiplicity == counts[40]
+
+
 def test_cone_matches_point_hilbert_function():
     # a cone over points has the graded dimensions of the point set
     from genpos.points import PointSet
@@ -527,10 +566,15 @@ def test_lowest_forms_match_truncated_oracle(ideal, bound):
     assert values == [binom(d + ideal.nvars - 1, ideal.nvars - 1)
                       - truncated.slice_dim(d) for d in range(bound + 1)]
     try:
-        expected = truncated_cone_profile(truncated)
+        profile = cone_profile(ideal, bound)
+    except ValueError as exc:
+        # no curve: every x_i^a x_j^b of some pair is standard
+        assert "not a curve germ" in str(exc)
+        assert all(h > d for d, h in enumerate(values))
+        return
     except StabilizationError:
         return
-    assert cone_profile(ideal, bound) == expected
+    assert profile.values[:bound + 1] == tuple(values)
 
 
 @st.composite
