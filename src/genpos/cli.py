@@ -72,8 +72,9 @@ FLAGS = {
     "--t": dict(type=positive_int,
                 help="check every t-point subset instead of the full set"),
     "--degree-bound": dict(type=positive_int,
-                           help="degree window / first reported degree "
-                                "override"),
+                           help="degree bound of the points conductor, "
+                                "first reported degree of an ideal's cone, "
+                                "or window of a germ's membership query"),
     "--box": dict(type=positive_int,
                   help="lattice box for monomial-algebra models"),
     "--subset-budget": dict(type=positive_int,
@@ -135,8 +136,13 @@ def envelope(args):
         "budgets": {
             "degree_bound": getattr(args, "degree_bound", None),
             "box": getattr(args, "box", None),
-            "subset_budget": (getattr(args, "subset_budget", None)
-                              or DEFAULT_SUBSET_BUDGET),
+            # only the t-subset checks of points-check and the example
+            # suite run under a subset budget
+            "subset_budget": ((getattr(args, "subset_budget", None)
+                               or DEFAULT_SUBSET_BUDGET)
+                              if args.command in ("points-check",
+                                                  "reproduce-examples")
+                              else None),
             "max_basis": DEFAULT_MAX_BASIS,
             "max_pairs": DEFAULT_MAX_PAIRS,
         },
@@ -327,7 +333,8 @@ def germ_report(obj, degree_bound=None):
     """The graded profile of a parametrized germ model and, when it asks a
     membership query, the answers at min_factors and at 1 (else None), both
     read off one subalgebra_member level. `degree_bound` overrides the
-    profile's degree cap and the query's window."""
+    query's window; the profile is exact and reads no bound, so a
+    `degree_bound` without a query is an error."""
     field = field_from_json(obj.get("field"))
     gens = [parse_polynomial(s, 1, field, names=("t",))
             for s in polynomial_texts(obj["parametrization"],
@@ -336,6 +343,9 @@ def germ_report(obj, degree_bound=None):
     if mem is not None and not isinstance(mem, dict):
         raise ValueError('membership: expected an object with a "query" key, '
                          "got %s" % json.dumps(mem))
+    if not mem and degree_bound is not None:
+        raise ValueError("--degree-bound is not read by the parametrization "
+                         "route without a membership query")
     if mem:
         text = polynomial_text(mem["query"], "membership.query")
         q = parse_polynomial(text, 1, field, names=("t",))
@@ -347,7 +357,7 @@ def germ_report(obj, degree_bound=None):
         window = degree_bound or mem.get("window", 4 * q.degree())
         min_factors = integer(mem.get("min_factors", 1),
                               "membership.min_factors", 1)
-    profile = germ_profile(gens, degree_cap=degree_bound)
+    profile = germ_profile(gens)
     if not mem:
         return profile, None
     level = subalgebra_member(q, gens, window)

@@ -8,11 +8,10 @@ Three routes into the same graded object:
     cone_profile counts the monomials outside their leading ideal, so its
     values are exact in every degree, with no truncation window, and it
     stops where a degree bound on the leads proves the count constant.
-  * germ_profile reads the graded dimensions dim m^n / m^(n+1) straight off a
-    parameterized curve's coordinate subalgebra, as rank differences of nested
-    degree-windowed spans of power products of the parameterization
-    components, growing the window until the values hold still. The windows
-    grow incrementally: one level-filtered echelon (see linalg) takes each
+  * germ_profile reads the graded dimensions dim m^n / m^(n+1) of a
+    parameterized curve's local ring off the power products of its
+    components modulo a power of their gcd g, which is exact once g^N k[t]
+    lies in the ring. One level-filtered echelon (see linalg) takes each
     power product once, at its factor count, and each product is computed
     once, from the product with one factor fewer. subalgebra_member fills
     the same kind of echelon for one degree window and returns the largest
@@ -125,17 +124,6 @@ class ConeProfile:
         }
 
 
-def _stabilized(values, context):
-    d0 = len(values) - 1
-    while d0 > 0 and values[d0 - 1] == values[-1]:
-        d0 -= 1
-    if len(values) - d0 < 3:
-        raise StabilizationError(
-            "%s did not stabilize within the bound (values %s); raise the bound"
-            % (context, list(values)))
-    return d0
-
-
 def standard_counts(leads, nvars):
     """H(0), H(1), ...: how many monomials of each degree no lead divides.
 
@@ -196,32 +184,45 @@ def _dict_mul(a, b, p):
     return {e: r for e, c in out.items() if (r := c % p)}
 
 
-def _power_products(rows, p, cap, low, memo):
-    """Power products of the generators with polynomial degree in (low, cap],
-    each once, as (degree, factor count, row) triples in order of degree,
-    which keeps the echelon's pivot rows short. `rows` holds (row, degree) per
-    generator, rows being integer dicts exponent -> coefficient, taken mod p
-    when p is not None. Degrees add, so pruning on the exact degree makes the
-    tree finite; products are never truncated. `memo` maps factor multisets
-    (sorted index tuples) to their products, so a caller that widens the
-    window multiplies only the new ones.
+def _remainder(row, modulus, p):
+    """`row` modulo the monic polynomial `modulus`, both dicts exponent ->
+    coefficient; over Q as a primitive integer row, which spans the same
+    line as the rational remainder."""
+    top = max(modulus)
+    row = dict(row)
+    while (d := max(row, default=-1)) >= top:
+        f = row.pop(d)
+        for k, v in modulus.items():
+            if k < top:
+                row[k + d - top] = row.get(k + d - top, 0) - f * v
+    if p is None:
+        return to_integer_vec(row)
+    return {k: r for k, v in row.items() if (r := v % p)}
+
+
+def _power_products(rows, p, cap, modulus=None):
+    """Power products of the generators, the empty one included, each once,
+    as (weight, factor count, row) triples in order of weight. `rows` holds
+    (row, weight) per generator, rows being integer dicts exponent ->
+    coefficient, taken mod p when p is not None. Weights add, so pruning at
+    weight `cap` makes the tree finite. Each product is computed once, from
+    the product with one factor fewer, and reduced modulo `modulus` when one
+    is given (see `_remainder`); otherwise it is never truncated.
     """
     out = []
     # an explicit stack, not a recursive closure: the closure's reference
     # cycle would keep every product alive until a full garbage collection
-    stack = [((), {0: 1}, 0)]
+    stack = [(0, 0, {0: 1}, 0)]
     while stack:
-        key, cur, deg = stack.pop()
-        if deg > low:
-            out.append((deg, len(key), cur))
-        for i in range(key[-1] if key else 0, len(rows)):
-            row, d = rows[i]
-            if deg + d <= cap:
-                child = key + (i,)
-                prod = memo.get(child)
-                if prod is None:
-                    prod = memo[child] = _dict_mul(cur, row, p)
-                stack.append((child, prod, deg + d))
+        first, count, cur, weight = stack.pop()
+        out.append((weight, count, cur))
+        for i in range(first, len(rows)):
+            row, w = rows[i]
+            if weight + w <= cap:
+                prod = _dict_mul(cur, row, p)
+                if modulus is not None:
+                    prod = _remainder(prod, modulus, p)
+                stack.append((i, count + 1, prod, weight + w))
     out.sort(key=lambda product: product[0])
     return out
 
@@ -273,7 +274,7 @@ def subalgebra_member(p, gens, bound):
                          % (bound, p.degree()))
     ech, conv = _echelon_for(p.field)
     rows = _generator_rows(gens, conv)
-    for _, count, row in _power_products(rows, p.field.p, bound, 0, {}):
+    for _, count, row in _power_products(rows, p.field.p, bound):
         ech.insert(row, count)
     query = conv({e[0]: c for e, c in p.terms.items()})
     level = 0
@@ -282,40 +283,60 @@ def subalgebra_member(p, gens, bound):
     return level
 
 
-def germ_profile(gens, max_degree=6, degree_cap=None, grow_steps=8):
-    """Graded dimensions dim m^n / m^(n+1) of the subalgebra generated by
-    `gens`, where m is the ideal the generators span in it.
+def germ_profile(gens):
+    """Graded dimensions H(n) = dim m^n / m^(n+1) of the local ring A of the
+    curve t -> gens at the origin, exact in every degree.
 
-    m^n is the field-span of the power products with at least n factors, so
-    each H(n) is a difference of ranks of nested degree-windowed spans. The
-    window grows until the whole profile holds still for three consecutive
-    windows; drifting values raise StabilizationError rather than being
-    reported. One level-filtered echelon serves every window: each product
-    goes in once, when the window first reaches its degree, at its factor
-    count capped at max_degree + 1. Only rank_from(n) for n <= max_degree + 1
-    is read, and the cap leaves the rows it counts unchanged.
+    With g the monic gcd of the components (their reduced basis in k[t] is
+    [g]) and R = k[t] localized at its roots, mR = gR, so e = deg g is the
+    multiplicity. Modulo g^K the products of fewer than K factors span A,
+    and one level-filtered echelon takes each at its factor count. If every
+    g^N t^i (i < e) lies in that span, g^N R lies in A + g^(N+1) R, hence in
+    A (Nakayama), and g^(N+n) R = m^n g^N R lies in m^n; so with
+    K = N + L + 1, H(n) = rank_from(n) - rank_from(n + 1) for n <= L. H is
+    e from some s <= e - 1 on (m^n is stable once n >= e - 1: Lipman, Amer.
+    J. Math. 93, 1971), so L = max(6, e + 1) covers the values reported, up
+    to max(6, s + 2). N is at most the conductor length, at most 2 delta
+    (Serre, Algebraic Groups and Class Fields, IV 11), and a birational germ
+    has delta = dim R/A at most the arithmetic genus (D - 1)(D - 2)/2 of a
+    plane projection, D the largest component degree (Hartshorne, Algebraic
+    Geometry, IV Ex. 1.8). A map of degree d >= 2 leaves A at most eK/d
+    dimensions modulo g^K, so once A misses more than that genus, the map is
+    not birational and ValueError says so.
     """
     _check_subalgebra_gens(gens)
-    maxdeg = max(g.degree() for g in gens)
-    cap = degree_cap or maxdeg * (max_degree + 3)
     field = gens[0].field
-    ech, conv = _echelon_for(field)
-    rows = _generator_rows(gens, conv)
-    memo = {}
-    low = 0  # the empty product, of degree 0, spans no power of m
-    history = []
-    for _ in range(grow_steps):
-        for _, count, row in _power_products(rows, field.p, cap, low, memo):
-            ech.insert(row, min(count, max_degree + 1))
-        low = cap
-        dims = [ech.rank_from(n) for n in range(1, max_degree + 2)]
-        history.append(tuple([1] + [a - b for a, b in zip(dims, dims[1:])]))
-        if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
-            values = history[-1]
-            d0 = _stabilized(values, "germ profile")
-            return ConeProfile(values=values, stabilization_degree=d0,
-                               multiplicity=values[-1], emdim=values[1])
-        cap += maxdeg
-    raise StabilizationError(
-        "germ profile kept drifting as the degree window grew: %s"
-        % [list(v) for v in history])
+    (g,) = buchberger(gens)
+    e, top = g.degree(), max(c.degree() for c in gens)
+    genus, last = (top - 1) * (top - 2) // 2, max(6, e + 1)
+    powers = [{0: 1}, {m[0]: c for m, c in g.terms.items()}]
+    K = last + 2
+    while True:
+        while len(powers) <= K:
+            powers.append(_dict_mul(powers[-1], powers[1], field.p))
+        ech, conv = _echelon_for(field)
+        rows = [(row, 1) for row, _ in _generator_rows(gens, conv)]
+        # most factors first, levels capped at the last one read: a row then
+        # reduces against the pivots of the levels above its own and
+        # displaces none
+        for _, count, row in reversed(_power_products(rows, field.p, K - 1,
+                                                      powers[K])):
+            ech.insert(row, min(count, last + 1))
+        if e * K - ech.rank > genus:
+            raise ValueError(
+                "the parametrization is not birational onto its image: its "
+                "local ring misses %d > (D - 1)(D - 2)/2 = %d dimensions "
+                "modulo g^%d, g = %s, D = %d" % (e * K - ech.rank, genus, K,
+                                                 g.text(names=("t",)), top))
+        N = next((n for n in range(K) if all(
+            ech.contains(conv({k + i: c for k, c in powers[n].items()}))
+            for i in range(e))), None)
+        if N is not None and N + last + 1 <= K:
+            break
+        K = 2 * K if N is None else N + last + 1
+    dims = [ech.rank_from(n) for n in range(1, last + 2)]
+    values = [1] + [a - b for a, b in zip(dims, dims[1:])]
+    s = values.index(e)
+    values = tuple(values[:max(6, s + 2) + 1])
+    return ConeProfile(values=values, stabilization_degree=s,
+                       multiplicity=e, emdim=values[1])

@@ -180,6 +180,47 @@ def test_tangent_cone_routes_reject_flags_they_do_not_read(tmp_path,
                      "Q"]) == 0
 
 
+def test_parametrization_route_reads_degree_bound_only_for_a_query(
+        tmp_path, capsys):
+    # the profile is exact and reads no bound; the flag is the query's window
+    from genpos import cli
+
+    germ = {"field": "Q", "parametrization": ["t^2", "t^3"]}
+    src, out = tmp_path / "germ.json", tmp_path / "cone.json"
+    src.write_text(json.dumps(germ))
+    assert cli.main(["tangent-cone", str(src), "--degree-bound", "12",
+                     "--json-out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --degree-bound is not read by the parametrization route "
+        "without a membership query\n")
+    assert not out.exists()
+    src.write_text(json.dumps(dict(germ, membership={"query": "t^5"})))
+    assert cli.main(["tangent-cone", str(src), "--degree-bound", "12",
+                     "--json-out", str(out)]) == 0
+    assert json.loads(out.read_text())["membership"]["window"] == 12
+
+
+def test_parametrization_route_exact_past_the_plateau_and_non_birational(
+        tmp_path):
+    # (t^7, t^8) rises until degree 6, past any three-window plateau;
+    # t -> (t^2, t^4) is two-to-one onto its image
+    src = tmp_path / "germ.json"
+    src.write_text(json.dumps({"field": "Q",
+                               "parametrization": ["t^7", "t^8"]}))
+    res = run_cli("tangent-cone", str(src))
+    assert res.returncode == 0, res.stderr
+    assert "multiplicity: 7, embedding dimension: 2" in res.stdout
+    payload = json.loads(res.stdout[res.stdout.index("{"):])
+    assert payload["profile"]["stabilization_degree"] == 6
+    src.write_text(json.dumps({"field": "Q",
+                               "parametrization": ["t^2", "t^4"]}))
+    res = run_cli("tangent-cone", str(src))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: the parametrization is not "
+                                 "birational onto its image")
+    assert "Traceback" not in res.stderr
+
+
 def test_sigma_floor_error_names_the_degree_bound(capsys):
     from genpos import cli
 
@@ -275,9 +316,14 @@ def test_unaccepted_flags_and_values_exit_2():
 
 
 def test_envelope_records_fixed_seed_and_library_budgets(tmp_path):
-    for args in (("points-check", fx("line_points.json")),
-                 ("conductor", fx("semigroup_2_3.json")),
-                 ("tangent-cone", fx("germ_curve.json"))):
+    # only points-check runs t-subset checks, under the default budget;
+    # conductor and tangent-cone read no subset budget
+    for args, subset_budget in ((("points-check", fx("line_points.json")),
+                                 20000),
+                                (("conductor", fx("semigroup_2_3.json")),
+                                 None),
+                                (("tangent-cone", fx("germ_curve.json")),
+                                 None)):
         out = tmp_path / (args[0] + ".json")
         res = run_cli(*args, "--json-out", str(out))
         assert res.returncode in (0, 3), (args, res.stderr)
@@ -285,7 +331,7 @@ def test_envelope_records_fixed_seed_and_library_budgets(tmp_path):
         assert env["seed"] == 0
         assert env["budgets"]["max_basis"] == 500
         assert env["budgets"]["max_pairs"] == 50000
-        assert env["budgets"]["subset_budget"] == 20000
+        assert env["budgets"]["subset_budget"] == subset_budget
 
 
 def test_malformed_and_missing_inputs(tmp_path):

@@ -18,12 +18,26 @@ from genpos.poly import (DEGREVLEX, BlockOrder, Polynomial,
 from genpos.scalars import QQ, PrimeField
 from genpos.tangent_cone import (Branch, BranchCurve, ConeProfile,
                                  _check_subalgebra_gens, _dict_mul,
-                                 _echelon_for, _generator_rows, _stabilized,
+                                 _echelon_for, _generator_rows,
                                  branch_tangent_points, cone_profile,
                                  germ_profile, lowest_form_ideal,
                                  standard_counts, subalgebra_member)
 
 F11 = PrimeField(11)
+
+
+# The plateau rule both truncated oracles below stop on: the values must end
+# in at least three equal ones, and the first of those is the reading.
+
+def _stabilized(values, context):
+    d0 = len(values) - 1
+    while d0 > 0 and values[d0 - 1] == values[-1]:
+        d0 -= 1
+    if len(values) - d0 < 3:
+        raise StabilizationError(
+            "%s did not stabilize within the bound (values %s); raise the bound"
+            % (context, list(values)))
+    return d0
 
 
 # The truncated route `lowest_form_ideal` and `cone_profile` took before they
@@ -90,8 +104,9 @@ def truncated_cone_profile(truncated):
                        emdim=values[1] if len(values) > 1 else 0)
 
 
-# germ_profile before it grew one level-filtered echelon across its degree
-# windows, kept as the oracle: every window recomputes every power product
+# germ_profile before it read H exactly modulo a power of the components'
+# gcd, kept as the oracle: it grows a degree window until the profile holds
+# still for three windows, and every window recomputes every power product
 # and fills a fresh echelon, level by level from the top.
 
 def rebuild_dict_mul(a, b, field):
@@ -441,19 +456,13 @@ def test_germ_profile_cusp():
     assert prof.emdim == 2
 
 
-def test_germ_profile_validation_and_drift():
+def test_germ_profile_validation_and_non_birational():
     t = tvar()
     with pytest.raises(ValueError):
         germ_profile((t + 1,))
-    with pytest.raises(StabilizationError):
-        germ_profile(germ_components(), degree_cap=3, grow_steps=2)
-
-
-def profile_or_error(profile, gens, **kwargs):
-    try:
-        return profile(gens, **kwargs)
-    except StabilizationError as exc:
-        return str(exc)
+    # t -> (t^2, t^4) is two-to-one onto the parabola y = x^2
+    with pytest.raises(ValueError, match="not birational onto its image"):
+        germ_profile((t ** 2, t ** 4))
 
 
 @st.composite
@@ -475,14 +484,20 @@ def germs(draw):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(germs(), st.integers(3, 6),
-       st.sampled_from([None, None, None, 6, 12, 24]), st.integers(3, 8))
-def test_germ_profile_matches_rebuild_oracle(gens, max_degree, degree_cap,
-                                             grow_steps):
-    kwargs = dict(max_degree=max_degree, degree_cap=degree_cap,
-                  grow_steps=grow_steps)
-    assert profile_or_error(germ_profile, gens, **kwargs) == \
-        profile_or_error(rebuild_germ_profile, gens, **kwargs)
+@given(germs())
+def test_germ_profile_matches_rebuild_oracle(gens):
+    # wherever the windowed oracle stabilizes on a birational germ, its
+    # plateau reading is the exact profile
+    try:
+        prof = germ_profile(gens)
+    except ValueError as exc:
+        assert "not birational" in str(exc)
+        return
+    try:
+        expected = rebuild_germ_profile(gens)
+    except StabilizationError:
+        return
+    assert prof == expected
 
 
 def implicit_ideal(gens):
@@ -529,12 +544,46 @@ def test_germ_profile_matches_elimination_oracle_random(order, comps):
     gens = [Polynomial(1, field, {(order,): 1})] + [
         Polynomial(1, field, {(o + k,): c for k, c in ({0: 1} | tail).items()})
         for o, tail in comps]
+    cone = cone_profile(implicit_ideal(gens))
     try:
         prof = germ_profile(gens)
-    except StabilizationError:
-        reject()
+    except ValueError as exc:
+        # a map of degree d >= 2 onto its image divides the multiplicity
+        # deg gcd by d
+        assert "not birational" in str(exc)
+        assert cone.multiplicity < buchberger(gens)[0].degree()
+        return
+    assert prof.values == cone.values[:len(prof.values)]
+    assert prof.multiplicity == cone.multiplicity
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)])
+def test_germ_profile_with_branches_off_t_zero(field):
+    # u = t(2t - 1): both roots of u carry a branch of order 2 through the
+    # origin, and the components' gcd u^2 is monic only with coefficient 1/4
+    t = tvar(field)
+    u = t * t * 2 - t
+    gens = (u ** 2, u ** 3 + t * u ** 2)
+    prof = germ_profile(gens)
     cone = cone_profile(implicit_ideal(gens))
     assert prof.values == cone.values[:len(prof.values)]
+    assert prof.values == (1, 2, 3, 4, 4, 4, 4)
+    assert prof.multiplicity == cone.multiplicity == 4
+
+
+@pytest.mark.parametrize("e", [6, 7])
+def test_germ_profile_of_monomial_curves_past_the_plateau(e):
+    # (t^e, t^(e+1)) has H(n) = n + 1 until n = e - 1, so its values run
+    # past degree 6, to e + 1
+    field = PrimeField(32003)
+    t = tvar(field)
+    gens = (t ** e, t ** (e + 1))
+    prof = germ_profile(gens)
+    cone = cone_profile(implicit_ideal(gens))
+    assert prof.values == cone.values[:len(prof.values)]
+    assert prof.values == tuple(range(1, e + 1)) + (e, e)
+    assert prof.multiplicity == e
+    assert prof.stabilization_degree == e - 1
 
 
 @st.composite
