@@ -16,7 +16,7 @@ from .points import (PointSet, hilbert_function, is_generic_position,
                      is_generic_t_position, nu, random_point_set)
 from .poly import (DEGREVLEX, LEX, BlockOrder, Polynomial, parse_polynomial)
 from .scalars import QQ, FieldMismatchError, PrimeField, roots_of_unity
-from .tangent_cone import (Branch, BranchCurve, ConeProfile,
+from .tangent_cone import (Branch, BranchCurve, ConeProfile, GermRing,
                            branch_tangent_points, cone_profile, germ_profile,
                            lowest_form_ideal, subalgebra_member)
 
@@ -32,7 +32,7 @@ __all__ = [
     "is_generic_position", "is_generic_t_position", "random_point_set",
     "Branch", "BranchCurve", "ConeProfile", "branch_tangent_points",
     "lowest_form_ideal", "cone_profile", "germ_profile",
-    "subalgebra_member",
+    "subalgebra_member", "GermRing",
     "ConductorCertificate", "NumericalSemigroup",
     "points_conductor_sigma", "points_conductor_certificate",
     "semigroup_certificate", "monomial_conductor",

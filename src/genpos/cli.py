@@ -6,7 +6,8 @@ Subcommands:
                       model kinds: points, semigroup, monomial-algebra,
                       arrangement
   tangent-cone        graded profile of a singularity, from a branch
-                      decomposition, a parametrization, or an ideal
+                      decomposition, a parametrization (with the exact
+                      level of a query in the powers of m), or an ideal
   reproduce-examples  run the bundled example suite against golden outputs
 
 Exit codes: 0 positive result (generic / match / all reproduced), 1 negative
@@ -42,8 +43,8 @@ from .serialize import (canonical_json, curve_from_json, exponent_vectors,
                         load_json, point_set_from_json, point_set_to_json,
                         polynomial_text, polynomial_texts,
                         polynomials_from_json)
-from .tangent_cone import (branch_tangent_points, cone_profile, germ_profile,
-                           subalgebra_member)
+from .tangent_cone import (GermRing, branch_tangent_points, cone_profile,
+                           germ_profile, subalgebra_member)
 
 
 def parse_field_spec(s):
@@ -72,9 +73,10 @@ FLAGS = {
     "--t": dict(type=positive_int,
                 help="check every t-point subset instead of the full set"),
     "--degree-bound": dict(type=positive_int,
-                           help="degree bound of the points conductor, "
-                                "first reported degree of an ideal's cone, "
-                                "or window of a germ's membership query"),
+                           help="degree bound of the points conductor, or "
+                                "first reported degree of an ideal's cone; "
+                                "the branches and parametrization routes "
+                                "are exact and read no bound"),
     "--box": dict(type=positive_int,
                   help="lattice box for monomial-algebra models"),
     "--subset-budget": dict(type=positive_int,
@@ -294,17 +296,19 @@ def cmd_tangent_cone(args):
         obj = load_json(path)
         if args.field is not None:
             obj = dict(obj, field=args.field)
-        if "branches" in obj:
-            if args.degree_bound is not None:
-                raise ValueError("--degree-bound is not read by the branches "
-                                 "route")
-            return _cone_from_branches(obj, args)
-        if "parametrization" in obj:
-            return _cone_from_parametrization(obj, args)
-        if "gens" in obj:
-            return _cone_from_ideal(obj, args)
-        raise ValueError('tangent-cone input needs "branches", '
-                         '"parametrization", or "gens"')
+        for key, route in (("branches", _cone_from_branches),
+                           ("parametrization", _cone_from_parametrization),
+                           ("gens", _cone_from_ideal)):
+            if key in obj:
+                break
+        else:
+            raise ValueError('tangent-cone input needs "branches", '
+                             '"parametrization", or "gens"')
+        # only the ideal route reads a bound; the other two are exact
+        if args.degree_bound is not None and key != "gens":
+            raise ValueError("--degree-bound is not read by the %s route"
+                             % key)
+        return route(obj, args)
 
     return run_batch(args, one)
 
@@ -329,12 +333,11 @@ def _cone_from_branches(obj, args):
     return 0, lines, payload
 
 
-def germ_report(obj, degree_bound=None):
+def germ_report(obj):
     """The graded profile of a parametrized germ model and, when it asks a
     membership query, the answers at min_factors and at 1 (else None), both
-    read off one subalgebra_member level. `degree_bound` overrides the
-    query's window; the profile is exact and reads no bound, so a
-    `degree_bound` without a query is an error."""
+    read off the query's exact level in the powers of the maximal ideal of
+    the germ's local ring. The profile and the level read one GermRing."""
     field = field_from_json(obj.get("field"))
     gens = [parse_polynomial(s, 1, field, names=("t",))
             for s in polynomial_texts(obj["parametrization"],
@@ -343,42 +346,38 @@ def germ_report(obj, degree_bound=None):
     if mem is not None and not isinstance(mem, dict):
         raise ValueError('membership: expected an object with a "query" key, '
                          "got %s" % json.dumps(mem))
-    if not mem and degree_bound is not None:
-        raise ValueError("--degree-bound is not read by the parametrization "
-                         "route without a membership query")
-    if mem:
-        text = polynomial_text(mem["query"], "membership.query")
-        q = parse_polynomial(text, 1, field, names=("t",))
-        if q.is_zero():
-            raise ValueError("membership.query: the zero query lies in every "
-                             "power of the maximal ideal")
-        if "window" in mem:
-            integer(mem["window"], "membership.window", 1)
-        window = degree_bound or mem.get("window", 4 * q.degree())
-        min_factors = integer(mem.get("min_factors", 1),
-                              "membership.min_factors", 1)
-    profile = germ_profile(gens)
-    if not mem:
-        return profile, None
-    level = subalgebra_member(q, gens, window)
-    return profile, {"query": text, "window": window,
-                     "min_factors": min_factors,
+    if mem is None:
+        return germ_profile(gens), None
+    if "window" in mem:
+        raise ValueError("membership.window is not read: the query's level "
+                         "in the powers of the maximal ideal is exact")
+    text = polynomial_text(mem["query"], "membership.query")
+    q = parse_polynomial(text, 1, field, names=("t",))
+    if q.is_zero():
+        raise ValueError("membership.query: the zero query lies in every "
+                         "power of the maximal ideal")
+    min_factors = integer(mem.get("min_factors", 1),
+                          "membership.min_factors", 1)
+    ring = GermRing(gens, q)
+    profile = germ_profile(gens, ring)
+    level = subalgebra_member(q, gens, ring)
+    return profile, {"query": text, "min_factors": min_factors,
                      "member": level >= min_factors,
                      "member_at_min_factors_1": level >= 1}
 
 
 def _cone_from_parametrization(obj, args):
-    profile, mem = germ_report(obj, args.degree_bound)
+    profile, mem = germ_report(obj)
     lines = ["graded quotient dimensions: %s" % (list(profile.values),),
              "multiplicity: %d, embedding dimension: %d"
              % (profile.multiplicity, profile.emdim)]
     payload = {"command": "tangent-cone", "route": "parametrization",
                "envelope": envelope(args), "profile": profile.as_dict()}
     if mem:
-        lines += ["query %s factor-count >= %d span (degree window %d): %s"
+        lines += ["query %s m^%d: %s"
                   % ("inside" if mem["member"] else "outside",
-                     mem["min_factors"], mem["window"], mem["query"]),
-                  "query inside the span of all products: %s"
+                     mem["min_factors"], mem["query"]),
+                  "query inside m: %s"
                   % ("yes" if mem["member_at_min_factors_1"] else "no")]
         payload["membership"] = mem
     return 0, lines, payload

@@ -52,9 +52,9 @@ def germ_components(field=None):
 
 def germ_membership_query(field=None):
     """The product fg*(fg + g) whose class is tested against the cube of the
-    maximal ideal; window and factor threshold for the span check."""
+    maximal ideal, and that power, 3."""
     g, tg, fg = germ_components(field)
-    return fg * (fg + g), 40, 3
+    return fg * (fg + g), 3
 
 
 def germ_preimages():
@@ -153,13 +153,12 @@ def fixture_files():
     """name -> JSON-serializable content for every shipped input fixture."""
     field = unity_field()
     curve = germ_branch_curve()
-    query, window, min_factors = germ_membership_query()
+    query, min_factors = germ_membership_query()
     germ_model = {
         "field": field_to_json(field),
         "parametrization": [c.text(names=("t",)) for c in germ_components()],
         "membership": {
             "query": query.text(names=("t",)),
-            "window": window,
             "min_factors": min_factors,
         },
     }

@@ -11,17 +11,18 @@ Three routes into the same graded object:
   * germ_profile reads the graded dimensions dim m^n / m^(n+1) of a
     parameterized curve's local ring off the power products of its
     components modulo a power of their gcd g, which is exact once g^N k[t]
-    lies in the ring. One level-filtered echelon (see linalg) takes each
-    power product once, at its factor count, and each product is computed
-    once, from the product with one factor fewer. subalgebra_member fills
-    the same kind of echelon for one degree window and returns the largest
-    n with the query in m^n there, so one span answers every power.
+    lies in the ring. One level-filtered echelon (see linalg), a GermRing,
+    takes each power product once, at its factor count, and each product is
+    computed once, from the product with one factor fewer.
+    subalgebra_member reads the largest n with a query in m^n off the same
+    echelon, built deep enough for that query, so one build answers both.
   * branch_tangent_points extracts the tangent directions of a branch
     decomposition; for a germ with smooth branches these are the points whose
     count is the multiplicity.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, islice
 from operator import le
 
@@ -200,103 +201,48 @@ def _remainder(row, modulus, p):
     return {k: r for k, v in row.items() if (r := v % p)}
 
 
-def _power_products(rows, p, cap, modulus=None):
-    """Power products of the generators, the empty one included, each once,
-    as (weight, factor count, row) triples in order of weight. `rows` holds
-    (row, weight) per generator, rows being integer dicts exponent ->
-    coefficient, taken mod p when p is not None. Weights add, so pruning at
-    weight `cap` makes the tree finite. Each product is computed once, from
-    the product with one factor fewer, and reduced modulo `modulus` when one
-    is given (see `_remainder`); otherwise it is never truncated.
-    """
+def _power_products(rows, p, cap, modulus):
+    """Power products of the generator rows (integer dicts exponent ->
+    coefficient, mod p when p is not None) with at most `cap` factors, the
+    empty one included, as (factor count, row) pairs, most factors first.
+    Each is computed once, from the product with one factor fewer, and
+    reduced modulo `modulus` (see `_remainder`)."""
     out = []
     # an explicit stack, not a recursive closure: the closure's reference
     # cycle would keep every product alive until a full garbage collection
-    stack = [(0, 0, {0: 1}, 0)]
+    stack = [(0, 0, {0: 1})]
     while stack:
-        first, count, cur, weight = stack.pop()
-        out.append((weight, count, cur))
-        for i in range(first, len(rows)):
-            row, w = rows[i]
-            if weight + w <= cap:
-                prod = _dict_mul(cur, row, p)
-                if modulus is not None:
-                    prod = _remainder(prod, modulus, p)
-                stack.append((i, count + 1, prod, weight + w))
+        first, count, cur = stack.pop()
+        out.append((count, cur))
+        if count < cap:
+            for i in range(first, len(rows)):
+                stack.append((i, count + 1, _remainder(
+                    _dict_mul(cur, rows[i], p), modulus, p)))
     out.sort(key=lambda product: product[0])
-    return out
+    return out[::-1]
 
 
-def _check_subalgebra_gens(gens):
-    if not gens:
-        raise ValueError("need at least one generator")
-    for g in gens:
-        if g.nvars != 1:
-            raise ValueError("generators must be univariate")
-        if g.is_zero() or (0,) in g.terms:
-            raise ValueError("generators must be nonzero with zero constant term")
+def _coefficients(poly):
+    return {e[0]: c for e, c in poly.terms.items()}
 
 
-def _echelon_for(field):
-    """An empty echelon over `field` and the map of a coefficient dict to its
-    row. Over Q the rows are primitive integer dicts for the fraction-free
-    IntegerEchelon; a product of primitive rows is again primitive (Gauss's
-    lemma) and a nonzero multiple of the rational product, which leaves every
-    span unchanged."""
-    if field == QQ:
-        return IntegerEchelon(), to_integer_vec
-    return SparseEchelon(field), (lambda v: v)
-
-
-def _generator_rows(gens, conv):
-    return [(conv({e[0]: c for e, c in g.terms.items()}), g.degree())
-            for g in gens]
-
-
-def subalgebra_member(p, gens, bound):
-    """The largest n >= 1 such that p lies in the span of the power products
-    of the generators with at least n factors and polynomial degree <= bound;
-    0 when p lies outside that span for n = 1.
-
-    The span for n windows m^n, m being the ideal the generators span in the
-    subalgebra they generate. One level-filtered echelon takes each product
-    once, at its factor count, and answers every n. A level of n exhibits a
-    combination, hence certifies membership in m^n; the refutation at n + 1
-    is exact for the degree window.
-    """
-    _check_subalgebra_gens(gens)
-    if p.nvars != 1:
-        raise ValueError("query must be univariate")
-    if p.is_zero():
-        raise ValueError("the zero query lies in every power of m")
-    if p.degree() > bound:
-        raise ValueError("degree window %d smaller than deg p = %d"
-                         % (bound, p.degree()))
-    ech, conv = _echelon_for(p.field)
-    rows = _generator_rows(gens, conv)
-    for _, count, row in _power_products(rows, p.field.p, bound):
-        ech.insert(row, count)
-    query = conv({e[0]: c for e, c in p.terms.items()})
-    level = 0
-    while ech.contains(query, level + 1):
-        level += 1
-    return level
-
-
-def germ_profile(gens):
-    """Graded dimensions H(n) = dim m^n / m^(n+1) of the local ring A of the
-    curve t -> gens at the origin, exact in every degree.
+class GermRing:
+    """The local ring A of the curve t -> gens at the origin modulo g^K: one
+    level-filtered echelon of the power products of the components at their
+    factor counts, levels capped at top + 1. germ_profile and
+    subalgebra_member handed one ring share its one build, which runs on
+    first use, so its time falls inside germ_profile, a function the
+    benchmark tracer times by name.
 
     With g the monic gcd of the components (their reduced basis in k[t] is
     [g]) and R = k[t] localized at its roots, mR = gR, so e = deg g is the
-    multiplicity. Modulo g^K the products of fewer than K factors span A,
-    and one level-filtered echelon takes each at its factor count. If every
-    g^N t^i (i < e) lies in that span, g^N R lies in A + g^(N+1) R, hence in
-    A (Nakayama), and g^(N+n) R = m^n g^N R lies in m^n; so with
-    K = N + L + 1, H(n) = rank_from(n) - rank_from(n + 1) for n <= L. H is
-    e from some s <= e - 1 on (m^n is stable once n >= e - 1: Lipman, Amer.
-    J. Math. 93, 1971), so L = max(6, e + 1) covers the values reported, up
-    to max(6, s + 2). N is at most the conductor length, at most 2 delta
+    multiplicity. Modulo g^K the products of at least n and fewer than K
+    factors span the image of m^n. If every g^N t^i (i < e) lies in the span
+    of all products, g^N R lies in A + g^(N+1) R, hence in A (Nakayama), and
+    g^(N+n) R = m^n g^N R lies in m^n; so with K = N + top + 1 the level-n
+    span is exactly the image of m^n for every n <= top + 1. top is
+    max(6, e + 1), the last degree germ_profile reads, or the g-adic order
+    of `query` if larger. N is at most the conductor length, at most 2 delta
     (Serre, Algebraic Groups and Class Fields, IV 11), and a birational germ
     has delta = dim R/A at most the arithmetic genus (D - 1)(D - 2)/2 of a
     plane projection, D the largest component degree (Hartshorne, Algebraic
@@ -304,39 +250,92 @@ def germ_profile(gens):
     dimensions modulo g^K, so once A misses more than that genus, the map is
     not birational and ValueError says so.
     """
-    _check_subalgebra_gens(gens)
-    field = gens[0].field
-    (g,) = buchberger(gens)
-    e, top = g.degree(), max(c.degree() for c in gens)
-    genus, last = (top - 1) * (top - 2) // 2, max(6, e + 1)
-    powers = [{0: 1}, {m[0]: c for m, c in g.terms.items()}]
-    K = last + 2
-    while True:
-        while len(powers) <= K:
-            powers.append(_dict_mul(powers[-1], powers[1], field.p))
-        ech, conv = _echelon_for(field)
-        rows = [(row, 1) for row, _ in _generator_rows(gens, conv)]
-        # most factors first, levels capped at the last one read: a row then
-        # reduces against the pivots of the levels above its own and
-        # displaces none
-        for _, count, row in reversed(_power_products(rows, field.p, K - 1,
-                                                      powers[K])):
-            ech.insert(row, min(count, last + 1))
-        if e * K - ech.rank > genus:
-            raise ValueError(
-                "the parametrization is not birational onto its image: its "
-                "local ring misses %d > (D - 1)(D - 2)/2 = %d dimensions "
-                "modulo g^%d, g = %s, D = %d" % (e * K - ech.rank, genus, K,
-                                                 g.text(names=("t",)), top))
-        N = next((n for n in range(K) if all(
-            ech.contains(conv({k + i: c for k, c in powers[n].items()}))
-            for i in range(e))), None)
-        if N is not None and N + last + 1 <= K:
-            break
-        K = 2 * K if N is None else N + last + 1
-    dims = [ech.rank_from(n) for n in range(1, last + 2)]
+
+    def __init__(self, gens, query=None):
+        if not gens or any(g.nvars != 1 or g.is_zero() or (0,) in g.terms
+                           for g in gens):
+            raise ValueError("need univariate generators, each nonzero with "
+                             "zero constant term")
+        self.gens, self.field = tuple(gens), gens[0].field
+        (self.g,) = buchberger(gens)
+        self.e, self.powers = self.g.degree(), [{0: 1}, _coefficients(self.g)]
+        self.top = max(6, self.e + 1,
+                       0 if query is None else self.order(query))
+
+    def power(self, n):
+        while len(self.powers) <= n:
+            self.powers.append(_dict_mul(self.powers[-1], self.powers[1],
+                                         self.field.p))
+        return self.powers[n]
+
+    def order(self, q):
+        """The largest b with g^b | q in k[t]. m^n lies in g^n R, which meets
+        k[t] in g^n k[t], so q in m^n forces n <= b."""
+        if q.nvars != 1 or q.is_zero():
+            raise ValueError("the query must be a nonzero polynomial in t")
+        b = 0
+        while not _remainder(_coefficients(q), self.power(b + 1),
+                             self.field.p):
+            b += 1
+        return b
+
+    @cached_property
+    def echelon(self):
+        field, e, top, p = self.field, self.e, self.top, self.field.p
+        D = max(c.degree() for c in self.gens)
+        genus, K = (D - 1) * (D - 2) // 2, top + 2
+        while True:
+            # _remainder also puts a row in the echelon's form: over Q a
+            # primitive integer row, and products of those stay primitive
+            # (Gauss's lemma), so IntegerEchelon never sees a Fraction
+            ech = IntegerEchelon() if field == QQ else SparseEchelon(field)
+            modulus = self.power(K)
+            rows = [_remainder(_coefficients(c), modulus, p)
+                    for c in self.gens]
+            # most factors first: a row then reduces against the pivots of
+            # the levels above its own and displaces none
+            for count, row in _power_products(rows, p, K - 1, modulus):
+                ech.insert(row, min(count, top + 1))
+            if (missing := e * K - ech.rank) > genus:
+                raise ValueError(
+                    "the parametrization is not birational onto its image: "
+                    "its local ring misses %d > (D - 1)(D - 2)/2 = %d "
+                    "dimensions modulo g^%d, g = %s, D = %d"
+                    % (missing, genus, K, self.g.text(names=("t",)), D))
+            N = next((n for n in range(K) if all(ech.contains(_remainder(
+                {k + i: c for k, c in self.power(n).items()}, modulus, p))
+                for i in range(e))), None)
+            if N is not None and N + top + 1 <= K:
+                return ech, K
+            K = 2 * K if N is None else N + top + 1
+
+
+def subalgebra_member(q, gens, ring=None):
+    """The largest n with q in m^n, m the maximal ideal of the local ring of
+    the curve t -> gens at the origin, read off `ring`, a GermRing of `gens`
+    built for q (None builds one): the largest n <= ring.order(q) whose
+    level-n span holds q modulo g^K. A combination of products exhibits q in
+    m^n; q outside the span is outside m^n."""
+    ring = ring or GermRing(gens, q)
+    if (b := ring.order(q)) > ring.top:
+        raise ValueError("the ring reads levels <= %d, not %d" % (ring.top, b))
+    ech, K = ring.echelon
+    row = _remainder(_coefficients(q), ring.power(K), ring.field.p)
+    return next((n for n in range(b, 0, -1) if ech.contains(row, n)), 0)
+
+
+def germ_profile(gens, ring=None):
+    """Graded dimensions H(n) = dim m^n / m^(n+1) of the local ring of the
+    curve t -> gens at the origin, exact in every degree: rank differences of
+    the level-n spans of `ring`, a GermRing of `gens` (None builds one), for
+    n <= L + 1, L = max(6, e + 1). H is e from some s <= e - 1 on (m^n is
+    stable once n >= e - 1: Lipman, Amer. J. Math. 93, 1971), so L covers the
+    values reported, up to max(6, s + 2)."""
+    ring = ring or GermRing(gens)
+    ech, _ = ring.echelon
+    dims = [ech.rank_from(n) for n in range(1, max(6, ring.e + 1) + 2)]
     values = [1] + [a - b for a, b in zip(dims, dims[1:])]
-    s = values.index(e)
+    s = values.index(ring.e)
     values = tuple(values[:max(6, s + 2) + 1])
     return ConeProfile(values=values, stabilization_degree=s,
-                       multiplicity=e, emdim=values[1])
+                       multiplicity=ring.e, emdim=values[1])

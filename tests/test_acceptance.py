@@ -44,9 +44,9 @@ def test_six_point_model_reproduced_exactly():
     ok = ok and sigma_cert.oracle["sigma"] == 4
     prof = germ_profile(germ_components(unity_field()))
     ok = ok and prof.values == (1, 3, 5, 5, 6, 6, 6)
-    query, window, min_factors = germ_membership_query()
+    query, min_factors = germ_membership_query()
     gens = germ_components(unity_field())
-    ok = ok and 1 <= subalgebra_member(query, gens, window) < min_factors
+    ok = ok and 1 <= subalgebra_member(query, gens) < min_factors
     elapsed = time.monotonic() - start
     report(1, "six tangent directions, conductor degree 4, membership "
               "query outside the cube (%.2fs < 5s)" % elapsed,

@@ -180,24 +180,36 @@ def test_tangent_cone_routes_reject_flags_they_do_not_read(tmp_path,
                      "Q"]) == 0
 
 
-def test_parametrization_route_reads_degree_bound_only_for_a_query(
-        tmp_path, capsys):
-    # the profile is exact and reads no bound; the flag is the query's window
+def test_parametrization_route_rejects_degree_bound(tmp_path, capsys):
+    # the profile and the membership level are exact and read no bound
     from genpos import cli
 
     germ = {"field": "Q", "parametrization": ["t^2", "t^3"]}
     src, out = tmp_path / "germ.json", tmp_path / "cone.json"
-    src.write_text(json.dumps(germ))
-    assert cli.main(["tangent-cone", str(src), "--degree-bound", "12",
-                     "--json-out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        "error: --degree-bound is not read by the parametrization route "
-        "without a membership query\n")
-    assert not out.exists()
-    src.write_text(json.dumps(dict(germ, membership={"query": "t^5"})))
-    assert cli.main(["tangent-cone", str(src), "--degree-bound", "12",
-                     "--json-out", str(out)]) == 0
-    assert json.loads(out.read_text())["membership"]["window"] == 12
+    for obj in (germ, dict(germ, membership={"query": "t^5"})):
+        src.write_text(json.dumps(obj))
+        assert cli.main(["tangent-cone", str(src), "--degree-bound", "12",
+                         "--json-out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --degree-bound is not read by the parametrization route\n")
+        assert not out.exists()
+
+
+def test_parametrization_route_reads_the_exact_local_level(tmp_path, capsys):
+    # (t^2, t^3): m^n = t^(2n) k[[t]], so t^41 lies in m^20, not in m^21
+    from genpos import cli
+
+    src, out = tmp_path / "germ.json", tmp_path / "cone.json"
+    for k, inside in ((20, "inside"), (21, "outside")):
+        src.write_text(json.dumps({
+            "field": "Q", "parametrization": ["t^2", "t^3"],
+            "membership": {"query": "t^41", "min_factors": k}}))
+        assert cli.main(["tangent-cone", str(src), "--json-out",
+                         str(out)]) == 0
+        assert "query %s m^%d: t^41\n" % (inside, k) in capsys.readouterr().out
+        assert json.loads(out.read_text())["membership"] == {
+            "query": "t^41", "min_factors": k, "member": inside == "inside",
+            "member_at_min_factors_1": True}
 
 
 def test_parametrization_route_exact_past_the_plateau_and_non_birational(
@@ -450,9 +462,12 @@ def test_membership_fields_must_be_positive_ints(tmp_path, capsys):
     from genpos import cli
 
     germ = {"field": "Q", "parametrization": ["t^2", "t^3"]}
-    cases = [({"query": "t^4", "window": 2.5}, "membership.window", "2.5"),
-             ({"query": "t^4", "window": "30"}, "membership.window", '"30"'),
-             ({"query": "t^4", "window": True}, "membership.window", "true"),
+    cases = [({"query": "t^4", "min_factors": 2.5}, "membership.min_factors",
+              "2.5"),
+             ({"query": "t^4", "min_factors": "3"}, "membership.min_factors",
+              '"3"'),
+             ({"query": "t^4", "min_factors": True}, "membership.min_factors",
+              "true"),
              ({"query": "t^4", "min_factors": 0}, "membership.min_factors",
               "0")]
     for mem, path, got in cases:
@@ -465,10 +480,30 @@ def test_membership_fields_must_be_positive_ints(tmp_path, capsys):
         assert captured.out == "", mem
 
 
+def test_membership_window_and_empty_object_exit_2(tmp_path, capsys):
+    # the level is exact, so a window is not read; an empty object asks no
+    # query and is an error like any object without one
+    from genpos import cli
+
+    germ = {"field": "Q", "parametrization": ["t^2", "t^3"]}
+    cases = [({"query": "t^4", "window": 40},
+              "membership.window is not read: the query's level in the "
+              "powers of the maximal ideal is exact"),
+             ({}, "missing key 'query' in input"),
+             ({"min_factors": 2}, "missing key 'query' in input")]
+    for mem, message in cases:
+        src = tmp_path / "germ.json"
+        src.write_text(json.dumps(dict(germ, membership=mem)))
+        assert cli.main(["tangent-cone", str(src)]) == 2, mem
+        captured = capsys.readouterr()
+        assert captured.err == "error: %s\n" % message, mem
+        assert captured.out == "", mem
+
+
 def test_zero_membership_query_exits_2(tmp_path, capsys):
     from genpos import cli
 
-    for mem in ({"query": "0", "window": 8}, {"query": "t^2 - t^2"},
+    for mem in ({"query": "0", "min_factors": 8}, {"query": "t^2 - t^2"},
                 {"query": "0"}):
         src = tmp_path / "germ.json"
         src.write_text(json.dumps({"field": "Q",

@@ -1,6 +1,7 @@
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
+from math import gcd
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -12,18 +13,26 @@ from genpos.fixtures import (germ_branch_curve, germ_components,
                              germ_membership_query, tangent_point_set,
                              unity_field)
 from genpos.groebner import Ideal, buchberger
+from genpos.linalg import IntegerEchelon, SparseEchelon, to_integer_vec
 from genpos.points import binom, hilbert_function
 from genpos.poly import (DEGREVLEX, BlockOrder, Polynomial,
                          monomials_of_degree, parse_polynomial)
 from genpos.scalars import QQ, PrimeField
 from genpos.tangent_cone import (Branch, BranchCurve, ConeProfile,
-                                 _check_subalgebra_gens, _dict_mul,
-                                 _echelon_for, _generator_rows,
+                                 GermRing, _dict_mul,
                                  branch_tangent_points, cone_profile,
                                  germ_profile, lowest_form_ideal,
                                  standard_counts, subalgebra_member)
 
 F11 = PrimeField(11)
+
+
+def echelon_for(field):
+    """An empty echelon over `field` and the map of a coefficient dict to its
+    row: over Q a primitive integer dict, for IntegerEchelon."""
+    if field == QQ:
+        return IntegerEchelon(), to_integer_vec
+    return SparseEchelon(field), (lambda v: v)
 
 
 # The plateau rule both truncated oracles below stop on: the values must end
@@ -143,7 +152,7 @@ def rebuild_germ_values(gens, cap, max_degree):
     for count, vec in rebuild_power_products(gens, cap):
         buckets.setdefault(count, []).append(vec)
     top = max(buckets)
-    ech, conv = _echelon_for(gens[0].field)
+    ech, conv = echelon_for(gens[0].field)
     # levels the window cannot reach span nothing yet
     dims = {n: 0 for n in range(top + 1, max_degree + 2)}
     for level in range(top, 0, -1):
@@ -164,7 +173,6 @@ def rebuild_germ_profile(gens, max_degree=6, degree_cap=None, grow_steps=8):
     windows; drifting values raise StabilizationError rather than being
     reported.
     """
-    _check_subalgebra_gens(gens)
     maxdeg = max(g.degree() for g in gens)
     cap = degree_cap or maxdeg * (max_degree + 3)
     history = []
@@ -181,8 +189,10 @@ def rebuild_germ_profile(gens, max_degree=6, degree_cap=None, grow_steps=8):
         % [list(v) for v in history])
 
 
-# subalgebra_member before it returned the factor-count level, kept as the
-# oracle with its product walker: one fresh level-0 echelon per threshold.
+# subalgebra_member before it read the exact local level, kept as the oracle
+# with its product walker: membership in the span of the power products of
+# at least n factors and polynomial degree <= bound, one fresh level-0
+# echelon per threshold. A yes exhibits q in m^n; a no says nothing.
 
 def member_power_products(rows, p, cap, low=-1, memo=None):
     """Power products of the generators with polynomial degree in (low, cap],
@@ -209,14 +219,12 @@ def member_power_products(rows, p, cap, low=-1, memo=None):
 def member_oracle(p, gens, bound, min_degree=1):
     """Whether p lies in the span of the power products of the generators that
     use at least min_degree factors and have polynomial degree <= bound."""
-    _check_subalgebra_gens(gens)
-    if p.nvars != 1:
-        raise ValueError("query must be univariate")
     if p.degree() > bound:
         raise ValueError("degree window %d smaller than deg p = %d"
                          % (bound, p.degree()))
-    ech, conv = _echelon_for(p.field)
-    rows = _generator_rows(gens, conv)
+    ech, conv = echelon_for(p.field)
+    rows = [(conv({e[0]: c for e, c in g.terms.items()}), g.degree())
+            for g in gens]
     for _, count, row in member_power_products(rows, p.field.p, bound):
         if count >= min_degree:
             ech.insert(row)
@@ -408,35 +416,76 @@ def test_cone_profile_presentation_independent():
 
 
 def test_subalgebra_member_cusp():
+    # m^n = t^(2n) k[[t]]: the conductor of <2, 3> is 2
     t = tvar()
     gens = (t ** 2, t ** 3)
-    assert subalgebra_member(t ** 2, gens, 10) == 1
-    assert subalgebra_member(t ** 7, gens, 10) == 3  # t^2*t^2*t^3 only
-    assert subalgebra_member(t, gens, 10) == 0
-    with pytest.raises(ValueError, match="window"):
-        subalgebra_member(t ** 12, gens, 10)
-    with pytest.raises(ValueError, match="zero query"):
-        subalgebra_member(Polynomial.zero(1, QQ), gens, 10)
+    assert subalgebra_member(t ** 2, gens) == 1
+    assert subalgebra_member(t ** 7, gens) == 3
+    assert subalgebra_member(t ** 12 + t ** 13, gens) == 6
+    assert subalgebra_member(t, gens) == 0
+    assert subalgebra_member(t + 1, gens) == 0
+    with pytest.raises(ValueError, match="nonzero polynomial in t"):
+        subalgebra_member(Polynomial.zero(1, QQ), gens)
 
 
 def test_subalgebra_member_validates_gens():
     t = tvar()
     with pytest.raises(ValueError):
-        subalgebra_member(t, (), 5)
+        subalgebra_member(t, ())
     with pytest.raises(ValueError):
-        subalgebra_member(t, (t + 1,), 5)
+        subalgebra_member(t, (t + 1,))
     x, y = xyvars()
     with pytest.raises(ValueError):
-        subalgebra_member(t, (x,), 5)
+        subalgebra_member(t, (x,))
+    with pytest.raises(ValueError, match="nonzero polynomial in t"):
+        subalgebra_member(x, (t ** 2, t ** 3))
 
 
 def test_germ_membership_query_frozen():
-    query, window, min_factors = germ_membership_query()
+    query, min_factors = germ_membership_query()
     assert query.text(names=("t",)) == "t^22 + 8*t^17 + 3*t^12 + 10*t^7"
     gens = germ_components(unity_field())
-    # outside the cube of the maximal ideal at two window sizes, inside m
-    assert 1 <= subalgebra_member(query, gens, window) < min_factors
-    assert subalgebra_member(query, gens, window + 10) < min_factors
+    # inside the square of the maximal ideal, outside the cube
+    assert subalgebra_member(query, gens) == 2 < min_factors
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)])
+def test_subalgebra_member_is_local(field):
+    # (t^2 + t^3, t^5) has value semigroup <2, 5> with conductor 4: t^4 lies
+    # in m, and t^9 in m^3, where a degree-windowed span of products (the
+    # member_oracle) puts both at level 0
+    t = tvar(field)
+    gens = (t ** 2 + t ** 3, t ** 5)
+    assert subalgebra_member(t ** 4, gens) == 1
+    assert subalgebra_member(t ** 9, gens) == 3
+    # (t^2, t^3) reads t^41 at level 20, far above the profile's last level
+    gens = (t ** 2, t ** 3)
+    ring = GermRing(gens, t ** 41)
+    assert ring.top == 20 > max(6, ring.e + 1) + 1
+    assert subalgebra_member(t ** 41, gens, ring) == 20
+    assert germ_profile(gens, ring) == germ_profile(gens)
+    with pytest.raises(ValueError, match="reads levels <= 20, not 21"):
+        subalgebra_member(t ** 42, gens, ring)
+
+
+def test_germ_report_builds_one_echelon(monkeypatch):
+    # the profile and the query's level read the same echelon
+    from genpos import cli, tangent_cone
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return power_products(*args)
+
+    power_products = tangent_cone._power_products
+    monkeypatch.setattr(tangent_cone, "_power_products", counted)
+    profile, mem = cli.germ_report({
+        "field": "Q", "parametrization": ["t^2", "t^3"],
+        "membership": {"query": "t^41", "min_factors": 20}})
+    assert len(calls) == 1
+    assert profile.values == (1, 2, 2, 2, 2, 2, 2)
+    assert mem["member"] and mem["member_at_min_factors_1"]
 
 
 def test_germ_profile_frozen():
@@ -656,8 +705,48 @@ def member_queries(draw):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(member_queries())
 def test_subalgebra_member_level_matches_oracle(case):
+    # a windowed combination exhibits q in m^n, and q in m^n forces g^n | q
     q, gens, window = case
-    level = subalgebra_member(q, gens, window)
-    top = window // min(g.degree() for g in gens)  # largest factor count
-    for n in range(1, top + 2):
-        assert (level >= n) == member_oracle(q, gens, window, n), n
+    try:
+        ring = GermRing(gens, q)
+        level = subalgebra_member(q, gens, ring)
+    except ValueError as exc:
+        assert "not birational" in str(exc)
+        return
+    windowed = 0
+    while member_oracle(q, gens, window, windowed + 1):
+        windowed += 1
+    assert windowed <= level <= ring.order(q)
+
+
+def semigroup_levels(gens, top):
+    """L[x] = the most generators summing to x, for x <= top: the largest n
+    with x in nM, M = S - {0}, since M + M lies in M. None off S."""
+    levels = [0] + [None] * top
+    for x in range(1, top + 1):
+        options = [levels[x - a] for a in gens
+                   if a <= x and levels[x - a] is not None]
+        levels[x] = max(options) + 1 if options else None
+    return levels
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([QQ, PrimeField(32003), PrimeField(2 ** 31 - 1)]),
+       st.lists(st.integers(2, 7), min_size=2, max_size=3, unique=True),
+       st.dictionaries(st.integers(0, 24), st.integers(-3, 3).filter(bool),
+                       min_size=1, max_size=4))
+def test_subalgebra_member_of_monomial_curves_matches_semigroup(
+        field, exps, terms):
+    # k[[t^a, t^b, ...]] is monomial, so m^n is spanned by the t^x with x in
+    # nM, and completion is faithfully flat: q is in m^n exactly when every
+    # exponent of q is
+    if gcd(*exps) > 1:
+        reject()
+    t = tvar(field)
+    gens = tuple(t ** a for a in exps)
+    q = Polynomial(1, field, {(x,): c for x, c in terms.items()})
+    if q.is_zero():
+        reject()
+    levels = semigroup_levels(exps, max(terms))
+    expected = min(levels[x] or 0 for x in terms if field(terms[x]))
+    assert subalgebra_member(q, gens) == expected
