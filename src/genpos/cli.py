@@ -14,9 +14,11 @@ Exit codes: 0 positive result (generic / match / all reproduced), 1 negative
 result (not generic / mismatch / golden divergence), 2 error, 3 a conductor
 hypothesis failed.
 
-Argparse is the only configuration layer: each subcommand accepts just the
-flags its handler reads (and each conductor model and tangent-cone route
-just the flags it reads), and the handlers take the parsed namespace.
+Every certificate depends only on its input file: the field, the box and
+every other parameter of a model are keys of that file. Argparse is the only
+configuration layer: each subcommand accepts just the flags its handler reads
+(which subsets points-check checks, and where the certificate JSON goes), and
+the handlers take the parsed namespace.
 """
 
 import argparse
@@ -47,15 +49,6 @@ from .tangent_cone import (GermRing, branch_tangent_points, cone_profile,
                            germ_profile, subalgebra_member)
 
 
-def parse_field_spec(s):
-    s = s.strip()
-    if s.upper() in ("Q", "QQ"):
-        return "Q"
-    if s.isdigit():
-        return {"p": int(s)}
-    raise argparse.ArgumentTypeError("expected Q or a prime, got %r" % s)
-
-
 def positive_int(s):
     try:
         value = int(s)
@@ -68,17 +61,8 @@ def positive_int(s):
 
 
 FLAGS = {
-    "--field": dict(type=parse_field_spec,
-                    help="override the input's coefficient field: Q or a prime"),
     "--t": dict(type=positive_int,
                 help="check every t-point subset instead of the full set"),
-    "--degree-bound": dict(type=positive_int,
-                           help="degree bound of the points conductor, or "
-                                "first reported degree of an ideal's cone; "
-                                "the branches and parametrization routes "
-                                "are exact and read no bound"),
-    "--box": dict(type=positive_int,
-                  help="lattice box for monomial-algebra models"),
     "--subset-budget": dict(type=positive_int,
                             help="cap on the number of t-subsets to check "
                                  "(default %d)" % DEFAULT_SUBSET_BUDGET),
@@ -104,13 +88,13 @@ def build_parser():
     for name, handler, help, flags in (
             ("points-check", cmd_points_check,
              "certify generic (t-)position of a point set",
-             ("--field", "--t", "--subset-budget", "--json-out")),
+             ("--t", "--subset-budget", "--json-out")),
             ("conductor", cmd_conductor,
              "check a conductor formula against its oracle",
-             ("--field", "--degree-bound", "--box", "--json-out")),
+             ("--json-out",)),
             ("tangent-cone", cmd_tangent_cone,
              "graded profile of a curve singularity",
-             ("--field", "--degree-bound", "--json-out")),
+             ("--json-out",)),
             ("reproduce-examples", cmd_reproduce_examples,
              "run the bundled example suite against goldens",
              ("--only", "--write-golden", "--golden-dir", "--json-out"))):
@@ -127,17 +111,19 @@ def build_parser():
 def envelope(args):
     """Reproducibility header embedded in every emitted certificate.
 
-    A budget the subcommand has no flag for is recorded as None, or as the
-    library default it runs under. No subcommand draws random numbers from a
-    caller's seed, so `seed` is always 0; it stays for byte-stable records.
+    A budget the subcommand has no flag for is recorded as the library
+    default it runs under, or as None. No certificate reads a degree bound or
+    a box from the command line, so `degree_bound` and `box` are always None,
+    and no subcommand draws random numbers from a caller's seed, so `seed` is
+    always 0; all three stay for byte-stable records.
     """
     return {
         "tool": "genpos",
         "tool_version": __version__,
         "seed": 0,
         "budgets": {
-            "degree_bound": getattr(args, "degree_bound", None),
-            "box": getattr(args, "box", None),
+            "degree_bound": None,
+            "box": None,
             # only the t-subset checks of points-check and the example
             # suite run under a subset budget
             "subset_budget": ((getattr(args, "subset_budget", None)
@@ -179,10 +165,7 @@ def run_batch(args, one):
 
 def cmd_points_check(args):
     def one(path):
-        obj = load_json(path)
-        if args.field is not None:
-            obj = dict(obj, field=args.field)
-        X = point_set_from_json(obj)
+        X = point_set_from_json(load_json(path))
         if args.t is None:
             cert = is_generic_position(X)
             label = "generic position"
@@ -220,48 +203,28 @@ def _summarize(d):
     return ", ".join(parts)
 
 
-# the conductor flags each model reads; any other flag given is an error
-MODEL_FLAGS = {"points": ("field", "degree_bound"),
-               "semigroup": (), "monomial-algebra": ("box",),
-               "arrangement": ("field",)}
-
-
-def conductor_certificate_for(obj, args):
+def conductor_certificate_for(obj):
     model = obj.get("model")
-    if model not in MODEL_FLAGS:
-        raise ValueError("unknown conductor model %r (expected points, "
-                         "semigroup, monomial-algebra, or arrangement)"
-                         % (model,))
-    for name in ("field", "degree_bound", "box"):
-        if getattr(args, name) is not None and name not in MODEL_FLAGS[model]:
-            raise ValueError("--%s is not read by the %s model"
-                             % (name.replace("_", "-"), model))
     if model == "points":
-        pts = obj["points"]
-        if args.field is not None and isinstance(pts, dict):
-            # a non-object is left to point_set_from_json's shape error
-            pts = dict(pts, field=args.field)
-        X = point_set_from_json(pts)
-        return points_conductor_certificate(X, dmax=args.degree_bound)
+        return points_conductor_certificate(point_set_from_json(obj["points"]))
     if model == "semigroup":
         return semigroup_certificate(integers(obj["generators"],
                                               "generators"))
     if model == "monomial-algebra":
-        box = args.box if args.box is not None else obj.get("box")
-        if box is None:
-            raise ValueError("monomial-algebra model needs a box "
-                             "(--box or a \"box\" key)")
+        if obj.get("box") is None:
+            raise ValueError('monomial-algebra model needs a "box" key')
         return monomial_conductor_certificate(
-            exponent_vectors(obj["generators"], "generators"), box,
+            exponent_vectors(obj["generators"], "generators"), obj["box"],
             exponent_vectors(obj["candidate"], "candidate"))
-    if args.field is not None:
-        obj = dict(obj, field=args.field)
-    return arrangement_certificate(polynomials_from_json(obj, "forms"))
+    if model == "arrangement":
+        return arrangement_certificate(polynomials_from_json(obj, "forms"))
+    raise ValueError("unknown conductor model %r (expected points, "
+                     "semigroup, monomial-algebra, or arrangement)" % (model,))
 
 
 def cmd_conductor(args):
     def one(path):
-        cert = conductor_certificate_for(load_json(path), args)
+        cert = conductor_certificate_for(load_json(path))
         flags = {k: v for k, v in cert.hypotheses.items()
                  if isinstance(v, bool)}
         lines = [
@@ -294,8 +257,6 @@ def cmd_conductor(args):
 def cmd_tangent_cone(args):
     def one(path):
         obj = load_json(path)
-        if args.field is not None:
-            obj = dict(obj, field=args.field)
         for key, route in (("branches", _cone_from_branches),
                            ("parametrization", _cone_from_parametrization),
                            ("gens", _cone_from_ideal)):
@@ -304,10 +265,6 @@ def cmd_tangent_cone(args):
         else:
             raise ValueError('tangent-cone input needs "branches", '
                              '"parametrization", or "gens"')
-        # only the ideal route reads a bound; the other two are exact
-        if args.degree_bound is not None and key != "gens":
-            raise ValueError("--degree-bound is not read by the %s route"
-                             % key)
         return route(obj, args)
 
     return run_batch(args, one)
@@ -390,7 +347,7 @@ def _cone_from_ideal(obj, args):
             raise ValueError("generator %d (%s) has a nonzero constant term: "
                              "the ideal does not pass through the origin"
                              % (i, g.text()))
-    profile = cone_profile(ideal, args.degree_bound or 8)
+    profile = cone_profile(ideal)
     lines = ["graded cone dimensions: %s" % (list(profile.values),),
              "multiplicity: %d, embedding dimension: %d"
              % (profile.multiplicity, profile.emdim)]

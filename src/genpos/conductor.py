@@ -46,27 +46,23 @@ class ConductorCertificate:
 
 # ---------------------------------------------------------------- points
 
-def points_conductor_sigma(X, dmax=None):
-    """Least degree from which the coordinate ring fills all of k^e, where the
-    graded conductor starts, and H(0..dmax). Ranks stop there: a degree-d
-    separator of p times a coordinate not vanishing at p is one in degree
-    d+1, so H(d') = e for every d' > d."""
-    floor = nu(X.e, X.r) + 2
-    if dmax is None:
-        dmax = floor + 2
-    elif dmax < floor:
-        raise ValueError("the degree bound must be at least nu + 2 = %d, "
-                         "got %d" % (floor, dmax))
+def points_conductor_sigma(X):
+    """Least degree sigma from which the coordinate ring fills all of k^e,
+    where the graded conductor starts, and H(0..max(nu + 4, sigma)). sigma
+    <= e - 1: for each point p, a product of e - 1 linear forms, one through
+    each other point and not through p, separates p. Ranks stop at sigma: a
+    degree-d separator of p times a coordinate not vanishing at p is one in
+    degree d+1, so H(d') = e for every d' > d."""
     values = []
-    for d in range(dmax + 1):
+    for d in range(X.e):
         values.append(len(X.echelon(d)[1]))
         if values[-1] == X.e:
-            return d, tuple(values + [X.e] * (dmax - d))
-    raise StabilizationError("no full-rank degree through %d (H = %s)"
-                             % (dmax, values))
+            break
+    sigma = len(values) - 1
+    return sigma, tuple(values + [X.e] * (nu(X.e, X.r) + 4 - sigma))
 
 
-def points_conductor_certificate(X, dmax=None):
+def points_conductor_certificate(X):
     """Conductor exponent of the cone over X: claimed nu(e, r) vs graded oracle.
 
     The prediction needs X in generic position and in generic (e-1)-position;
@@ -76,7 +72,7 @@ def points_conductor_certificate(X, dmax=None):
     (e-1)-position is read off separators (`_first_failing_subset`).
     """
     claimed_nu = nu(X.e, X.r)
-    sigma, values = points_conductor_sigma(X, dmax)
+    sigma, values = points_conductor_sigma(X)
     sub = X.e < 2 or _first_failing_subset(X, X.e - 1) is None
     hypotheses = {
         "generic_position": all(values[n] == min(X.e, binom(n + X.r, X.r))

@@ -6,4 +6,5 @@ class BudgetExceededError(RuntimeError):
 
 
 class StabilizationError(RuntimeError):
-    """A truncated computation did not stabilize; retry with a larger bound."""
+    """The monomial-algebra box is too small to show the conductor's stable
+    region; retry with a larger "box"."""

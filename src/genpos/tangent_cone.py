@@ -26,7 +26,6 @@ from functools import cached_property
 from itertools import combinations, islice
 from operator import le
 
-from .errors import StabilizationError
 from .groebner import buchberger
 from .linalg import IntegerEchelon, SparseEchelon, to_integer_vec
 from .points import PointSet, normalize_point
@@ -139,17 +138,16 @@ def standard_counts(leads, nvars):
         std = {m[:i] + (m[i] + 1,) + m[i + 1:] for m in std for i in range(nvars)}
 
 
-def cone_profile(ideal, bound=8):
+def cone_profile(ideal):
     """Graded dimensions H(d) of the tangent cone of `ideal` at the origin.
 
     H(d) counts the degree-d monomials that no degrevlex lead of the lowest
     forms divides (`standard_counts`). The cone is a curve exactly when each
-    pair of variables carries a lead in those two alone; otherwise every
-    x_i^a x_j^b is standard and ValueError says so. From degree
-    deg lcm(leads) - n + 1 on, H is the leads' Hilbert polynomial (Taylor's
-    resolution bounds the series numerator by deg lcm), for a curve the
-    multiplicity. Values run to the first of bound, 2 * bound, 4 * bound at
-    least the exact stabilization degree + 2; StabilizationError if none is.
+    pair of variables carries a lead in those two alone and H does not end
+    at 0; otherwise ValueError says which. From degree deg lcm(leads) - n + 1
+    on, H is the leads' Hilbert polynomial (Taylor's resolution bounds the
+    series numerator by deg lcm), for a curve the multiplicity. Values run to
+    the first of 8, 16, 32, ... at least the exact stabilization degree + 2.
     """
     n = ideal.nvars
     leads = [f.leading_monomial(DEGREVLEX) for f in lowest_form_ideal(ideal)]
@@ -162,14 +160,13 @@ def cone_profile(ideal, bound=8):
     d0 = len(values) - 1
     while d0 and values[d0 - 1] == values[-1]:
         d0 -= 1
-    values += values[-1:] * (4 * bound + 1 - len(values))
-    top = next((b for b in (bound, 2 * bound, 4 * bound) if b >= d0 + 2), None)
-    if top is None:
-        raise StabilizationError(
-            "cone profile did not stabilize within the bound (values %s); "
-            "raise the bound to at least %d (H is constant from degree %d on)"
-            % (values[:4 * bound + 1], -(-(d0 + 2) // 4), d0))
-    values = values[:top + 1]
+    if not values[-1]:
+        raise ValueError("the tangent cone is a point, not a curve germ: "
+                         "H(d) = 0 from degree %d on" % d0)
+    top = 8
+    while top < d0 + 2:
+        top *= 2
+    values = (values + values[-1:] * top)[:top + 1]
     return ConeProfile(values=tuple(values), stabilization_degree=d0,
                        multiplicity=values[-1], emdim=values[1])
 

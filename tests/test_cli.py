@@ -51,15 +51,20 @@ def test_points_check_t_flag_and_envelope(tmp_path):
 
 
 def test_points_check_field_override(tmp_path):
+    # the input's "field" key is the only field a certificate reads
     src = tmp_path / "pts.json"
-    src.write_text(json.dumps(
-        {"r": 1, "points": [[1, 0], [1, 1], [1, 2], [0, 1]]}))
-    res = run_cli("points-check", str(src), "--field", "7")
+    src.write_text(json.dumps({"field": {"p": 7}, "r": 1,
+                               "points": [[1, 0], [1, 1], [1, 2], [0, 1]]}))
+    res = run_cli("points-check", str(src))
     assert res.returncode == 0
+    assert "4 points of P^1 over GF(7)" in res.stdout
     # F11 scalar strings cannot be read back as rationals
-    res = run_cli("points-check", fx("tangent_points.json"), "--field", "Q")
+    obj = json.loads(open(fx("tangent_points.json")).read())
+    src.write_text(json.dumps(dict(obj, field="Q")))
+    res = run_cli("points-check", str(src))
     assert res.returncode == 2
     assert "error" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_conductor_points_match():
@@ -140,18 +145,12 @@ def test_tangent_cone_ideal_route_stops_at_the_exact_degree(tmp_path,
     src, out = tmp_path / "plateau.json", tmp_path / "prof.json"
     src.write_text(json.dumps({"field": "Q", "vars": 2,
                                "gens": ["x0^3*x1", "x0*x1^9"]}))
-    for bound in ([], ["--degree-bound", "4"]):
-        assert cli.main(["tangent-cone", str(src), "--json-out", str(out),
-                         *bound]) == 0
-        assert "multiplicity: 2, embedding dimension: 2" in (
-            capsys.readouterr().out)
-        assert json.loads(out.read_text())["profile"] == {
-            "values": [1, 2, 3, 4, 4, 4, 4, 4, 4, 4, 3, 2, 2, 2, 2, 2, 2],
-            "stabilization_degree": 11, "multiplicity": 2, "emdim": 2}
-    # bounds 3, 6, 12 all stop before degree 11 + 2
-    assert cli.main(["tangent-cone", str(src), "--degree-bound", "3"]) == 2
-    assert capsys.readouterr().err.endswith(
-        "raise the bound to at least 4 (H is constant from degree 11 on)\n")
+    assert cli.main(["tangent-cone", str(src), "--json-out", str(out)]) == 0
+    assert "multiplicity: 2, embedding dimension: 2" in (
+        capsys.readouterr().out)
+    assert json.loads(out.read_text())["profile"] == {
+        "values": [1, 2, 3, 4, 4, 4, 4, 4, 4, 4, 3, 2, 2, 2, 2, 2, 2],
+        "stabilization_degree": 11, "multiplicity": 2, "emdim": 2}
 
 
 def test_tangent_cone_of_a_surface_exits_2_at_once(tmp_path, capsys):
@@ -166,33 +165,22 @@ def test_tangent_cone_of_a_surface_exits_2_at_once(tmp_path, capsys):
         "alone, so H(d) > d\n")
 
 
-def test_tangent_cone_routes_reject_flags_they_do_not_read(tmp_path,
-                                                          capsys):
+def test_tangent_cone_of_a_point_exits_2(tmp_path, capsys):
+    # multiplicity 0 is no curve germ; a line with an embedded point is one
     from genpos import cli
 
-    out = tmp_path / "cone.json"
-    assert cli.main(["tangent-cone", fx("germ_curve.json"), "--degree-bound",
-                     "4", "--json-out", str(out)]) == 2
-    assert capsys.readouterr().err == ("error: --degree-bound is not read by "
-                                       "the branches route\n")
-    assert not out.exists()
-    assert cli.main(["tangent-cone", fx("germ_curve.json"), "--field",
-                     "Q"]) == 0
-
-
-def test_parametrization_route_rejects_degree_bound(tmp_path, capsys):
-    # the profile and the membership level are exact and read no bound
-    from genpos import cli
-
-    germ = {"field": "Q", "parametrization": ["t^2", "t^3"]}
-    src, out = tmp_path / "germ.json", tmp_path / "cone.json"
-    for obj in (germ, dict(germ, membership={"query": "t^5"})):
-        src.write_text(json.dumps(obj))
-        assert cli.main(["tangent-cone", str(src), "--degree-bound", "12",
-                         "--json-out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            "error: --degree-bound is not read by the parametrization route\n")
-        assert not out.exists()
+    src = tmp_path / "ideal.json"
+    for vars_, gens in ((2, ["x0", "x1"]), (2, ["x0^2", "x1"]),
+                        (1, ["x0^2"])):
+        src.write_text(json.dumps({"vars": vars_, "gens": gens}))
+        assert cli.main(["tangent-cone", str(src)]) == 2, gens
+        assert capsys.readouterr().err.startswith(
+            "error: the tangent cone is a point, not a curve germ: H(d) = 0 "
+            "from degree "), gens
+    src.write_text(json.dumps({"vars": 2, "gens": ["x0^2", "x0*x1"]}))
+    assert cli.main(["tangent-cone", str(src)]) == 0
+    assert "multiplicity: 1, embedding dimension: 2" in (
+        capsys.readouterr().out)
 
 
 def test_parametrization_route_reads_the_exact_local_level(tmp_path, capsys):
@@ -231,15 +219,6 @@ def test_parametrization_route_exact_past_the_plateau_and_non_birational(
     assert res.stderr.startswith("error: the parametrization is not "
                                  "birational onto its image")
     assert "Traceback" not in res.stderr
-
-
-def test_sigma_floor_error_names_the_degree_bound(capsys):
-    from genpos import cli
-
-    assert cli.main(["conductor", fx("conductor_points.json"),
-                     "--degree-bound", "2"]) == 2
-    assert capsys.readouterr().err == ("error: the degree bound must be at "
-                                       "least nu + 2 = 4, got 2\n")
 
 
 def test_scalar_division_by_p_exits_2(tmp_path):
@@ -320,7 +299,18 @@ def test_unaccepted_flags_and_values_exit_2():
                  ("points-check", fx("line_points.json"), "--t", "3",
                   "--subset-budget", "0"),
                  ("conductor", fx("monomial_n3.json"), "--box", "-1"),
-                 ("points-check", fx("line_points.json"), "--field", "x")):
+                 ("points-check", fx("line_points.json"), "--field", "x"),
+                 # certificates read only their input: no subcommand takes
+                 # a degree bound, a box or a field
+                 ("points-check", fx("line_points.json"), "--field", "7"),
+                 ("conductor", fx("conductor_points.json"),
+                  "--degree-bound", "32"),
+                 ("conductor", fx("monomial_n3.json"), "--box", "12"),
+                 ("conductor", fx("arrangement_three_lines.json"),
+                  "--field", "32003"),
+                 ("tangent-cone", fx("germ_curve.json"), "--field", "Q"),
+                 ("tangent-cone", fx("germ_curve.json"),
+                  "--degree-bound", "4")):
         res = run_cli(*args)
         assert res.returncode == 2, args
         assert "usage:" in res.stderr, args
@@ -400,11 +390,10 @@ def test_conductor_rejects_nested_points_list(tmp_path):
     src = tmp_path / "model.json"
     src.write_text(json.dumps({"model": "points",
                                "points": [[1, 0, 0], [0, 1, 0]]}))
-    for extra in ([], ["--field", "7"]):
-        res = run_cli("conductor", str(src), *extra)
-        assert res.returncode == 2
-        assert "must be a JSON object" in res.stderr
-        assert "Traceback" not in res.stderr
+    res = run_cli("conductor", str(src))
+    assert res.returncode == 2
+    assert "must be a JSON object" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_tangent_cone_rejects_ideal_off_the_origin(tmp_path):
@@ -514,27 +503,18 @@ def test_zero_membership_query_exits_2(tmp_path, capsys):
         assert err.startswith("error: membership.query: the zero query"), mem
 
 
-def test_conductor_rejects_flags_its_model_does_not_read(tmp_path, capsys):
+def test_monomial_model_needs_its_box_key(tmp_path, capsys):
     from genpos import cli
 
-    cases = [("semigroup_2_5.json", "--box", "3", "semigroup"),
-             ("semigroup_2_5.json", "--field", "7", "semigroup"),
-             ("monomial_n3.json", "--field", "7", "monomial-algebra"),
-             ("arrangement_three_lines.json", "--degree-bound", "4",
-              "arrangement"),
-             ("conductor_points.json", "--box", "3", "points")]
-    for name, flag, value, model in cases:
-        out = tmp_path / "cert.json"
-        assert cli.main(["conductor", fx(name), flag, value,
-                         "--json-out", str(out)]) == 2, (name, flag)
-        err = capsys.readouterr().err
-        assert err == "error: %s is not read by the %s model\n" % (flag,
-                                                                   model)
-        assert not out.exists()
-    # flags the model reads still run
-    assert cli.main(["conductor", fx("arrangement_three_lines.json"),
-                     "--field", "32003"]) == 0
-    assert cli.main(["conductor", fx("monomial_n3.json"), "--box", "12"]) == 0
+    obj = json.loads(open(fx("monomial_n3.json")).read())
+    src = tmp_path / "model.json"
+    src.write_text(json.dumps({k: v for k, v in obj.items() if k != "box"}))
+    assert cli.main(["conductor", str(src)]) == 2
+    assert capsys.readouterr().err == (
+        'error: monomial-algebra model needs a "box" key\n')
+    src.write_text(json.dumps(dict(obj, box=16)))
+    assert cli.main(["conductor", str(src)]) == 0
+    assert "oracle: box=16, " in capsys.readouterr().out
 
 
 def test_arrangement_model_shapes_name_their_path(tmp_path, capsys):

@@ -8,7 +8,6 @@ everything the old way: `hilbert_function` for every degree, a fresh
 evaluation matrices of Fractions at the normalized points.
 """
 
-import contextlib
 from fractions import Fraction
 from itertools import combinations
 from unittest import mock
@@ -18,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 
 from genpos import points
 from genpos.conductor import points_conductor_certificate, points_conductor_sigma
-from genpos.errors import StabilizationError
 from genpos.linalg import eliminate, integer_rows, nullspace_vector
 from genpos.points import (GenericityCertificate, PointSet, binom,
                            evaluation_matrix, hilbert_function,
@@ -149,24 +147,63 @@ def degenerate_sets(draw, field=None):
     return point_set(r, field, coords)
 
 
+@st.composite
+def tall_sets(draw):
+    """Sets whose H reaches e only past nu + 4: 9..12 collinear points of
+    P^2..P^4, 9..12 points of the hyperplane x2 = 0 of P^2, and
+    14..16 points of a conic in a plane of P^4."""
+    field = draw(st.sampled_from(FIELDS[1:]))
+    kind = draw(st.sampled_from(["line", "hyperplane", "conic"]))
+    if kind == "line":
+        r, e = draw(st.integers(2, 4)), draw(st.integers(9, 12))
+    elif kind == "hyperplane":
+        r, e = 2, draw(st.integers(9, 12))
+    else:
+        r, e = 4, draw(st.integers(14, 16))
+    params = draw(st.lists(st.integers(-50, 50), min_size=e, max_size=e,
+                           unique=True))
+    if kind == "hyperplane":
+        coords = [[1, s, 0] for s in params]
+    else:
+        # an upper triangular basis of the line or plane, so it has full rank
+        basis = [[0] * i + [1] + draw(st.lists(small, min_size=r - i,
+                                               max_size=r - i))
+                 for i in range(2 if kind == "line" else 3)]
+        coords = [[sum(s ** i * u[j] for i, u in enumerate(basis))
+                   for j in range(r + 1)] for s in params]
+    return point_set(r, field, coords, limit=e)
+
+
+TALL = tall_sets()
 FAMILIES = pytest.mark.parametrize(
     "family", [random_sets(), degenerate_sets()], ids=["random", "degenerate"])
 
 
-@FAMILIES
+def per_degree_values(X):
+    """H(0..max(nu + 4, sigma)) from a full-matrix rank per degree, sigma the
+    first degree where H reaches e; no degree past max(nu + 4, e - 1)."""
+    values = []
+    for d in range(max(nu(X.e, X.r) + 4, X.e - 1) + 1):
+        if d > nu(X.e, X.r) + 4 and values[-1] == X.e:
+            break
+        values.append(hilbert_function(X, d))
+    return values
+
+
+@pytest.mark.parametrize("family", [random_sets(), degenerate_sets(), TALL],
+                         ids=["random", "degenerate", "tall"])
 @PROPERTY
 @given(data=st.data())
 def test_sigma_values_match_per_degree_ranks(family, data):
+    # no degree bound: sigma <= e - 1, as a product of e - 1 linear forms
+    # separates each point, and the values run through max(nu + 4, sigma)
     X = data.draw(family)
-    dmax = nu(X.e, X.r) + 4
-    expected = [hilbert_function(X, d) for d in range(dmax + 1)]
-    if expected[-1] != X.e:
-        with pytest.raises(StabilizationError):
-            points_conductor_sigma(X, dmax)
-        return
-    sigma, values = points_conductor_sigma(X, dmax)
+    expected = per_degree_values(X)
+    sigma, values = points_conductor_sigma(X)
+    assert sigma == expected.index(X.e) <= X.e - 1
     assert list(values) == expected
-    assert sigma == min(d for d, h in enumerate(expected) if h == X.e)
+    assert len(values) == max(nu(X.e, X.r) + 4, sigma) + 1
+    assert family is not TALL or sigma > nu(X.e, X.r) + 4
 
 
 @FAMILIES
@@ -184,10 +221,7 @@ def test_generic_checks_match_old_path(family, data):
 @given(data=st.data())
 def test_conductor_certificate_matches_old_path(family, data):
     X = data.draw(family)
-    dmax = nu(X.e, X.r) + 4
-    values = [hilbert_function(X, d) for d in range(dmax + 1)]
-    if values[-1] != X.e:
-        return
+    values = per_degree_values(X)
     cert = points_conductor_certificate(X)
     full = old_generic_position(X)["generic"]
     sub = X.e < 2 or brute_t_position(X, X.e - 1)["generic"]
@@ -302,18 +336,14 @@ def test_each_degree_is_built_once_per_set(monkeypatch, coords):
 def test_warmed_memo_gives_the_same_certificates(family, data):
     X = data.draw(family)
     warm = PointSet(X.r, X.field, X.points)
-    with contextlib.suppress(StabilizationError):
-        points_conductor_sigma(warm, nu(X.e, X.r) + 6)
+    points_conductor_sigma(warm)
     is_generic_t_position(warm, data.draw(st.integers(1, X.e)))
 
     def certificates(Y):
         out = [is_generic_position(Y).as_dict()]
         out += [is_generic_t_position(Y, t).as_dict()
                 for t in range(1, Y.e + 1)]
-        try:
-            out.append(points_conductor_certificate(Y).as_dict())
-        except StabilizationError as exc:
-            out.append(str(exc))
+        out.append(points_conductor_certificate(Y).as_dict())
         return out
 
     assert certificates(warm) == certificates(X)
@@ -338,10 +368,7 @@ def all_certificates(X):
     out = [is_generic_position(X).as_dict()]
     out += [is_generic_t_position(X, t).as_dict() for t in range(1, X.e + 1)]
     out.append([hilbert_function(X, d) for d in range(nu(X.e, X.r) + 5)])
-    try:
-        out.append(points_conductor_certificate(X).as_dict())
-    except StabilizationError as exc:
-        out.append(str(exc))
+    out.append(points_conductor_certificate(X).as_dict())
     return canonical_json(out)
 
 

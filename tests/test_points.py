@@ -61,7 +61,7 @@ def test_evaluation_matrix_shape():
 
 def test_six_tangent_points_frozen_profile():
     X = tangent_point_set()
-    assert points_conductor_sigma(X, 4) == (4, (1, 3, 4, 5, 6))
+    assert points_conductor_sigma(X) == (4, (1, 3, 4, 5, 6, 6, 6))
     cert = is_generic_position(X)
     assert not cert.generic
     assert cert.failing_degree == 2

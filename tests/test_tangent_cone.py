@@ -298,18 +298,18 @@ def test_lowest_form_ideal_hidden_low_form():
     assert "x0^6" in texts
 
 
-def oracle_profile(ideal, bound):
+def oracle_profile(ideal, bound=8):
     return truncated_cone_profile(truncated_lowest_form_ideal(ideal, bound))
 
 
 def test_cone_profile_principal_and_cusp():
     x, y = xyvars()
     for profile in (oracle_profile, cone_profile):
-        smooth = profile(Ideal.of(x), 6)
-        assert smooth.values == (1,) * 7
+        smooth = profile(Ideal.of(x))
+        assert smooth.values == (1,) * 9
         assert smooth.multiplicity == 1
 
-        cusp = profile(Ideal.of(y ** 2 - x ** 3), 8)
+        cusp = profile(Ideal.of(y ** 2 - x ** 3))
         assert cusp.values == (1, 2, 2, 2, 2, 2, 2, 2, 2)
         assert cusp.multiplicity == 2
         assert cusp.emdim == 2
@@ -322,19 +322,14 @@ def test_cone_profile_needs_stable_tail():
     cusp = Ideal.of(y ** 2 - x ** 3)
     with pytest.raises(StabilizationError):
         oracle_profile(cusp, 2)
-    # the bound doubles: 2 -> 4 gives five values, the last three equal
-    assert cone_profile(cusp, 2).values == (1, 2, 2, 2, 2)
-    # y^8 - x^9 needs 16, y^20 - x^21 needs 32, and 32 is the last bound
-    prof = cone_profile(Ideal.of(y ** 8 - x ** 9))
-    assert prof.values == tuple(range(1, 9)) + (8,) * 9
-    assert prof.stabilization_degree == 7
-    prof = cone_profile(Ideal.of(y ** 20 - x ** 21))
-    assert prof.values == tuple(range(1, 21)) + (20,) * 13
-    assert prof.stabilization_degree == 19
-    with pytest.raises(StabilizationError,
-                       match=r"cone profile did not stabilize within the bound"
-                             r" \(values \[1, 2, .*, 33\]\); raise the bound"):
-        cone_profile(Ideal.of(y ** 40 - x ** 41))
+    # the values run to the first of 8, 16, 32, ... at least s + 2: the
+    # cusp stops at 8, y^8 - x^9 at 16, y^20 - x^21 at 32, y^40 - x^41 at 64
+    assert cone_profile(cusp).values == (1,) + (2,) * 8
+    for a, top in ((8, 16), (20, 32), (40, 64)):
+        prof = cone_profile(Ideal.of(y ** a - x ** (a + 1)))
+        assert prof.values == tuple(range(1, a + 1)) + (a,) * (top + 1 - a)
+        assert prof.stabilization_degree == a - 1
+        assert prof.multiplicity == a
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -358,8 +353,8 @@ def test_cone_profile_stop_matches_standard_counts_to_degree_40(data):
     # a monomial ideal is its own lowest-form ideal. Its H, counted through
     # degree 40, far past every stop cone_profile can take here (leads of
     # degree <= 16), decides the outcome: still moving near degree 40 means
-    # no curve; otherwise the profile runs exactly to the first bound that
-    # shows three equal values from the true stabilization degree on
+    # no curve and ending at 0 is a point; otherwise the profile runs to the
+    # first of 8, 16, 32 at least the true stabilization degree + 2
     n = data.draw(st.integers(1, 4))
     exps = st.integers(0, 4)
     leads = data.draw(st.lists(st.tuples(*[exps] * n).filter(any),
@@ -370,22 +365,21 @@ def test_cone_profile_stop_matches_standard_counts_to_degree_40(data):
             lead[i], lead[j] = data.draw(st.tuples(exps, exps).filter(any))
             leads.append(tuple(lead))
     ideal = Ideal(n, QQ, [Polynomial(n, QQ, {m: 1}) for m in leads])
-    bound = data.draw(st.integers(1, 8))
     counts = list(islice(standard_counts(leads, n), 41))
     s = next(d for d in range(41) if len(set(counts[d:])) == 1)
     if s > 30:
         assert all(h > d for d, h in enumerate(counts))
-        with pytest.raises(ValueError, match="not a curve germ"):
-            cone_profile(ideal, bound)
+        with pytest.raises(ValueError, match="no lead in"):
+            cone_profile(ideal)
         return
-    tops = [b for b in (bound, 2 * bound, 4 * bound) if b >= s + 2]
-    if not tops:
-        with pytest.raises(StabilizationError,
-                           match="constant from degree %d on" % s):
-            cone_profile(ideal, bound)
+    if not counts[40]:
+        with pytest.raises(ValueError, match="H\\(d\\) = 0 from degree %d on"
+                                             % s):
+            cone_profile(ideal)
         return
-    profile = cone_profile(ideal, bound)
-    assert profile.values == tuple(counts[:tops[0] + 1])
+    top = next(b for b in (8, 16, 32) if b >= s + 2)
+    profile = cone_profile(ideal)
+    assert profile.values == tuple(counts[:top + 1])
     assert profile.stabilization_degree == s
     assert profile.multiplicity == counts[40]
 
@@ -399,10 +393,10 @@ def test_cone_matches_point_hilbert_function():
     p = u * v * (u + v) * (u - v)
     Y = PointSet.of(1, QQ, [[1, 0], [0, 1], [1, -1], [1, 1]])
     for profile in (oracle_profile, cone_profile):
-        prof = profile(Ideal.of(x * y, x * z, y * z), 8)
+        prof = profile(Ideal.of(x * y, x * z, y * z))
         assert prof.values == tuple(hilbert_function(X, d) for d in range(9))
-        prof = profile(Ideal.of(p), 9)
-        assert prof.values == tuple(hilbert_function(Y, d) for d in range(10))
+        prof = profile(Ideal.of(p))
+        assert prof.values == tuple(hilbert_function(Y, d) for d in range(9))
 
 
 def test_cone_profile_presentation_independent():
@@ -410,8 +404,8 @@ def test_cone_profile_presentation_independent():
     x, y = xyvars()
     g = y ** 2 - x ** 3
     for profile in (oracle_profile, cone_profile):
-        a = profile(Ideal.of(g), 8)
-        b = profile(Ideal.of(g * (1 + x), g * (1 + g)), 8)
+        a = profile(Ideal.of(g))
+        b = profile(Ideal.of(g * (1 + x), g * (1 + g)))
         assert a == b
 
 
@@ -664,13 +658,15 @@ def test_lowest_forms_match_truncated_oracle(ideal, bound):
     assert values == [binom(d + ideal.nvars - 1, ideal.nvars - 1)
                       - truncated.slice_dim(d) for d in range(bound + 1)]
     try:
-        profile = cone_profile(ideal, bound)
+        profile = cone_profile(ideal)
     except ValueError as exc:
-        # no curve: every x_i^a x_j^b of some pair is standard
-        assert "not a curve germ" in str(exc)
-        assert all(h > d for d, h in enumerate(values))
-        return
-    except StabilizationError:
+        if "is a point" in str(exc):
+            # H ends at 0: some degree holds no standard monomial
+            assert 0 in islice(standard_counts(leads, ideal.nvars), 41)
+        else:
+            # no curve: every x_i^a x_j^b of some pair is standard
+            assert "no lead in" in str(exc)
+            assert all(h > d for d, h in enumerate(values))
         return
     assert profile.values[:bound + 1] == tuple(values)
 
