@@ -276,9 +276,15 @@ def monomial_conductor_certificate(generators, box, candidate):
     """Compare the bounded conductor against candidate * (full normalization).
 
     `candidate` is a list of exponent vectors generating the claimed conductor
-    as an ideal of the normalization's monomial lattice.
+    as an ideal of the normalization's monomial lattice; each must have the
+    generators' length and no negative entry, or ValueError names it.
     """
     cond, window = monomial_conductor(generators, box)
+    k = len(generators[0])
+    for i, c in enumerate(candidate):
+        if len(c) != k or min(c) < 0:
+            raise ValueError("candidate[%d]: expected %d nonnegative integers, "
+                             "got %s" % (i, k, list(c)))
     cand = up_closure(candidate, window)
     missing = sorted(cand - cond)
     extra = sorted(cond - cand)
@@ -403,5 +409,4 @@ def symbolic_power(q, m, s):
     is a witness outside q."""
     if ideal_member(s, q):
         raise ValueError("saturation witness lies in the ideal")
-    sat, _ = saturation(ideal_power(q, m), s)
-    return sat
+    return saturation(ideal_power(q, m), s)

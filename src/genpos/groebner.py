@@ -50,7 +50,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations_with_replacement
 from math import gcd, lcm
-from operator import le, mul, sub
+from operator import mul
 
 from .errors import BudgetExceededError
 from .poly import (DEGREVLEX, BlockOrder, Packing, Polynomial,
@@ -316,8 +316,7 @@ def _buchberger(gens, order, max_basis, max_pairs, bits):
 
 
 class Ideal:
-    """Polynomial ideal with cached reduced bases per monomial order and
-    budgets."""
+    """Polynomial ideal with cached reduced bases per monomial order."""
 
     def __init__(self, nvars, field, gens):
         self.nvars = nvars
@@ -336,12 +335,10 @@ class Ideal:
             raise ValueError("need at least one generator to infer the ring")
         return cls(gens[0].nvars, gens[0].field, gens)
 
-    def groebner_basis(self, order=DEGREVLEX, max_basis=DEFAULT_MAX_BASIS,
-                       max_pairs=DEFAULT_MAX_PAIRS):
-        key = (order, max_basis, max_pairs)
-        if key not in self._bases:
-            self._bases[key] = buchberger(self.gens, *key)
-        return self._bases[key]
+    def groebner_basis(self, order=DEGREVLEX):
+        if order not in self._bases:
+            self._bases[order] = buchberger(self.gens, order)
+        return self._bases[order]
 
     def __repr__(self):
         return "Ideal(%s)" % ", ".join(g.text() for g in self.gens)
@@ -364,51 +361,38 @@ def _shift_vars(p, offset, nvars):
     return Polynomial(nvars, p.field, terms)
 
 
-def ideal_intersect(a, b):
-    """Intersection of two ideals via one auxiliary variable and elimination."""
-    if a.nvars != b.nvars or a.field != b.field:
-        raise ValueError("ideals in different rings")
-    n = a.nvars + 1
-    field = a.field
-    u = Polynomial.variable(0, n, field)
-    one = Polynomial.constant(field.one, n, field)
-    gens = [u * _shift_vars(g, 1, n) for g in a.gens]
-    gens += [(one - u) * _shift_vars(g, 1, n) for g in b.gens]
-    return Ideal(a.nvars, field, [
-        Polynomial(a.nvars, field, {m[1:]: c for m, c in g.terms.items()})
+def _eliminate_u(gens, ideal):
+    """The part free of the new leading variable u of the ideal `gens` of
+    k[u, x], as an ideal of the ring of `ideal`: the basis elements without
+    u under the block order that eliminates u (Cox, Little & O'Shea, *Ideals,
+    Varieties, and Algorithms*, ch. 3 section 1)."""
+    n, field = ideal.nvars, ideal.field
+    return Ideal(n, field, [
+        Polynomial(n, field, {m[1:]: c for m, c in g.terms.items()})
         for g in buchberger(gens, BlockOrder(split=1))
         if all(m[0] == 0 for m in g.terms)])
 
 
-def divide_exact(f, g, order=DEGREVLEX):
-    """Quotient of f by g when the division is exact; errors otherwise."""
-    q, r = Polynomial.zero(f.nvars, f.field), f
-    (lmg, lcg), inv = g.terms_sorted(order)[0], f.field.inv
-    while not r.is_zero():
-        lm, lc = r.terms_sorted(order)[0]
-        if not all(map(le, lmg, lm)):
-            raise ValueError("division is not exact")
-        t = Polynomial.monomial(tuple(map(sub, lm, lmg)), f.nvars, f.field,
-                                lc * inv(lcg))
-        q, r = q + t, r - t * g
-    return q
-
-
-def ideal_quotient(ideal, f):
-    """(ideal : f) for a single nonzero polynomial f."""
-    if f.is_zero():
-        raise ValueError("quotient by the zero polynomial")
-    inter = ideal_intersect(ideal, Ideal(ideal.nvars, ideal.field, [f]))
-    return Ideal(ideal.nvars, ideal.field,
-                 [divide_exact(g, f) for g in inter.gens])
+def ideal_intersect(a, b):
+    """Intersection of two ideals: the u-free part of u*a + (1 - u)*b."""
+    if a.nvars != b.nvars or a.field != b.field:
+        raise ValueError("ideals in different rings")
+    n = a.nvars + 1
+    u = Polynomial.variable(0, n, a.field)
+    one = Polynomial.constant(a.field.one, n, a.field)
+    return _eliminate_u([u * _shift_vars(g, 1, n) for g in a.gens]
+                        + [(one - u) * _shift_vars(g, 1, n) for g in b.gens],
+                        a)
 
 
 def saturation(ideal, f):
-    """(ideal : f^infinity) together with the stabilization exponent."""
-    cur, k = ideal, 0
-    while not ideal_equal(nxt := ideal_quotient(cur, f), cur):
-        cur, k = nxt, k + 1
-    return cur, k
+    """(ideal : f^infinity), the u-free part of ideal + (1 - u*f): one
+    elimination (Rabinowitsch; Cox, Little & O'Shea, ch. 4 section 4)."""
+    n = ideal.nvars + 1
+    u = Polynomial.variable(0, n, ideal.field)
+    one = Polynomial.constant(ideal.field.one, n, ideal.field)
+    return _eliminate_u([_shift_vars(g, 1, n) for g in ideal.gens]
+                        + [one - u * _shift_vars(f, 1, n)], ideal)
 
 
 def ideal_power(ideal, m):

@@ -16,14 +16,13 @@ content, so no Fraction is built. IntegerEchelon is the same class bound to
 Q; it keeps its name and its own `insert` because the benchmark tracer times
 `IntegerEchelon.insert` and `SparseEchelon.insert` by name, one per field.
 
-The incremental echelon is level-filtered. A row inserted at level L lies
-in V_L, the span of every row inserted at level >= L, so the V_L shrink as L
-grows. The invariant is that for every n the pivot rows of level >= n are an
-echelon basis of V_n. An incoming row reduces only against pivots of level
->= its own; when its lead column holds a pivot of lower level, it takes that
-column, and the displaced row goes on reducing at its own level. Then
-`rank_from(n)` is dim V_n and `contains(vec, n)` tests membership in V_n, in
-whatever order the rows arrive. At the default level 0 no swap ever happens.
+The incremental echelon is level-filtered. Rows arrive at non-increasing
+levels; a row inserted at level L lies in V_L, the span of every row inserted
+at level >= L, so the V_L shrink as L grows. An incoming row reduces against
+every pivot so far, all of level >= its own, so for every n the pivot rows
+of level >= n are an echelon basis of V_n: `rank_from(n)` is dim V_n and
+`contains(vec, n)` tests membership in V_n. An insert above the last level
+raises ValueError.
 """
 
 from fractions import Fraction
@@ -135,16 +134,17 @@ class SparseEchelon:
     integer rows, each standing for its rational span. A pivot row is
     normalized at its smallest column as `poly.packed_divisor` normalizes a
     divisor: monic over GF(p), primitive with a positive lead over Q. Each
-    pivot row carries the level it was inserted at (see the module
-    docstring); `rank_from(n)` counts the pivots of level >= n. Insertion
-    order is the only state; all loops run over sorted keys so ranks,
-    residues, and stored rows are deterministic.
+    pivot row carries the level it was inserted at, levels non-increasing
+    (see the module docstring); `rank_from(n)` counts the pivots of level
+    >= n. Insertion order is the only state; all loops run over sorted keys
+    so ranks, residues, and stored rows are deterministic.
     """
 
     def __init__(self, field):
         self.field = field
         self.pivots = {}
         self.levels = {}
+        self.last = None  # the level of the last insert
 
     @property
     def rank(self):
@@ -188,30 +188,24 @@ class SparseEchelon:
 
     def insert(self, vec, level=0):
         """Reduce and adopt vec as a pivot row of `level`; returns True if the
-        span of the rows of level >= `level` grew.
-
-        A residue whose lead column holds a pivot of lower level takes that
-        column; the displaced row goes on reducing at its own level.
-        """
-        res = self.reduce(vec, level)
+        span of the rows of level >= `level` grew. ValueError, with nothing
+        changed, if `level` is above the last insert's."""
+        if self.last is not None and level > self.last:
+            raise ValueError("insert at level %d after level %d: levels must "
+                             "not increase" % (level, self.last))
+        self.last = level
+        res = self.reduce(vec)
         if not res:
             return False
-        p = self.field.p
-        while res:
-            lead = min(res)
-            if p is None:
-                g = gcd(*res.values())
-                g = g if res[lead] > 0 else -g
-                row = res if g == 1 else {c: v // g for c, v in res.items()}
-            else:
-                inv = pow(res[lead], -1, p)
-                row = {c: v * inv % p for c, v in res.items()}
-            displaced = self.pivots.get(lead)
-            low = self.levels.get(lead)
-            self.pivots[lead], self.levels[lead] = row, level
-            if displaced is None:
-                break
-            res, level = self.reduce(displaced, low), low
+        lead = min(res)
+        if (p := self.field.p) is None:
+            g = gcd(*res.values())
+            g = g if res[lead] > 0 else -g
+            row = res if g == 1 else {c: v // g for c, v in res.items()}
+        else:
+            inv = pow(res[lead], -1, p)
+            row = {c: v * inv % p for c, v in res.items()}
+        self.pivots[lead], self.levels[lead] = row, level
         return True
 
     def contains(self, vec, level=0):

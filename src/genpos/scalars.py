@@ -136,49 +136,3 @@ class PrimeField:
 
 
 QQ = RationalField()
-
-
-def _factor(n):
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def multiplicative_generator(field):
-    """Smallest generator of GF(p)^*."""
-    p = field.p
-    if p == 2:
-        return 1
-    facs = _factor(p - 1)
-    g = 2
-    while True:
-        if all(pow(g, (p - 1) // q, p) != 1 for q in facs):
-            return g
-        g += 1
-
-
-def roots_of_unity(field, d):
-    """All d-th roots of unity, sorted canonically; errors when there are fewer than d."""
-    if d < 1:
-        raise ValueError("order must be positive")
-    if isinstance(field, RationalField):
-        if d == 1:
-            return [Fraction(1)]
-        if d == 2:
-            return [Fraction(1), Fraction(-1)]
-        raise ValueError("Q has no primitive %d-th roots of unity" % d)
-    p = field.p
-    if (p - 1) % d != 0:
-        raise ValueError("GF(%d) has no %d-th roots of unity (d must divide p-1)" % (p, d))
-    zeta = pow(multiplicative_generator(field), (p - 1) // d, p)
-    roots = {pow(zeta, k, p) for k in range(d)}
-    assert len(roots) == d
-    assert all(pow(v, d, p) == 1 for v in roots)
-    return sorted(roots)

@@ -289,8 +289,8 @@ class GermRing:
             modulus = self.power(K)
             rows = [_remainder(_coefficients(c), modulus, p)
                     for c in self.gens]
-            # most factors first: a row then reduces against the pivots of
-            # the levels above its own and displaces none
+            # most factors first: the echelon takes levels in non-increasing
+            # order only, and raises on a row above the last level
             for count, row in _power_products(rows, p, K - 1, modulus):
                 ech.insert(row, min(count, top + 1))
             if (missing := e * K - ech.rank) > genus:

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from genpos.linalg import SparseEchelon, rref
 from genpos.points import PointSet, evaluation_matrix, normalize_point
 from genpos.poly import Polynomial
-from genpos.scalars import PrimeField, roots_of_unity
+from genpos.scalars import PrimeField
 
 FIELDS = [PrimeField(11), PrimeField(2 ** 31 - 1)]
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
@@ -102,17 +102,3 @@ def test_normalize_point_is_canonical(field, coords):
     point = normalize_point(coords, field)
     assert canonical(point, field)
     assert next(c for c in point if c) == 1
-
-
-@pytest.mark.parametrize("field", FIELDS, ids=lambda f: repr(f))
-@PROPERTY
-@given(d=st.integers(1, 100))
-def test_roots_of_unity_are_canonical(field, d):
-    if (field.p - 1) % d:
-        with pytest.raises(ValueError):
-            roots_of_unity(field, d)
-        return
-    roots = roots_of_unity(field, d)
-    assert canonical(roots, field)
-    assert roots == sorted(set(roots)) and len(roots) == d
-    assert all(pow(r, d, field.p) == 1 for r in roots)

@@ -567,6 +567,26 @@ def test_conductor_generators_must_be_integers(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_monomial_candidate_must_fit_the_model(tmp_path, capsys):
+    # a candidate of the wrong length or with a negative entry is no claim
+    # about the 2-dimensional model: exit 2 naming it; an empty list is a
+    # claim, and a wrong one
+    from genpos import cli
+
+    monomial = json.loads(open(fx("monomial_n3.json")).read())
+    src = tmp_path / "model.json"
+    for candidate, i in (([[0, 2, 5]], 0), ([[0]], 0), ([[-1, 2]], 0),
+                         ([[0, 2], [1, 2], [2, -2]], 2)):
+        src.write_text(json.dumps(dict(monomial, candidate=candidate)))
+        assert cli.main(["conductor", str(src)]) == 2, candidate
+        assert capsys.readouterr().err == (
+            "error: candidate[%d]: expected 2 nonnegative integers, got %s\n"
+            % (i, json.dumps(candidate[i])))
+    src.write_text(json.dumps(dict(monomial, candidate=[])))
+    assert cli.main(["conductor", str(src)]) == 1
+    assert "verdict: mismatch" in capsys.readouterr().out
+
+
 def test_r_must_be_a_nonnegative_integer(tmp_path, capsys):
     from genpos import cli
 

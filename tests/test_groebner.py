@@ -1,13 +1,14 @@
 import random
+from operator import le, sub
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from genpos.errors import BudgetExceededError
-from genpos.groebner import (Ideal, buchberger, divide_exact, ideal_equal,
-                             ideal_intersect, ideal_member, ideal_power,
-                             ideal_quotient, normal_form, saturation,
-                             spolynomial)
-from genpos.poly import DegRevLex, Lex, Polynomial, parse_polynomial
+from genpos.groebner import (Ideal, buchberger, ideal_equal, ideal_intersect,
+                             ideal_member, ideal_power, normal_form,
+                             saturation, spolynomial)
+from genpos.poly import DEGREVLEX, DegRevLex, Lex, Polynomial
 from genpos.scalars import QQ, PrimeField
 
 F11 = PrimeField(11)
@@ -91,14 +92,74 @@ def test_intersection_is_not_product():
     assert not ideal_member(x, prod)
 
 
+# saturation before it ran one elimination, kept as the oracle: quotients
+# (I : f) = (I intersect (f)) / f, iterated until the ideal holds still.
+
+def divide_exact(f, g, order=DEGREVLEX):
+    """Quotient of f by g when the division is exact; errors otherwise."""
+    q, r = Polynomial.zero(f.nvars, f.field), f
+    (lmg, lcg), inv = g.terms_sorted(order)[0], f.field.inv
+    while not r.is_zero():
+        lm, lc = r.terms_sorted(order)[0]
+        if not all(map(le, lmg, lm)):
+            raise ValueError("division is not exact")
+        t = Polynomial.monomial(tuple(map(sub, lm, lmg)), f.nvars, f.field,
+                                lc * inv(lcg))
+        q, r = q + t, r - t * g
+    return q
+
+
+def ideal_quotient(ideal, f):
+    """(ideal : f) for a single nonzero polynomial f."""
+    inter = ideal_intersect(ideal, Ideal(ideal.nvars, ideal.field, [f]))
+    return Ideal(ideal.nvars, ideal.field,
+                 [divide_exact(g, f) for g in inter.gens])
+
+
+def iterated_saturation(ideal, f):
+    """(ideal : f^infinity) as the first quotient (I : f^k) that equals the
+    one before it."""
+    cur = ideal
+    while not ideal_equal(nxt := ideal_quotient(cur, f), cur):
+        cur = nxt
+    return cur
+
+
 def test_quotient_and_saturation():
     x, y = xvars(2)
     ideal = Ideal.of(x ** 2 * y, x * y ** 2)
     quot = ideal_quotient(ideal, x * y)
     assert ideal_equal(quot, Ideal.of(x, y))
-    sat, exponent = saturation(ideal, x)
-    assert exponent == 2
-    assert ideal_equal(sat, Ideal.of(y))
+    assert ideal_equal(saturation(ideal, x), Ideal.of(y))
+
+
+@st.composite
+def saturation_cases(draw):
+    """An ideal of 1-3 generators in 2 or 3 variables, each with a monomial
+    factor so that it has components to saturate away, and a polynomial f
+    of 1-2 terms, over Q or GF(32003)."""
+    field = draw(st.sampled_from([QQ, PrimeField(32003)]))
+    n = draw(st.integers(2, 3))
+    exps = st.tuples(*[st.integers(0, 2)] * n)
+
+    def poly(terms):
+        return Polynomial(n, field, {
+            draw(exps): field(draw(st.sampled_from([1, -1, 2, 3, -5])))
+            for _ in range(terms)})
+
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        g = poly(draw(st.integers(1, 3)))
+        gens.append(g * Polynomial.monomial(draw(exps), n, field, field.one))
+    f = poly(draw(st.integers(1, 2)))
+    return Ideal(n, field, gens), f
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(saturation_cases())
+def test_saturation_matches_iterated_quotients(case):
+    ideal, f = case
+    assert ideal_equal(saturation(ideal, f), iterated_saturation(ideal, f))
 
 
 def test_ideal_power():
@@ -111,15 +172,6 @@ def test_ideal_power():
     assert ideal_member(x ** 0, unit)
     with pytest.raises(ValueError):
         ideal_power(m, -1)
-
-
-def test_divide_exact():
-    x, y = xvars(2)
-    f = (x + y) * (x - y)
-    q = divide_exact(f, x + y)
-    assert q == x - y
-    with pytest.raises(ValueError):
-        divide_exact(x ** 2 + 1, x + y)
 
 
 def test_budget_errors_are_named():
@@ -154,23 +206,6 @@ def test_input_generators_count_against_the_basis_budget():
     with pytest.raises(BudgetExceededError, match="basis budget 2 exceeded"):
         buchberger(gens, max_basis=2)
     assert len(buchberger(gens, max_basis=4)) == 4
-
-
-def test_groebner_basis_cache_is_keyed_by_budgets():
-    texts = ["x0 + x1 + x2 + x3 + x4",
-             "x0*x1 + x1*x2 + x2*x3 + x3*x4 + x4*x0",
-             "x0*x1*x2 + x1*x2*x3 + x2*x3*x4 + x3*x4*x0 + x4*x0*x1",
-             "x0*x1*x2*x3 + x1*x2*x3*x4 + x2*x3*x4*x0 + x3*x4*x0*x1"
-             " + x4*x0*x1*x2",
-             "x0*x1*x2*x3*x4 - 1"]
-    cyclic5 = [parse_polynomial(t, 5, F11) for t in texts]
-    ideal = Ideal.of(cyclic5)
-    assert len(ideal.groebner_basis()) == 20
-    # a smaller budget is a different call: it raises as on a fresh ideal
-    for target in (ideal, Ideal.of(cyclic5)):
-        with pytest.raises(BudgetExceededError, match="basis budget 5"):
-            target.groebner_basis(max_basis=5)
-    assert ideal.groebner_basis(max_pairs=10 ** 6) == ideal.groebner_basis()
 
 
 def test_spoly_reductions_vanish_seeded():

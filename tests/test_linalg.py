@@ -186,11 +186,12 @@ def test_fp_echelon():
     assert ech.contains({0: F11(7), 1: F11(9)})
 
 
-# Level-filtered echelons: whatever order rows arrive in, the pivots of level
-# >= L must span exactly the rows inserted at level >= L. The engine must also
-# match the reference echelon step for step: the same insert answers, and
-# pivot rows and residues that are the reference's ones over GF(p), and over
-# Q the reference's ones made primitive (monic rows keep a positive lead).
+# Level-filtered echelons: rows arrive by descending level, and the pivots of
+# level >= L must span exactly the rows inserted at level >= L. The engine
+# must also match the reference echelon step for step: the same insert
+# answers, and pivot rows and residues that are the reference's ones over
+# GF(p), and over Q the reference's ones made primitive (monic rows keep a
+# positive lead).
 
 ECHELON_FIELDS = {"GF(7)": PrimeField(7), "GF(2^31-1)": PrimeField(2 ** 31 - 1),
                   "Q": QQ}
@@ -220,6 +221,7 @@ def test_filtered_echelon_matches_rank(name, rows, probes):
             return primitive(vec)
         return {c: field(v) for c, v in vec.items()}
 
+    rows = sorted(rows, key=lambda row: -row[1])
     for vec, level in rows:
         # over Q the raw rows, not always primitive, go in as they are
         raw = vec if field.p is None else engine_row(vec)
@@ -253,14 +255,20 @@ def test_filtered_echelon_matches_rank(name, rows, probes):
             assert ref.contains(vec, level) == inside
 
 
-def test_filtered_echelon_swap_keeps_lower_levels():
-    # the level-2 row takes column 0 from the level-1 row, which goes on
-    # reducing at level 1 and lands on column 1
+def test_filtered_echelon_rejects_a_rising_level():
+    # an insert above the last level raises and changes nothing; a repeated
+    # or lower level is taken
     ech = SparseEchelon(F11)
     assert ech.insert({0: 1, 1: 1}, 1)
-    assert ech.insert({0: 1}, 2)
-    assert ech.levels == {0: 2, 1: 1}
-    assert ech.pivots == {0: {0: 1}, 1: {1: 1}}
-    assert (ech.rank_from(1), ech.rank_from(2), ech.rank_from(3)) == (2, 1, 0)
-    assert ech.contains({0: 3}, 2) and not ech.contains({1: 1}, 2)
+    with pytest.raises(ValueError, match="level 2 after level 1"):
+        ech.insert({0: 1}, 2)
+    assert ech.levels == {0: 1} and ech.pivots == {0: {0: 1, 1: 1}}
+    assert ech.last == 1
     assert not ech.insert({0: 5, 1: 5}, 1)
+    assert ech.insert({0: 1}, 0)
+    assert ech.levels == {0: 1, 1: 0}
+    assert ech.pivots == {0: {0: 1, 1: 1}, 1: {1: 1}}
+    assert (ech.rank_from(0), ech.rank_from(1), ech.rank_from(2)) == (2, 1, 0)
+    assert ech.contains({0: 3, 1: 3}, 1) and not ech.contains({1: 1}, 1)
+    with pytest.raises(ValueError):
+        ech.insert({2: 1}, 1)

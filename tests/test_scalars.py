@@ -6,8 +6,7 @@ import pytest
 from genpos.groebner import Ideal, ideal_intersect
 from genpos.points import PointSet
 from genpos.poly import Polynomial
-from genpos.scalars import (QQ, FieldMismatchError, PrimeField, is_prime,
-                            multiplicative_generator, roots_of_unity)
+from genpos.scalars import QQ, FieldMismatchError, PrimeField, is_prime
 
 
 def test_is_prime_small_and_large():
@@ -129,33 +128,6 @@ def test_objects_carry_their_field():
     X = PointSet.of(1, F, [[1, 2], [0, 5]])
     assert X.field == F and X.points == ((1, 2), (0, 1))
     assert all(type(c) is int for p in X.points for c in p)
-
-
-def test_multiplicative_generator():
-    F = PrimeField(11)
-    g = multiplicative_generator(F)
-    assert g == 2 and type(g) is int
-    powers = {F(g ** k) for k in range(10)}
-    assert len(powers) == 10
-    assert multiplicative_generator(PrimeField(2)) == 1
-
-
-def test_roots_of_unity_f11():
-    F = PrimeField(11)
-    roots = roots_of_unity(F, 5)
-    assert roots == [1, 3, 4, 5, 9]
-    assert all(F(r ** 5) == F.one for r in roots)
-    with pytest.raises(ValueError):
-        roots_of_unity(F, 3)  # 3 does not divide 10
-    with pytest.raises(ValueError):
-        roots_of_unity(F, 0)
-
-
-def test_roots_of_unity_rationals():
-    assert roots_of_unity(QQ, 1) == [Fraction(1)]
-    assert roots_of_unity(QQ, 2) == [Fraction(1), Fraction(-1)]
-    with pytest.raises(ValueError):
-        roots_of_unity(QQ, 5)
 
 
 def test_random_elements_deterministic():

@@ -113,82 +113,6 @@ def truncated_cone_profile(truncated):
                        emdim=values[1] if len(values) > 1 else 0)
 
 
-# germ_profile before it read H exactly modulo a power of the components'
-# gcd, kept as the oracle: it grows a degree window until the profile holds
-# still for three windows, and every window recomputes every power product
-# and fills a fresh echelon, level by level from the top.
-
-def rebuild_dict_mul(a, b, field):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            out[e] = out.get(e, 0) + ca * cb
-    return {e: r for e, c in out.items() if (r := field(c))}
-
-
-def rebuild_power_products(gens, cap):
-    """Power products of the generators with polynomial degree <= cap, each
-    once, as (factor count, coefficient dict) pairs. Degrees add, so pruning
-    on the exact degree makes the tree finite; products are never truncated.
-    """
-    field = gens[0].field
-    vecs = [({e[0]: c for e, c in g.terms.items()}, g.degree()) for g in gens]
-    out = []
-
-    def rec(i0, cur, deg, count):
-        out.append((count, cur))
-        for i in range(i0, len(vecs)):
-            v, d = vecs[i]
-            if deg + d <= cap:
-                rec(i, rebuild_dict_mul(cur, v, field), deg + d, count + 1)
-
-    rec(0, {0: field.one}, 0, 0)
-    return out
-
-
-def rebuild_germ_values(gens, cap, max_degree):
-    buckets = {}
-    for count, vec in rebuild_power_products(gens, cap):
-        buckets.setdefault(count, []).append(vec)
-    top = max(buckets)
-    ech, conv = echelon_for(gens[0].field)
-    # levels the window cannot reach span nothing yet
-    dims = {n: 0 for n in range(top + 1, max_degree + 2)}
-    for level in range(top, 0, -1):
-        for vec in buckets.get(level, ()):
-            ech.insert(conv(dict(vec)))
-        dims[level] = ech.rank
-    return tuple([1] + [dims[n] - dims[n + 1]
-                        for n in range(1, max_degree + 1)])
-
-
-def rebuild_germ_profile(gens, max_degree=6, degree_cap=None, grow_steps=8):
-    """Graded dimensions dim m^n / m^(n+1) of the subalgebra generated by
-    `gens`, where m is the ideal the generators span in it.
-
-    m^n is the field-span of the power products with at least n factors, so
-    each H(n) is a difference of ranks of nested degree-windowed spans. The
-    window grows until the whole profile holds still for three consecutive
-    windows; drifting values raise StabilizationError rather than being
-    reported.
-    """
-    maxdeg = max(g.degree() for g in gens)
-    cap = degree_cap or maxdeg * (max_degree + 3)
-    history = []
-    for _ in range(grow_steps):
-        history.append(rebuild_germ_values(gens, cap, max_degree))
-        if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
-            values = history[-1]
-            d0 = _stabilized(values, "germ profile")
-            return ConeProfile(values=values, stabilization_degree=d0,
-                               multiplicity=values[-1], emdim=values[1])
-        cap += maxdeg
-    raise StabilizationError(
-        "germ profile kept drifting as the degree window grew: %s"
-        % [list(v) for v in history])
-
-
 # subalgebra_member before it read the exact local level, kept as the oracle
 # with its product walker: membership in the span of the power products of
 # at least n factors and polynomial degree <= bound, one fresh level-0
@@ -214,6 +138,71 @@ def member_power_products(rows, p, cap, low=-1, memo=None):
                 stack.append((child, prod, deg + d))
     out.sort(key=lambda product: product[0])
     return out
+
+
+# germ_profile before it read H exactly modulo a power of the components'
+# gcd, kept as the oracle: it grows a degree window until the profile holds
+# still for three windows. Each window's power products are the last one's
+# and those of the degrees it adds, so a window's echelon takes the last
+# echelon's pivot rows and the added products, level by level from the top:
+# the pivots of level >= n span the last window's products of >= n factors.
+
+def rebuild_germ_values(buckets, field, max_degree):
+    """The profile of one window and its echelon, from its rows by level."""
+    top = max(buckets)
+    ech, _ = echelon_for(field)
+    # levels the window cannot reach span nothing yet
+    dims = {n: 0 for n in range(top + 1, max_degree + 2)}
+    # the pivots hold every column from `full` to the last one any row has,
+    # so a row with no column below `full` lies in their span: skip it
+    full = max(max(row) for rows in buckets.values() for row in rows) + 1
+    for level in range(top, 0, -1):
+        for row in buckets.get(level, ()):
+            if min(row) < full and ech.insert(row, level):
+                while full - 1 in ech.pivots:
+                    full -= 1
+        dims[level] = ech.rank
+    return tuple([1] + [dims[n] - dims[n + 1]
+                        for n in range(1, max_degree + 1)]), ech
+
+
+def rebuild_germ_profile(gens, max_degree=6, degree_cap=None, grow_steps=8):
+    """Graded dimensions dim m^n / m^(n+1) of the subalgebra generated by
+    `gens`, where m is the ideal the generators span in it.
+
+    m^n is the field-span of the power products with at least n factors, so
+    each H(n) is a difference of ranks of nested degree-windowed spans. The
+    window grows until the whole profile holds still for three consecutive
+    windows; drifting values raise StabilizationError rather than being
+    reported. Over Q the products are primitive integer rows, which span
+    the rational ones' lines (Gauss's lemma).
+    """
+    field = gens[0].field
+    _, conv = echelon_for(field)
+    rows = [(conv({e[0]: c for e, c in g.terms.items()}), g.degree())
+            for g in gens]
+    maxdeg = max(d for _, d in rows)
+    cap = degree_cap or maxdeg * (max_degree + 3)
+    memo, low, ech = {}, -1, None
+    history = []
+    for _ in range(grow_steps):
+        buckets = {}
+        if ech is not None:
+            for c, row in ech.pivots.items():
+                buckets.setdefault(ech.levels[c], []).append(row)
+        for _, count, row in member_power_products(rows, field.p, cap, low,
+                                                   memo):
+            buckets.setdefault(count, []).append(row)
+        values, ech = rebuild_germ_values(buckets, field, max_degree)
+        history.append(values)
+        if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
+            d0 = _stabilized(values, "germ profile")
+            return ConeProfile(values=values, stabilization_degree=d0,
+                               multiplicity=values[-1], emdim=values[1])
+        low, cap = cap, cap + maxdeg
+    raise StabilizationError(
+        "germ profile kept drifting as the degree window grew: %s"
+        % [list(v) for v in history])
 
 
 def member_oracle(p, gens, bound, min_degree=1):
