@@ -19,7 +19,8 @@ from genpos.poly import (DEGREVLEX, BlockOrder, Polynomial,
                          monomials_of_degree, parse_polynomial)
 from genpos.scalars import QQ, PrimeField
 from genpos.tangent_cone import (Branch, BranchCurve, ConeProfile,
-                                 GermRing, _dict_mul,
+                                 GermRing, _coefficients, _dict_mul,
+                                 _power_products, _remainder,
                                  branch_tangent_points, cone_profile,
                                  germ_profile, lowest_form_ideal,
                                  standard_counts, subalgebra_member)
@@ -466,7 +467,9 @@ def test_germ_report_builds_one_echelon(monkeypatch):
     profile, mem = cli.germ_report({
         "field": "Q", "parametrization": ["t^2", "t^3"],
         "membership": {"query": "t^41", "min_factors": 20}})
-    assert len(calls) == 1
+    # the level-0 span modulo g^2 (products of at most one factor) already
+    # holds g R, so N = 1, and the one level build is at K = N + 20 + 1
+    assert [cap for _, _, cap, _ in calls] == [1, 21]
     assert profile.values == (1, 2, 2, 2, 2, 2, 2)
     assert mem["member"] and mem["member_at_min_factors_1"]
 
@@ -530,6 +533,104 @@ def test_germ_profile_matches_rebuild_oracle(gens):
     except StabilizationError:
         return
     assert prof == expected
+
+
+@st.composite
+def shared_factor_germs(draw):
+    """(f, t*f) or (f, t*f, h), f = u^m*(1 + c*t), h = u^m'*t^k*(1 + c'*t),
+    m <= m' <= m + 1 and u = t*(t - a)[*(t - b)], the second root off t = 0
+    only for m = 1, over Q or GF(32003): the components share u^m, which has
+    roots off t = 0, as fixtures.germ_components shares t*(t^5 - 1), and
+    with m = 2 their gcd is not squarefree. t = (t*f)/f keeps every draw
+    birational."""
+    field = draw(st.sampled_from([QQ, PrimeField(32003)]))
+    t = tvar(field)
+    coeff = st.sampled_from([0, 1, -2, Fraction(1, 3)])
+    m = draw(st.integers(1, 2))
+    u = t
+    for a in draw(st.lists(st.sampled_from([1, -1, 2, Fraction(1, 2)]),
+                           min_size=1, max_size=3 - m, unique=True)):
+        u = u * (t - a)
+    f = u ** m * (t * draw(coeff) + 1)
+    gens = (f, t * f)
+    if draw(st.booleans()):
+        h = u ** draw(st.integers(m, m + 1)) * t ** draw(st.integers(0, 1))
+        gens += (h * (t * draw(coeff) + 1),)
+    return gens
+
+
+@st.composite
+def germ_queries(draw, gens):
+    """A product of up to 9 of the components, plus 0-2 times a power of t."""
+    field = gens[0].field
+    q = Polynomial.constant(field.one, 1, field)
+    for i in draw(st.lists(st.integers(0, len(gens) - 1), max_size=9)):
+        q = q * gens[i]
+    tail = tvar(field) ** draw(st.integers(1, 30))
+    return q + tail * draw(st.integers(0, 2))
+
+
+# The loop GermRing.echelon ran before it read N off level-0 spans, kept as
+# the oracle: it reads N off the level build at K = top + 2, rebuilds at
+# K = N + top + 1 when that is larger, and doubles K while it finds no N.
+
+def oracle_least_n(ring, ech, K):
+    """The least n < K with every g^n t^i (i < e) in the span of `ech`, an
+    echelon of the products modulo g^K, or None."""
+    modulus, p = ring.power(K), ring.field.p
+    return next((n for n in range(K) if all(ech.contains(_remainder(
+        {k + i: c for k, c in ring.power(n).items()}, modulus, p))
+        for i in range(ring.e))), None)
+
+
+def two_pass_echelon(ring):
+    field, e, top, p = ring.field, ring.e, ring.top, ring.field.p
+    D = max(c.degree() for c in ring.gens)
+    genus, K = (D - 1) * (D - 2) // 2, top + 2
+    while True:
+        ech, _ = echelon_for(field)
+        modulus = ring.power(K)
+        rows = [_remainder(_coefficients(c), modulus, p) for c in ring.gens]
+        for count, row in _power_products(rows, p, K - 1, modulus):
+            ech.insert(row, min(count, top + 1))
+        if e * K - ech.rank > genus:
+            raise ValueError("not birational")
+        N = oracle_least_n(ring, ech, K)
+        if N is not None and N + top + 1 <= K:
+            return ech, K
+        K = 2 * K if N is None else N + top + 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.one_of(germs(), shared_factor_germs()), st.data())
+def test_germ_ring_matches_two_pass_oracle(gens, data):
+    # N found on level-0 spans and one level build at K = N + top + 1 read
+    # the same local ring as the loop that read N off its level builds
+    q = data.draw(germ_queries(gens))
+    ring, oracle = GermRing(gens, q), GermRing(gens, q)
+    try:
+        ech, K = ring.echelon
+    except ValueError as exc:
+        assert "not birational" in str(exc)
+        with pytest.raises(ValueError, match="not birational"):
+            two_pass_echelon(oracle)
+        return
+    # germ_profile and subalgebra_member read the oracle's build through
+    # the cached property
+    oracle.__dict__["echelon"] = two_pass_echelon(oracle)
+    old, K_old = oracle.echelon
+    # the search's N is the N of the final span
+    assert K == oracle_least_n(ring, ech, K) + ring.top + 1 <= K_old
+    # the old loop stops at top + 2 when N = 0, and may overshoot when it
+    # doubles, so the ranks are compared as e*K - rank_from(n) = dim R/m^n
+    for n in range(ring.top + 2):
+        assert (ring.e * K - ech.rank_from(n)
+                == ring.e * K_old - old.rank_from(n))
+    if K == K_old:
+        assert (ech.pivots, ech.levels) == (old.pivots, old.levels)
+    assert germ_profile(gens, ring) == germ_profile(gens, oracle)
+    assert (subalgebra_member(q, gens, ring)
+            == subalgebra_member(q, gens, oracle))
 
 
 def implicit_ideal(gens):
@@ -601,6 +702,17 @@ def test_germ_profile_with_branches_off_t_zero(field):
     assert prof.values == cone.values[:len(prof.values)]
     assert prof.values == (1, 2, 3, 4, 4, 4, 4)
     assert prof.multiplicity == cone.multiplicity == 4
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(shared_factor_germs())
+def test_germ_profile_of_shared_factor_germs_matches_elimination_oracle(gens):
+    # a gcd with roots off t = 0, squarefree or not: one branch through the
+    # origin at each root
+    prof = germ_profile(gens)
+    cone = cone_profile(implicit_ideal(gens))
+    assert prof.values == cone.values[:len(prof.values)]
+    assert prof.multiplicity == cone.multiplicity
 
 
 @pytest.mark.parametrize("e", [6, 7])
