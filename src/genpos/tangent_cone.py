@@ -11,10 +11,9 @@ Three routes into the same graded object:
   * germ_profile reads the graded dimensions dim m^n / m^(n+1) of a
     parameterized curve's local ring off the power products of its
     components modulo a power of their gcd g, which is exact once g^N k[t]
-    lies in the ring; N is read off level-0 spans of the products. Then one
-    level-filtered echelon (see linalg), a GermRing, takes each power product
-    once, at its factor count, and each product is computed once, from the
-    product with one factor fewer.
+    lies in the ring. One level-filtered echelon (see linalg), a GermRing,
+    takes each power product once, at its factor count, and each product is
+    computed once, from the product with one factor fewer.
     subalgebra_member reads the largest n with a query in m^n off the same
     echelon, built deep enough for that query, so one build answers both.
   * branch_tangent_points extracts the tangent directions of a branch
@@ -237,19 +236,21 @@ class GermRing:
     multiplicity. Modulo g^K the products of at least n and fewer than K
     factors span the image of m^n. For n < K, if every g^n t^i (i < e) lies
     in the span of all products, g^n R lies in A + g^(n+1) R, hence in A
-    (Nakayama). So the least such n is N, the least n with g^n R in A, as
-    soon as K > N: it is read off level-0 spans at K = 2, 4, 8, ... Then
-    g^(N+n) R = m^n g^N R lies in m^n, and the one level build, at
-    K = N + top + 1, spans exactly the image of m^n at level n for every
-    n <= top + 1. top is max(6, e + 1), the last degree germ_profile reads,
-    or the g-adic order of `query` if larger. N is at most the conductor
-    length, at most 2 delta (Serre, Algebraic Groups and Class Fields,
-    IV 11), and a birational germ has delta = dim R/A at most the arithmetic
-    genus (D - 1)(D - 2)/2 of a plane projection, D the largest component
-    degree (Hartshorne, Algebraic Geometry, IV Ex. 1.8). A map of degree
-    d >= 2 leaves A at most eK/d dimensions modulo g^K, so once A misses
-    more than that genus at some K, the map is not birational and
-    ValueError says so.
+    (Nakayama). So once K > N, N the least n with g^n R in A, the least such
+    n is N. The builds look for it at K = 2, 4, ... up to (top + 2)/2, then
+    at K = top + 2, 2(top + 2), 4(top + 2), ..., and not again once it is
+    found. Then g^(N+n) R = m^n g^N R lies in m^n, so at any
+    K >= N + top + 1 the level-n span is exactly the image of m^n for every
+    n <= top + 1: the build that found N is kept if its K is that large,
+    else one more is made at K = N + top + 1. top is max(6, e + 1),
+    the last degree germ_profile reads, or the g-adic order of `query` if
+    larger. N is at most the conductor length, at most 2 delta (Serre,
+    Algebraic Groups and Class Fields, IV 11), and a birational germ has
+    delta = dim R/A at most the arithmetic genus (D - 1)(D - 2)/2 of a plane
+    projection, D the largest component degree (Hartshorne, Algebraic
+    Geometry, IV Ex. 1.8). A map of degree d >= 2 leaves A at most eK/d
+    dimensions modulo g^K, so once A misses more than that genus at some K,
+    the map is not birational and ValueError says so.
     """
 
     def __init__(self, gens, query=None):
@@ -280,42 +281,43 @@ class GermRing:
             b += 1
         return b
 
-    def products_echelon(self, K, cap):
-        """One echelon of the power products with fewer than K factors
-        modulo g^K, each at level min(factor count, cap)."""
-        field, p = self.field, self.field.p
-        # _remainder also puts a row in the echelon's form: over Q a
-        # primitive integer row, and products of those stay primitive
-        # (Gauss's lemma), so IntegerEchelon never sees a Fraction
-        ech = IntegerEchelon() if field == QQ else SparseEchelon(field)
-        modulus = self.power(K)
-        rows = [_remainder(_coefficients(c), modulus, p) for c in self.gens]
-        # most factors first: the echelon takes levels in non-increasing
-        # order only, and raises on a row above the last level
-        for count, row in _power_products(rows, p, K - 1, modulus):
-            ech.insert(row, min(count, cap))
-        return ech
-
     @cached_property
     def echelon(self):
-        e, p = self.e, self.field.p
+        field, e, top, p = self.field, self.e, self.top, self.field.p
         D = max(c.degree() for c in self.gens)
-        genus, K = (D - 1) * (D - 2) // 2, 2
+        genus, K, N = (D - 1) * (D - 2) // 2, 2, None
         while True:
-            ech, modulus = self.products_echelon(K, 0), self.power(K)
+            # _remainder also puts a row in the echelon's form: over Q a
+            # primitive integer row, and products of those stay primitive
+            # (Gauss's lemma), so IntegerEchelon never sees a Fraction
+            ech = IntegerEchelon() if field == QQ else SparseEchelon(field)
+            modulus = self.power(K)
+            rows = [_remainder(_coefficients(c), modulus, p)
+                    for c in self.gens]
+            # most factors first: the echelon takes levels in non-increasing
+            # order only, and raises on a row above the last level
+            for count, row in _power_products(rows, p, K - 1, modulus):
+                ech.insert(row, min(count, top + 1))
             if (missing := e * K - ech.rank) > genus:
                 raise ValueError(
                     "the parametrization is not birational onto its image: "
                     "its local ring misses %d > (D - 1)(D - 2)/2 = %d "
                     "dimensions modulo g^%d, g = %s, D = %d"
                     % (missing, genus, K, self.g.text(names=("t",)), D))
-            N = next((n for n in range(K) if all(ech.contains(_remainder(
-                {k + i: c for k, c in self.power(n).items()}, modulus, p))
-                for i in range(e))), None)
+            if N is None:
+                N = next((n for n in range(K) if all(ech.contains(_remainder(
+                    {k + i: c for k, c in self.power(n).items()}, modulus, p))
+                    for i in range(e))), None)
             if N is not None:
-                K = N + self.top + 1
-                return self.products_echelon(K, self.top + 1), K
-            K *= 2
+                if N + top + 1 <= K:
+                    return ech, K
+                K = N + top + 1
+            elif K < top + 2 < 4 * K:
+                # the passes below top + 2 stop at (top + 2)/2, so together
+                # they cost a fraction of the pass at top + 2
+                K = top + 2
+            else:
+                K *= 2
 
 
 def subalgebra_member(q, gens, ring=None):

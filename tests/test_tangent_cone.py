@@ -467,11 +467,41 @@ def test_germ_report_builds_one_echelon(monkeypatch):
     profile, mem = cli.germ_report({
         "field": "Q", "parametrization": ["t^2", "t^3"],
         "membership": {"query": "t^41", "min_factors": 20}})
-    # the level-0 span modulo g^2 (products of at most one factor) already
-    # holds g R, so N = 1, and the one level build is at K = N + 20 + 1
+    # the span modulo g^2 (products of at most one factor) already holds
+    # g R, so N = 1, and the one more build is at K = N + 20 + 1
     assert [cap for _, _, cap, _ in calls] == [1, 21]
     assert profile.values == (1, 2, 2, 2, 2, 2, 2)
     assert mem["member"] and mem["member_at_min_factors_1"]
+
+
+@pytest.mark.parametrize("texts, caps", [
+    # N = 1 found at K = 2, then K = N + top + 1 = 8
+    (["t^2", "t^3"], [1, 7]),
+    # N = 2 found at K = 4, then K = 9: no pass at top + 2 = 8
+    (["t^3", "t^4"], [1, 3, 8]),
+    # N = 8 found at K = 16 >= N + top + 1 = 15: that build is kept
+    (["t^3", "t^13"], [1, 3, 7, 15]),
+    # N = 10 found at K = 16 < N + top + 1 = 17: one more build
+    (["t^2", "t^21"], [1, 3, 7, 15, 16]),
+    # top = 8: no search pass between (top + 2)/2 and top + 2 = 10; N = 9
+    # found at K = 10, then K = 18
+    (["t^7 + t^8", "t^11"], [1, 3, 9, 17]),
+])
+def test_germ_ring_passes(monkeypatch, texts, caps):
+    from genpos import tangent_cone
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return power_products(*args)
+
+    power_products = tangent_cone._power_products
+    monkeypatch.setattr(tangent_cone, "_power_products", counted)
+    gens = [parse_polynomial(s, 1, QQ, names=("t",)) for s in texts]
+    ring = GermRing(gens)
+    assert ring.echelon[1] == caps[-1] + 1
+    assert [cap for _, _, cap, _ in calls] == caps
 
 
 def test_germ_profile_frozen():
@@ -570,9 +600,10 @@ def germ_queries(draw, gens):
     return q + tail * draw(st.integers(0, 2))
 
 
-# The loop GermRing.echelon ran before it read N off level-0 spans, kept as
-# the oracle: it reads N off the level build at K = top + 2, rebuilds at
-# K = N + top + 1 when that is larger, and doubles K while it finds no N.
+# The loop GermRing.echelon ran before it looked for N below K = top + 2,
+# kept as the oracle: it reads N off the build at K = top + 2, doubles K
+# while it finds no N, rebuilds at K = N + top + 1 when that is larger, and
+# reads N again off every build.
 
 def oracle_least_n(ring, ech, K):
     """The least n < K with every g^n t^i (i < e) in the span of `ech`, an
@@ -604,8 +635,8 @@ def two_pass_echelon(ring):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.one_of(germs(), shared_factor_germs()), st.data())
 def test_germ_ring_matches_two_pass_oracle(gens, data):
-    # N found on level-0 spans and one level build at K = N + top + 1 read
-    # the same local ring as the loop that read N off its level builds
+    # N found by search passes from K = 2 and a build at K >= N + top + 1
+    # read the same local ring as the loop that started at K = top + 2
     q = data.draw(germ_queries(gens))
     ring, oracle = GermRing(gens, q), GermRing(gens, q)
     try:
@@ -619,8 +650,11 @@ def test_germ_ring_matches_two_pass_oracle(gens, data):
     # the cached property
     oracle.__dict__["echelon"] = two_pass_echelon(oracle)
     old, K_old = oracle.echelon
-    # the search's N is the N of the final span
-    assert K == oracle_least_n(ring, ech, K) + ring.top + 1 <= K_old
+    # the final span gives the oracle's N, and the build is the one at
+    # N + top + 1 or the oracle's own, never a larger one
+    N = oracle_least_n(ring, ech, K)
+    assert N == oracle_least_n(oracle, old, K_old)
+    assert K in (N + ring.top + 1, K_old) and K <= K_old
     # the old loop stops at top + 2 when N = 0, and may overshoot when it
     # doubles, so the ranks are compared as e*K - rank_from(n) = dim R/m^n
     for n in range(ring.top + 2):
