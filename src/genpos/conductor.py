@@ -197,22 +197,90 @@ def semigroup_certificate(gens):
 
 
 # ---------------------------------------------------------------- monomial algebras
+#
+# A set of lattice points in a box [0, n]^k is held by rows: a dict keyed by
+# the first k - 1 coordinates (the prefix), whose int has bit j set when the
+# point prefix + (j,) is in the set. An up-closed set, such as the conductor
+# or a candidate's ideal, is a run of high bits in each row, so its row is
+# kept as the first point of that run (n + 1 for an empty row).
 
-def monomial_semigroup_points(generators, box):
-    """Lattice points of the affine semigroup inside [0, box]^k."""
+def _monomial_dimension(generators, box):
+    """k for generators in N^k, after checking them and the box."""
+    if isinstance(box, bool) or not isinstance(box, int) or box < 1:
+        raise ValueError("box must be a positive integer, got %r" % (box,))
+    if not generators:
+        raise ValueError("need at least one generator")
     k = len(generators[0])
-    reached = {(0,) * k}
-    frontier = [(0,) * k]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for g in generators:
-                w = tuple(a + b for a, b in zip(v, g))
-                if all(c <= box for c in w) and w not in reached:
-                    reached.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return reached
+    if any(len(g) != k for g in generators):
+        raise ValueError("generators of mixed dimension")
+    if k == 0 or any(min(g) < 0 or max(g) < 1 for g in generators):
+        raise ValueError("generators must be nonzero nonnegative vectors")
+    return k
+
+
+def monomial_semigroup_rows(generators, box):
+    """Rows of the affine semigroup's points inside [0, box]^k.
+
+    A generator whose first k - 1 entries are zero moves points along their
+    row; any other moves them to a row later in lex order. So rows visited
+    in lex order have received every point from earlier rows when they are
+    closed under the first kind and shifted on by the second.
+    """
+    k = len(generators[0])
+    full = (1 << (box + 1)) - 1
+    along = [g[-1] for g in generators if not any(g[:-1])]
+    across = [g for g in generators if any(g[:-1])]
+    rows = {(0,) * (k - 1): 1}
+    for prefix in iproduct(range(box + 1), repeat=k - 1):
+        m = rows.get(prefix)
+        if not m:
+            continue
+        for s in along:
+            while s <= box:  # adds every multiple of s, doubling the step
+                m |= m << s & full
+                s += s
+        rows[prefix] = m
+        for g in across:
+            target = tuple(a + b for a, b in zip(prefix, g))
+            if all(c <= box for c in target):
+                rows[target] = rows.get(target, 0) | m << g[-1] & full
+    return rows
+
+
+def _monomial_conductor_rows(generators, box):
+    """The conductor inside the window [0, box//2]^k as up-closed rows (the
+    first point of each), and the window; errors as monomial_conductor."""
+    k = len(generators[0])
+    grid = monomial_semigroup_rows(generators, box)
+    full = (1 << (box + 1)) - 1
+    # bad[p] = t: the points p + (j,) with j < t have a non-semigroup point
+    # between them and the far corner; decreasing lex order visits every
+    # p + e_i before p
+    bad = {}
+    for p in iproduct(range(box, -1, -1), repeat=k - 1):
+        t = (~grid.get(p, 0) & full).bit_length()
+        for i in range(k - 1):
+            if p[i] < box:
+                t = max(t, bad[p[:i] + (p[i] + 1,) + p[i + 1:]])
+        bad[p] = t
+    window = box // 2
+    cond = {p: min(bad[p], window + 1)
+            for p in iproduct(range(window + 1), repeat=k - 1)}
+    maxgen = max(max(g) for g in generators)
+    corner_lo = max(window - maxgen, 0)
+    for p in iproduct(range(corner_lo, window + 1), repeat=k - 1):
+        if cond[p] > corner_lo:
+            raise StabilizationError(
+                "far corner %s of the window is not in the conductor; "
+                "enlarge the box (box=%d)" % (p + (corner_lo,), box))
+    for p, first in cond.items():
+        for g in generators:
+            target = tuple(a + b for a, b in zip(p, g))
+            moved = first + g[-1]  # first point of p's row shifted by g
+            if all(c <= window for c in target):
+                assert moved > window or cond[target] <= moved, \
+                    "conductor not closed under the semigroup"
+    return cond, window
 
 
 def monomial_conductor(generators, box):
@@ -224,52 +292,17 @@ def monomial_conductor(generators, box):
     check honest. Errors when the far corner of the window is not entirely in
     the conductor (the box is then too small to see the stable region).
 
-    One sweep down the box marks each point u "bad" when some point between
-    u and the far corner of the box lies outside the semigroup, from its own
-    membership and its k upper neighbours: O(k * (box+1)^k) in all.
+    The box is held as (box+1)^(k-1) rows of (box+1)-bit ints, one per
+    choice of the first k - 1 coordinates. The semigroup fills the rows in
+    lex order with shifts and masks, O(log box) of them per row and
+    generator. One sweep down the rows then marks each point u "bad" when
+    some point between u and the far corner of the box lies outside the
+    semigroup, from its own row and the k - 1 rows above it.
     """
-    if isinstance(box, bool) or not isinstance(box, int) or box < 1:
-        raise ValueError("box must be a positive integer, got %r" % (box,))
-    if not generators:
-        raise ValueError("need at least one generator")
-    k = len(generators[0])
-    if any(len(g) != k for g in generators):
-        raise ValueError("generators of mixed dimension")
-    if any(min(g) < 0 or max(g) < 1 for g in generators):
-        raise ValueError("generators must be nonzero nonnegative vectors")
-    grid = monomial_semigroup_points(generators, box)
-    window = box // 2
-    bad = set()
-    # decreasing lexicographic order visits every u + e_i before u
-    for u in iproduct(range(box, -1, -1), repeat=k):
-        if u not in grid or any(u[:i] + (u[i] + 1,) + u[i + 1:] in bad
-                                for i in range(k) if u[i] < box):
-            bad.add(u)
-    conductor = {v for v in iproduct(range(window + 1), repeat=k)
-                 if v not in bad}
-    maxgen = max(max(g) for g in generators)
-    corner_lo = max(window - maxgen, 0)
-    for v in iproduct(range(corner_lo, window + 1), repeat=k):
-        if v not in conductor:
-            raise StabilizationError(
-                "far corner %s of the window is not in the conductor; "
-                "enlarge the box (box=%d)" % (v, box))
-    for v in conductor:
-        for g in generators:
-            w = tuple(a + b for a, b in zip(v, g))
-            if all(c <= window for c in w):
-                assert w in conductor, "conductor not closed under the semigroup"
-    return conductor, window
-
-
-def up_closure(vectors, window):
-    """All window points componentwise >= some given vector."""
-    out = set()
-    for base in vectors:
-        ranges = [range(b, window + 1) for b in base]
-        for v in iproduct(*ranges):
-            out.add(v)
-    return out
+    _monomial_dimension(generators, box)
+    cond, window = _monomial_conductor_rows(generators, box)
+    return {p + (j,) for p, first in cond.items()
+            for j in range(first, window + 1)}, window
 
 
 def monomial_conductor_certificate(generators, box, candidate):
@@ -277,27 +310,33 @@ def monomial_conductor_certificate(generators, box, candidate):
 
     `candidate` is a list of exponent vectors generating the claimed conductor
     as an ideal of the normalization's monomial lattice; each must have the
-    generators' length and no negative entry, or ValueError names it.
+    generators' length and no negative entry, or ValueError names it before
+    any lattice work.
     """
-    cond, window = monomial_conductor(generators, box)
-    k = len(generators[0])
+    k = _monomial_dimension(generators, box)
     for i, c in enumerate(candidate):
         if len(c) != k or min(c) < 0:
             raise ValueError("candidate[%d]: expected %d nonnegative integers, "
                              "got %s" % (i, k, list(c)))
-    cand = up_closure(candidate, window)
-    missing = sorted(cand - cond)
-    extra = sorted(cond - cand)
-    verdict = "match" if not missing and not extra else "mismatch"
+    cond, window = _monomial_conductor_rows(generators, box)
+    cand = dict.fromkeys(cond, window + 1)
+    for c in candidate:
+        for p in iproduct(*(range(a, window + 1) for a in c[:-1])):
+            cand[p] = min(cand[p], c[-1])
+    missing = next((p + (cand[p],) for p in cond if cand[p] < cond[p]), None)
+    extra = next((p + (cond[p],) for p in cond if cond[p] < cand[p]), None)
+    verdict = "match" if missing is None and extra is None else "mismatch"
     return ConductorCertificate(
         model="monomial-algebra",
         claimed={"generators": [list(c) for c in sorted(candidate)],
-                 "points_in_window": len(cand)},
-        oracle={"points_in_window": len(cond), "window": window, "box": box},
+                 "points_in_window": sum(window + 1 - f
+                                         for f in cand.values())},
+        oracle={"points_in_window": sum(window + 1 - f for f in cond.values()),
+                "window": window, "box": box},
         hypotheses={"window_stable": True},
         verdict=verdict,
-        details={"first_missing": list(missing[0]) if missing else None,
-                 "first_extra": list(extra[0]) if extra else None})
+        details={"first_missing": list(missing) if missing else None,
+                 "first_extra": list(extra) if extra else None})
 
 
 # ---------------------------------------------------------------- hyperplane arrangements

@@ -95,13 +95,18 @@ def integers(values, path):
 
 
 def exponent_vectors(values, path):
-    """A JSON list of integer lists, as tuples; each entry checked by
-    `integer`."""
+    """A JSON list of nonempty integer lists, as tuples; each entry checked
+    by `integer`."""
     if not isinstance(values, list):
         raise ValueError("%s: expected a list of integer lists, got %s"
                          % (path, json.dumps(values)))
-    return [tuple(integers(v, "%s[%d]" % (path, i)))
-            for i, v in enumerate(values)]
+    vectors = []
+    for i, v in enumerate(values):
+        where = "%s[%d]" % (path, i)
+        vectors.append(tuple(integers(v, where)))
+        if not v:
+            raise ValueError("%s: expected a nonempty exponent vector" % where)
+    return vectors
 
 
 def curve_to_json(C):

@@ -552,6 +552,10 @@ def test_conductor_generators_must_be_integers(tmp_path, capsys):
               "candidate[0]: expected a list of integers, got 0"),
              (dict(monomial, generators="3"),
               'generators: expected a list of integer lists, got "3"'),
+             (dict(monomial, generators=[[]]),
+              "generators[0]: expected a nonempty exponent vector"),
+             (dict(monomial, generators=[[3, 0], [], [1, 1]]),
+              "generators[1]: expected a nonempty exponent vector"),
              ({"model": "semigroup", "generators": [2.9, "5"]},
               "generators[0]: expected an integer, got 2.9"),
              ({"model": "semigroup", "generators": [2, "5"]},

@@ -12,10 +12,10 @@ from genpos.conductor import (NumericalSemigroup, arrangement_certificate,
                               arrangement_conductor_ideal,
                               arrangement_strata, monomial_conductor,
                               monomial_conductor_certificate,
-                              monomial_semigroup_points,
+                              monomial_semigroup_rows,
                               points_conductor_certificate,
                               points_conductor_sigma, semigroup_certificate,
-                              symbolic_power, up_closure)
+                              symbolic_power)
 from genpos.errors import BudgetExceededError, StabilizationError
 from genpos.fixtures import (arrangement_forms, line_points,
                              off_conic_points, tangent_point_set)
@@ -355,6 +355,43 @@ def test_monomial_validation():
             monomial_conductor([(2, 0), (0, 1), (1, 1)], box)
 
 
+def test_monomial_candidate_is_checked_before_the_lattice():
+    # box 4 is too small for this model's far corner, so the lattice work
+    # would raise StabilizationError: the candidate's error comes first
+    with pytest.raises(ValueError, match=r"candidate\[1\]: expected 2"):
+        monomial_conductor_certificate([(2, 0), (0, 3), (1, 1)], 4,
+                                       [(0, 1), (0, 1, 2)])
+
+
+def monomial_semigroup_points(generators, box):
+    """Lattice points of the affine semigroup inside [0, box]^k, by a
+    breadth-first walk over point tuples: the semigroup monomial_conductor
+    built before its row masks, kept as the oracle."""
+    k = len(generators[0])
+    reached = {(0,) * k}
+    frontier = [(0,) * k]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for g in generators:
+                w = tuple(a + b for a, b in zip(v, g))
+                if all(c <= box for c in w) and w not in reached:
+                    reached.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return reached
+
+
+def up_closure(vectors, window):
+    """All window points componentwise >= some given vector."""
+    out = set()
+    for base in vectors:
+        ranges = [range(b, window + 1) for b in base]
+        for v in iproduct(*ranges):
+            out.add(v)
+    return out
+
+
 def scan_monomial_conductor(generators, box):
     """The conductor scan monomial_conductor ran before its one-sweep form,
     kept as the oracle: every window point v checks every w with v + w in
@@ -377,6 +414,24 @@ def scan_monomial_conductor(generators, box):
                 "far corner %s of the window is not in the conductor; "
                 "enlarge the box (box=%d)" % (v, box))
     return conductor, window
+
+
+def scan_monomial_certificate(generators, box, candidate):
+    """monomial_conductor_certificate's dict as it was built on point sets,
+    over the scan oracle."""
+    cond, window = scan_monomial_conductor(generators, box)
+    cand = up_closure(candidate, window)
+    missing = sorted(cand - cond)
+    extra = sorted(cond - cand)
+    return {"model": "monomial-algebra",
+            "claimed": {"generators": [list(c) for c in sorted(candidate)],
+                        "points_in_window": len(cand)},
+            "oracle": {"points_in_window": len(cond), "window": window,
+                       "box": box},
+            "hypotheses": {"window_stable": True},
+            "verdict": "match" if not missing and not extra else "mismatch",
+            "details": {"first_missing": list(missing[0]) if missing else None,
+                        "first_extra": list(extra[0]) if extra else None}}
 
 
 def conductor_or_error(conductor, generators, box):
@@ -409,6 +464,67 @@ def test_monomial_conductor_matches_scan_oracle(model):
     gens, box = model
     assert conductor_or_error(monomial_conductor, gens, box) == \
         conductor_or_error(scan_monomial_conductor, gens, box)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(monomial_models())
+def test_monomial_semigroup_rows_match_bfs_oracle(model):
+    gens, box = model
+    rows = monomial_semigroup_rows(gens, box)
+    assert all(m >> (box + 1) == 0 for m in rows.values())
+    assert {p + (j,) for p, m in rows.items() for j in range(box + 1)
+            if m >> j & 1} == monomial_semigroup_points(gens, box)
+
+
+def minimal_points(points):
+    return sorted(v for v in points
+                  if not any(w != v and all(a <= b for a, b in zip(w, v))
+                             for w in points))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(monomial_models(), st.data())
+def test_monomial_certificate_matches_scan_oracle(model, data):
+    """Candidates drawn empty, with entries past the window, or as the
+    minimal points of the scanned conductor with one point dropped, moved
+    or added (or none, for a match)."""
+    gens, box = model
+    k, window = len(gens[0]), box // 2
+    vectors = st.lists(st.integers(0, window + 2), min_size=k, max_size=k)
+    candidate = [tuple(v) for v in data.draw(st.lists(vectors, max_size=3))]
+    try:
+        cond, _ = scan_monomial_conductor(gens, box)
+    except StabilizationError as exc:
+        expected = str(exc)
+    else:
+        if data.draw(st.booleans()):
+            candidate = minimal_points(cond)
+            edit = data.draw(st.sampled_from(["none", "drop", "move", "add"]))
+            if edit == "drop" and candidate:
+                candidate.pop(data.draw(st.integers(0, len(candidate) - 1)))
+            elif edit == "move" and candidate:
+                i = data.draw(st.integers(0, len(candidate) - 1))
+                j = data.draw(st.integers(0, k - 1))
+                v = list(candidate[i])
+                v[j] = max(v[j] + data.draw(st.sampled_from([-1, 1])), 0)
+                candidate[i] = tuple(v)
+            elif edit == "add":
+                candidate.append(data.draw(vectors.map(tuple)))
+        expected = scan_monomial_certificate(gens, box, candidate)
+    try:
+        got = monomial_conductor_certificate(gens, box, candidate).as_dict()
+    except StabilizationError as exc:
+        got = str(exc)
+    assert got == expected
+
+
+def test_monomial_conductor_scales_to_a_large_box():
+    # the normal control N^2 in the box [0, 3000]^2: its conductor is the
+    # whole window, 1501^2 points
+    cond, window = monomial_conductor([(1, 0), (0, 1)], 3000)
+    assert window == 1500
+    assert len(cond) == 1501 ** 2
+    assert all(0 <= a <= 1500 and 0 <= b <= 1500 for a, b in cond)
 
 
 def test_monomial_conductor_large_box():
