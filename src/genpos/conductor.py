@@ -14,7 +14,7 @@ from itertools import combinations, product as iproduct
 from .errors import StabilizationError
 from .groebner import (Ideal, ideal_equal, ideal_intersect, ideal_member,
                        ideal_power, saturation)
-from .linalg import rank, rref
+from .linalg import rref
 from .points import _first_failing_subset, binom, nu
 from .poly import Polynomial
 
@@ -366,34 +366,35 @@ def arrangement_conductor_ideal(forms):
     of (L_i) + (prod of the other forms)."""
     if len(forms) < 2:
         raise ValueError("need at least two hyperplanes")
-    out = None
-    for i, f in enumerate(forms):
-        piece = Ideal(f.nvars, f.field, [f, _product_except(forms, i)])
-        out = piece if out is None else ideal_intersect(out, piece)
-    return out
+    return ideal_intersect(*(
+        Ideal(f.nvars, f.field, [f, _product_except(forms, i)])
+        for i, f in enumerate(forms)))
 
 
 def arrangement_strata(forms):
     """Pairwise intersection strata: (defining rows, multiplicity, hyperplane ids).
 
     Rows are the canonical RREF of each codimension-2 stratum; the multiplicity
-    is the number of input hyperplanes containing the stratum.
+    is the number of input hyperplanes containing the stratum. A form lies on
+    the stratum when it equals the combination of the two rows with its own
+    entries at their pivot columns as coefficients.
     """
     field = forms[0].field
     vecs = [_linear_coeffs(f) for f in forms]
-    for i, j in combinations(range(len(forms)), 2):
-        if rank([vecs[i], vecs[j]], field) < 2:
-            raise ValueError("forms %d and %d are proportional" % (i, j))
     strata = []
-    seen = {}
+    seen = set()
     for i, j in combinations(range(len(forms)), 2):
-        red, _ = rref([vecs[i], vecs[j]], field)
+        red, pivots = rref([vecs[i], vecs[j]], field)
+        if len(pivots) < 2:
+            raise ValueError("forms %d and %d are proportional" % (i, j))
         key = tuple(tuple(row) for row in red)
         if key in seen:
             continue
-        members = [l for l in range(len(forms))
-                   if rank([red[0], red[1], vecs[l]], field) == 2]
-        seen[key] = True
+        seen.add(key)
+        (c0, c1), (r0, r1) = pivots, red
+        members = [l for l, v in enumerate(vecs)
+                   if all(field(v[c0] * a + v[c1] * b) == x
+                          for a, b, x in zip(r0, r1, v))]
         strata.append((red, len(members), tuple(members)))
     return strata
 
@@ -405,26 +406,31 @@ def arrangement_certificate(forms):
     local ring sees e_k concurrent hyperplane traces in a plane transverse to
     the stratum (e_k distinct points of a projective line, always in generic
     position), so the predicted local exponent is nu(e_k, 1) = e_k - 1.
+
+    Each side is one `ideal_intersect` call, whose result carries its reduced
+    degrevlex basis. The formula adds F = prod L_i, the defining form of the
+    union; F lies in every P_k^(e_k), so the membership test against the
+    recorded basis passes and the generators are never re-based. The verdict
+    compares the two reduced bases.
     """
     oracle = arrangement_conductor_ideal(forms)  # checks len(forms) >= 2
     field = forms[0].field
     nvars = forms[0].nvars
-    strata = arrangement_strata(forms)
-    formula = None
+    powers = []
     detail = []
-    for red, e_k, members in strata:
+    for red, e_k, members in arrangement_strata(forms):
         prime = Ideal(nvars, field, [
             Polynomial(nvars, field,
                        {tuple(1 if j == i else 0 for j in range(nvars)): c
                         for i, c in enumerate(row) if c != field.zero})
             for row in red])
-        power = ideal_power(prime, e_k - 1)
-        formula = power if formula is None else ideal_intersect(formula, power)
+        powers.append(ideal_power(prime, e_k - 1))
         detail.append({"hyperplanes": list(members), "multiplicity": e_k,
                        "local_exponent": e_k - 1})
+    formula = ideal_intersect(*powers)
     total = _product_except(forms, -1)
-    formula = Ideal(nvars, field, tuple(formula.gens) + (total,))
-    agree = ideal_equal(oracle, formula)
+    if not ideal_member(total, formula):
+        formula = Ideal(nvars, field, formula.gens + (total,))
     hypotheses = {
         "pairwise_distinct_hyperplanes": True,
         "transverse_points_generic": True,
@@ -437,7 +443,7 @@ def arrangement_certificate(forms):
                  formula.groebner_basis())},
         oracle={"basis": sorted(g.text() for g in oracle.groebner_basis())},
         hypotheses=hypotheses,
-        verdict="match" if agree else "mismatch",
+        verdict="match" if ideal_equal(oracle, formula) else "mismatch",
         details={"strata": detail})
 
 

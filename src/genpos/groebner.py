@@ -350,49 +350,81 @@ def ideal_member(f, ideal, order=DEGREVLEX):
 
 
 def ideal_equal(a, b, order=DEGREVLEX):
-    return (all(ideal_member(g, b, order) for g in a.gens)
-            and all(ideal_member(g, a, order) for g in b.gens))
+    """Whether two ideals are equal: their reduced bases under `order`, which
+    are unique for a given ideal and order, are the same tuple."""
+    return a.groebner_basis(order) == b.groebner_basis(order)
 
 
-def _shift_vars(p, offset, nvars):
-    """Reinterpret p in a ring with `offset` new leading variables."""
-    terms = {(0,) * offset + m + (0,) * (nvars - offset - p.nvars): c
-             for m, c in p.terms.items()}
-    return Polynomial(nvars, p.field, terms)
+_ELIMINATE_U = BlockOrder(split=1)
+
+
+def _lift(g, u, scale=1):
+    """The terms of scale * u**u * g as terms of k[u, x], u the new leading
+    variable, in the degrevlex order of g's own terms."""
+    return {(u,) + m: scale * c for m, c in g.terms_sorted(DEGREVLEX)}
 
 
 def _eliminate_u(gens, ideal):
     """The part free of the new leading variable u of the ideal `gens` of
     k[u, x], as an ideal of the ring of `ideal`: the basis elements without
     u under the block order that eliminates u (Cox, Little & O'Shea, *Ideals,
-    Varieties, and Algorithms*, ch. 3 section 1)."""
+    Varieties, and Algorithms*, ch. 3 section 1).
+
+    Those elements are the reduced degrevlex basis of the result, in the
+    order `buchberger` returns it: the block order restricted to k[x] is
+    degrevlex, no term of an element lies in the lead ideal of the others,
+    and the leads sort alike. So they are recorded as its `DEGREVLEX` basis,
+    and no caller runs Buchberger on an eliminated ideal again."""
     n, field = ideal.nvars, ideal.field
-    return Ideal(n, field, [
-        Polynomial(n, field, {m[1:]: c for m, c in g.terms.items()})
-        for g in buchberger(gens, BlockOrder(split=1))
-        if all(m[0] == 0 for m in g.terms)])
+    basis = tuple(
+        Polynomial(n, field, {m[1:]: c for m, c in
+                              g.terms_sorted(_ELIMINATE_U)}, DEGREVLEX)
+        for g in buchberger(gens, _ELIMINATE_U)
+        if all(m[0] == 0 for m in g.terms))
+    out = Ideal(n, field, basis)
+    out._bases[DEGREVLEX] = basis
+    return out
 
 
-def ideal_intersect(a, b):
-    """Intersection of two ideals: the u-free part of u*a + (1 - u)*b."""
-    if a.nvars != b.nvars or a.field != b.field:
+def _intersect_two(a, b):
+    """a intersected with b: the u-free part of u*a + (1 - u)*b. The
+    generators u*g and g - u*g are written from the terms of g, which lists
+    them in the elimination order already."""
+    n, field = a.nvars + 1, a.field
+    return _eliminate_u(
+        [Polynomial(n, field, _lift(g, 1), _ELIMINATE_U) for g in a.gens]
+        + [Polynomial(n, field, {**_lift(g, 1, -1), **_lift(g, 0)},
+                      _ELIMINATE_U) for g in b.gens], a)
+
+
+def ideal_intersect(*ideals):
+    """Intersection of one or more ideals of one ring, in a balanced tree:
+    adjacent pairs first, then pairs of the results, in input order, an odd
+    one out passing up a level as it is. n ideals take n - 1 eliminations
+    (`_intersect_two`), as a left fold does, but a fold intersects a growing
+    accumulator with one input at a time, and the tree meets two results of
+    about the same size only at its upper levels. An intersection of two or
+    more ideals carries its reduced `DEGREVLEX` basis."""
+    if not ideals:
+        raise ValueError("need at least one ideal to intersect")
+    a = ideals[0]
+    if any(b.nvars != a.nvars or b.field != a.field for b in ideals):
         raise ValueError("ideals in different rings")
-    n = a.nvars + 1
-    u = Polynomial.variable(0, n, a.field)
-    one = Polynomial.constant(a.field.one, n, a.field)
-    return _eliminate_u([u * _shift_vars(g, 1, n) for g in a.gens]
-                        + [(one - u) * _shift_vars(g, 1, n) for g in b.gens],
-                        a)
+    level = list(ideals)
+    while len(level) > 1:
+        level = [_intersect_two(*level[i:i + 2]) if i + 1 < len(level)
+                 else level[i] for i in range(0, len(level), 2)]
+    return level[0]
 
 
 def saturation(ideal, f):
     """(ideal : f^infinity), the u-free part of ideal + (1 - u*f): one
     elimination (Rabinowitsch; Cox, Little & O'Shea, ch. 4 section 4)."""
-    n = ideal.nvars + 1
-    u = Polynomial.variable(0, n, ideal.field)
-    one = Polynomial.constant(ideal.field.one, n, ideal.field)
-    return _eliminate_u([_shift_vars(g, 1, n) for g in ideal.gens]
-                        + [one - u * _shift_vars(f, 1, n)], ideal)
+    n, field = ideal.nvars + 1, ideal.field
+    return _eliminate_u(
+        [Polynomial(n, field, _lift(g, 0), _ELIMINATE_U) for g in ideal.gens]
+        + [Polynomial(n, field, {**_lift(f, 1, -1), (0,) * n: field.one},
+                      _ELIMINATE_U)], ideal)
 
 
 def ideal_power(ideal, m):

@@ -8,7 +8,8 @@ from genpos.errors import BudgetExceededError
 from genpos.groebner import (Ideal, buchberger, ideal_equal, ideal_intersect,
                              ideal_member, ideal_power, normal_form,
                              saturation, spolynomial)
-from genpos.poly import DEGREVLEX, DegRevLex, Lex, Polynomial
+from genpos.poly import (DEGREVLEX, LEX, BlockOrder, DegRevLex, Lex,
+                         Polynomial, monomials_of_degree)
 from genpos.scalars import QQ, PrimeField
 
 F11 = PrimeField(11)
@@ -160,6 +161,114 @@ def saturation_cases(draw):
 def test_saturation_matches_iterated_quotients(case):
     ideal, f = case
     assert ideal_equal(saturation(ideal, f), iterated_saturation(ideal, f))
+
+
+# ideal_intersect before it took several ideals, kept as the oracle: the
+# tagged generators u*g and (1 - u)*g as products in k[u, x], and the u-free
+# part of their block-order basis, with no basis recorded.
+
+def oracle_intersect(a, b):
+    n, field = a.nvars + 1, a.field
+    u = Polynomial.variable(0, n, field)
+    one = Polynomial.constant(field.one, n, field)
+
+    def lift(g):
+        return Polynomial(n, field, {(0,) + m: c for m, c in g.terms.items()})
+
+    elim = buchberger([u * lift(g) for g in a.gens]
+                      + [(one - u) * lift(g) for g in b.gens], BlockOrder(1))
+    return Ideal(a.nvars, field, [
+        Polynomial(a.nvars, field, {m[1:]: c for m, c in g.terms.items()})
+        for g in elim if all(m[0] == 0 for m in g.terms)])
+
+
+# ideal_equal before it compared reduced bases, kept as the oracle: each
+# ideal's generators lie in the other.
+
+def membership_equal(a, b, order=DEGREVLEX):
+    return (all(ideal_member(g, b, order) for g in a.gens)
+            and all(ideal_member(g, a, order) for g in b.gens))
+
+
+@st.composite
+def ideal_lists(draw, count=st.integers(2, 6)):
+    """A list of ideals of one ring, 2 or 3 variables over Q or GF(32003),
+    each of 1-2 generators of 1-3 terms of degree <= 2: all homogeneous
+    (each generator of one degree 1 or 2) or all drawn from every monomial
+    of degree <= 2, the constant too."""
+    field = draw(st.sampled_from([QQ, PrimeField(32003)]))
+    n = draw(st.integers(2, 3))
+    homogeneous = draw(st.booleans())
+
+    def poly():
+        if homogeneous:
+            monos = monomials_of_degree(n, draw(st.integers(1, 2)))
+        else:
+            monos = [m for d in range(3) for m in monomials_of_degree(n, d)]
+        return Polynomial(n, field, {
+            draw(st.sampled_from(monos)):
+                field(draw(st.sampled_from([1, -1, 2, 3, -5])))
+            for _ in range(draw(st.integers(1, 3)))})
+
+    return [Ideal(n, field, [poly() for _ in range(draw(st.integers(1, 2)))])
+            for _ in range(draw(count))]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(ideal_lists())
+def test_tree_intersection_matches_left_fold(ideals):
+    tree = ideal_intersect(*ideals)
+    fold = oracle = ideals[0]
+    for b in ideals[1:]:
+        fold = ideal_intersect(fold, b)
+        oracle = oracle_intersect(oracle, b)
+    assert tree.groebner_basis() == fold.groebner_basis()
+    assert tree.groebner_basis() == buchberger(oracle.gens, DEGREVLEX)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(ideal_lists(), saturation_cases())
+def test_eliminations_record_the_reduced_degrevlex_basis(ideals, case):
+    """The recorded basis is the one Buchberger computes, and each element's
+    terms are in descending degrevlex order, as its seeded sorted view says."""
+    for ideal in (ideal_intersect(*ideals), saturation(*case)):
+        recorded = ideal._bases[DEGREVLEX]
+        assert recorded == buchberger(ideal.gens, DEGREVLEX)
+        for g in recorded:
+            assert list(g.terms_sorted(DEGREVLEX)) == sorted(
+                g.terms.items(), key=lambda t: DEGREVLEX.key(t[0]),
+                reverse=True)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(ideal_lists(st.just(2)), st.sampled_from([DEGREVLEX, LEX]),
+       st.sampled_from(["unrelated", "respelled", "sum"]))
+def test_ideal_equal_matches_membership_oracle(pair, order, how):
+    """Pairs drawn unrelated, as one ideal and the same ideal respelled (its
+    first generator times 3, g0^2 added to the others), or as an ideal and
+    its sum with another."""
+    a, b = pair
+    g0 = a.gens[0]
+    if how == "respelled":
+        b = Ideal(a.nvars, a.field, [g + g0 * g0 for g in a.gens[1:]]
+                  + [g0 * 3])
+        assert ideal_equal(a, b, order)
+    elif how == "sum":
+        b = Ideal(a.nvars, a.field, a.gens + b.gens)
+    assert ideal_equal(a, b, order) == membership_equal(a, b, order)
+    assert ideal_equal(b, a, order) == ideal_equal(a, b, order)
+
+
+def test_ideal_intersect_needs_ideals_of_one_ring():
+    x, y = xvars(2)
+    with pytest.raises(ValueError, match="at least one ideal"):
+        ideal_intersect()
+    with pytest.raises(ValueError, match="different rings"):
+        ideal_intersect(Ideal.of(x), Ideal.of(y), Ideal.of(xvars(3)[0]))
+    with pytest.raises(ValueError, match="different rings"):
+        ideal_intersect(Ideal.of(x), Ideal.of(xvars(2, F11)[0]))
+    one = Ideal.of(x * y)
+    assert ideal_intersect(one) is one
 
 
 def test_ideal_power():
