@@ -13,9 +13,12 @@ Three routes into the same graded object:
     components modulo a power of their gcd g, which is exact once g^N k[t]
     lies in the ring. One level-filtered echelon (see linalg), a GermRing,
     takes each power product once, at its factor count, and each product is
-    computed once, from the product with one factor fewer.
+    computed once, from the product with one factor fewer. H reaches the
+    multiplicity e below degree e and stays there, so the echelon reads
+    levels only up to e.
     subalgebra_member reads the largest n with a query in m^n off the same
-    echelon, built deep enough for that query, so one build answers both.
+    echelon, its levels raised to the query's g-adic order when that is
+    larger, so one build answers both.
   * branch_tangent_points extracts the tangent directions of a branch
     decomposition; for a germ with smooth branches these are the points whose
     count is the multiplicity.
@@ -226,10 +229,10 @@ def _coefficients(poly):
 class GermRing:
     """The local ring A of the curve t -> gens at the origin modulo g^K: one
     level-filtered echelon of the power products of the components at their
-    factor counts, levels capped at top + 1. germ_profile and
-    subalgebra_member handed one ring share its one build, which runs on
-    first use, so its time falls inside germ_profile, a function the
-    benchmark tracer times by name.
+    factor counts, levels capped at L. germ_profile and subalgebra_member
+    handed one ring share its one build, which runs on first use, so its
+    time falls inside germ_profile, a function the benchmark tracer times by
+    name.
 
     With g the monic gcd of the components (their reduced basis in k[t] is
     [g]) and R = k[t] localized at its roots, mR = gR, so e = deg g is the
@@ -237,20 +240,23 @@ class GermRing:
     factors span the image of m^n. For n < K, if every g^n t^i (i < e) lies
     in the span of all products, g^n R lies in A + g^(n+1) R, hence in A
     (Nakayama). So once K > N, N the least n with g^n R in A, the least such
-    n is N. The builds look for it at K = 2, 4, ... up to (top + 2)/2, then
-    at K = top + 2, 2(top + 2), 4(top + 2), ..., and not again once it is
-    found. Then g^(N+n) R = m^n g^N R lies in m^n, so at any
-    K >= N + top + 1 the level-n span is exactly the image of m^n for every
-    n <= top + 1: the build that found N is kept if its K is that large,
-    else one more is made at K = N + top + 1. top is max(6, e + 1),
-    the last degree germ_profile reads, or the g-adic order of `query` if
-    larger. N is at most the conductor length, at most 2 delta (Serre,
-    Algebraic Groups and Class Fields, IV 11), and a birational germ has
-    delta = dim R/A at most the arithmetic genus (D - 1)(D - 2)/2 of a plane
-    projection, D the largest component degree (Hartshorne, Algebraic
-    Geometry, IV Ex. 1.8). A map of degree d >= 2 leaves A at most eK/d
-    dimensions modulo g^K, so once A misses more than that genus at some K,
-    the map is not birational and ValueError says so.
+    n is N. The builds look for it at K = 2, 4, ... up to (L + 1)/2, then
+    at K = L + 1, 2(L + 1), 4(L + 1), ..., and not again once it is found.
+    Then g^(N+j) R = m^j g^N R lies in m^j, so g^K R lies in m^(K-N), and at
+    any K >= N + L the level-n span modulo g^K reads m^n exactly for every
+    n <= L: q lies in m^n exactly when its remainder lies in the span, and
+    H(n) is the rank drop from level n to n + 1 for n < L. The build that
+    found N is kept if its K is that large, else one more is made at
+    K = N + L. L = max(e, b), b the g-adic order of `query` (0 without
+    one): germ_profile reads H(n) for n < e, where H has reached e for good
+    (see germ_profile), and subalgebra_member reads levels up to b. N is at
+    most the conductor length, at most 2 delta (Serre, Algebraic Groups and
+    Class Fields, IV 11), and a birational germ has delta = dim R/A at most
+    the arithmetic genus (D - 1)(D - 2)/2 of a plane projection, D the
+    largest component degree (Hartshorne, Algebraic Geometry, IV Ex. 1.8).
+    A map of degree d >= 2 leaves A at most eK/d dimensions modulo g^K, so
+    once A misses more than that genus at some K, the map is not birational
+    and ValueError says so.
     """
 
     def __init__(self, gens, query=None):
@@ -261,8 +267,7 @@ class GermRing:
         self.gens, self.field = tuple(gens), gens[0].field
         (self.g,) = buchberger(gens)
         self.e, self.powers = self.g.degree(), [{0: 1}, _coefficients(self.g)]
-        self.top = max(6, self.e + 1,
-                       0 if query is None else self.order(query))
+        self.L = max(self.e, 0 if query is None else self.order(query))
 
     def power(self, n):
         while len(self.powers) <= n:
@@ -283,7 +288,7 @@ class GermRing:
 
     @cached_property
     def echelon(self):
-        field, e, top, p = self.field, self.e, self.top, self.field.p
+        field, e, L, p = self.field, self.e, self.L, self.field.p
         D = max(c.degree() for c in self.gens)
         genus, K, N = (D - 1) * (D - 2) // 2, 2, None
         while True:
@@ -297,7 +302,7 @@ class GermRing:
             # most factors first: the echelon takes levels in non-increasing
             # order only, and raises on a row above the last level
             for count, row in _power_products(rows, p, K - 1, modulus):
-                ech.insert(row, min(count, top + 1))
+                ech.insert(row, min(count, L))
             if (missing := e * K - ech.rank) > genus:
                 raise ValueError(
                     "the parametrization is not birational onto its image: "
@@ -309,13 +314,13 @@ class GermRing:
                     {k + i: c for k, c in self.power(n).items()}, modulus, p))
                     for i in range(e))), None)
             if N is not None:
-                if N + top + 1 <= K:
+                if N + L <= K:
                     return ech, K
-                K = N + top + 1
-            elif K < top + 2 < 4 * K:
-                # the passes below top + 2 stop at (top + 2)/2, so together
-                # they cost a fraction of the pass at top + 2
-                K = top + 2
+                K = N + L
+            elif K < L + 1 < 4 * K:
+                # the passes below L + 1 stop at (L + 1)/2, so together they
+                # cost a fraction of the pass at L + 1
+                K = L + 1
             else:
                 K *= 2
 
@@ -327,8 +332,8 @@ def subalgebra_member(q, gens, ring=None):
     level-n span holds q modulo g^K. A combination of products exhibits q in
     m^n; q outside the span is outside m^n."""
     ring = ring or GermRing(gens, q)
-    if (b := ring.order(q)) > ring.top:
-        raise ValueError("the ring reads levels <= %d, not %d" % (ring.top, b))
+    if (b := ring.order(q)) > ring.L:
+        raise ValueError("the ring reads levels <= %d, not %d" % (ring.L, b))
     ech, K = ring.echelon
     row = _remainder(_coefficients(q), ring.power(K), ring.field.p)
     return next((n for n in range(b, 0, -1) if ech.contains(row, n)), 0)
@@ -338,14 +343,23 @@ def germ_profile(gens, ring=None):
     """Graded dimensions H(n) = dim m^n / m^(n+1) of the local ring of the
     curve t -> gens at the origin, exact in every degree: rank differences of
     the level-n spans of `ring`, a GermRing of `gens` (None builds one), for
-    n <= L + 1, L = max(6, e + 1). H is e from some s <= e - 1 on (m^n is
-    stable once n >= e - 1: Lipman, Amer. J. Math. 93, 1971), so L covers the
-    values reported, up to max(6, s + 2)."""
+    n < L = max(e, b), then e from the first s with H(s) = e on. The local
+    ring A is 1-dimensional and Cohen-Macaulay; with x a minimal reduction
+    of m (after a residue field extension, which leaves H alone),
+    H(n) <= length(m^n / x m^n) = e, and equality means m^(n+1) = x m^n,
+    which then holds for every larger n, so H(s) = e forces H(n) = e for
+    every n >= s. m^n is stable once n >= e - 1, so s <= e - 1 < L (Lipman,
+    Amer. J. Math. 93, 1971). The values run to max(6, s + 2)."""
     ring = ring or GermRing(gens)
     ech, _ = ring.echelon
-    dims = [ech.rank_from(n) for n in range(1, max(6, ring.e + 1) + 2)]
-    values = [1] + [a - b for a, b in zip(dims, dims[1:])]
-    s = values.index(ring.e)
-    values = tuple(values[:max(6, s + 2) + 1])
+    e, L = ring.e, ring.L
+    ranks = [ech.rank_from(n) for n in range(1, L + 1)]
+    values = [1] + [a - b for a, b in zip(ranks, ranks[1:])]
+    if e not in values:
+        raise ValueError("H(n) reaches the multiplicity e = %d at no n < "
+                         "L = %d: level ranks %s for n = 1..L"
+                         % (e, L, ranks))
+    s = values.index(e)
+    values = tuple(values[:s]) + (e,) * (max(6, s + 2) + 1 - s)
     return ConeProfile(values=values, stabilization_degree=s,
-                       multiplicity=ring.e, emdim=values[1])
+                       multiplicity=e, emdim=values[1])

@@ -2,7 +2,9 @@ import json
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import product as iproduct
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -568,16 +570,72 @@ def test_concurrent_lines():
         {"hyperplanes": [0, 1, 2], "multiplicity": 3, "local_exponent": 2}]
 
 
+def product_except(forms, skip):
+    """The product of all forms but the skip-th, one factor at a time: the
+    oracle for the prefix and suffix products of the conductor module."""
+    return reduce(mul, (f for j, f in enumerate(forms) if j != skip))
+
+
+def vandermonde_lines(n):
+    """The lines x0 + i*x1 + i^2*x2, i = 1..n, of P^2 over GF(32003)."""
+    field = PrimeField(32003)
+    x0, x1, x2 = [Polynomial.variable(i, 3, field) for i in range(3)]
+    return [x0 + i * x1 + i * i * x2 for i in range(1, n + 1)]
+
+
 def test_arrangement_oracle_invariants():
-    from genpos.conductor import _product_except
+    from genpos.conductor import _products_except
     for which in ("three-lines", "four-lines"):
         forms = arrangement_forms(which)
         oracle = arrangement_conductor_ideal(forms)
+        others, _ = _products_except(forms)
         for i, f in enumerate(forms):
-            assert ideal_member(_product_except(forms, i), oracle)
-            piece = Ideal(f.nvars, f.field, [f, _product_except(forms, i)])
+            assert ideal_member(others[i], oracle)
+            piece = Ideal(f.nvars, f.field, [f, others[i]])
             for g in oracle.groebner_basis():
                 assert ideal_member(g, piece)
+
+
+def test_arrangement_products_are_prefix_and_suffix_products(monkeypatch):
+    from genpos.conductor import _products_except
+    for n in range(2, 8):
+        forms = vandermonde_lines(n)
+        others, total = _products_except(forms)
+        assert others == [product_except(forms, i) for i in range(n)]
+        assert total == product_except(forms, -1)
+    # the 16 lines of the CI input: 3n - 5 = 43 products, where one product
+    # per line took n(n - 2) + n - 1 = 239; every stratum is a double point,
+    # so the prime powers make none
+    calls = []
+    polynomial_mul = Polynomial.__mul__
+
+    def counted(a, b):
+        calls.append(b)
+        return polynomial_mul(a, b)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    cert = arrangement_certificate(vandermonde_lines(16))
+    assert cert.verdict == "match"
+    assert len(calls) == 3 * 16 - 5
+
+
+def test_arrangement_validates_forms_before_eliminating(tmp_path, capsys,
+                                                         monkeypatch):
+    # a quadric among the lines exits 2 before any elimination runs
+    from genpos import conductor
+
+    calls = []
+    monkeypatch.setattr(conductor, "ideal_intersect",
+                        lambda *ideals: calls.append(ideals))
+    forms = ["x0 + %d*x1 + %d*x2" % (i, i * i) for i in range(1, 16)]
+    src = tmp_path / "arrangement.json"
+    src.write_text(json.dumps({"model": "arrangement", "vars": 3,
+                               "field": {"p": 32003},
+                               "forms": forms + ["x0^2 + x1*x2"]}))
+    assert cli.main(["conductor", str(src)]) == 2
+    assert capsys.readouterr().err == (
+        "error: forms must be homogeneous linear\n")
+    assert calls == []
 
 
 def test_arrangement_validation():

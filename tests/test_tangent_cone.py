@@ -445,7 +445,7 @@ def test_subalgebra_member_is_local(field):
     # (t^2, t^3) reads t^41 at level 20, far above the profile's last level
     gens = (t ** 2, t ** 3)
     ring = GermRing(gens, t ** 41)
-    assert ring.top == 20 > max(6, ring.e + 1) + 1
+    assert ring.L == 20 > ring.e
     assert subalgebra_member(t ** 41, gens, ring) == 20
     assert germ_profile(gens, ring) == germ_profile(gens)
     with pytest.raises(ValueError, match="reads levels <= 20, not 21"):
@@ -468,24 +468,24 @@ def test_germ_report_builds_one_echelon(monkeypatch):
         "field": "Q", "parametrization": ["t^2", "t^3"],
         "membership": {"query": "t^41", "min_factors": 20}})
     # the span modulo g^2 (products of at most one factor) already holds
-    # g R, so N = 1, and the one more build is at K = N + 20 + 1
-    assert [cap for _, _, cap, _ in calls] == [1, 21]
+    # g R, so N = 1, and the one more build is at K = N + L = 1 + 20
+    assert [cap for _, _, cap, _ in calls] == [1, 20]
     assert profile.values == (1, 2, 2, 2, 2, 2, 2)
     assert mem["member"] and mem["member_at_min_factors_1"]
 
 
 @pytest.mark.parametrize("texts, caps", [
-    # N = 1 found at K = 2, then K = N + top + 1 = 8
-    (["t^2", "t^3"], [1, 7]),
-    # N = 2 found at K = 4, then K = 9: no pass at top + 2 = 8
-    (["t^3", "t^4"], [1, 3, 8]),
-    # N = 8 found at K = 16 >= N + top + 1 = 15: that build is kept
+    # L = e = 2: N = 1 found at K = 2, then K = N + L = 3
+    (["t^2", "t^3"], [1, 2]),
+    # L = 3: N = 2 found at K = L + 1 = 4, then K = 5
+    (["t^3", "t^4"], [1, 3, 4]),
+    # L = 3: N = 8 found at K = 16 >= N + L = 11: that build is kept
     (["t^3", "t^13"], [1, 3, 7, 15]),
-    # N = 10 found at K = 16 < N + top + 1 = 17: one more build
-    (["t^2", "t^21"], [1, 3, 7, 15, 16]),
-    # top = 8: no search pass between (top + 2)/2 and top + 2 = 10; N = 9
-    # found at K = 10, then K = 18
-    (["t^7 + t^8", "t^11"], [1, 3, 9, 17]),
+    # L = 2: N = 5 found at K = 6 < N + L = 7: one more build
+    (["t^2", "t^11"], [1, 2, 5, 6]),
+    # L = 5: no search pass between (L + 1)/2 and L + 1 = 6; N = 5 found
+    # at K = 6, then K = 10
+    (["t^5", "t^7"], [1, 5, 9]),
 ])
 def test_germ_ring_passes(monkeypatch, texts, caps):
     from genpos import tangent_cone
@@ -600,10 +600,11 @@ def germ_queries(draw, gens):
     return q + tail * draw(st.integers(0, 2))
 
 
-# The loop GermRing.echelon ran before it looked for N below K = top + 2,
-# kept as the oracle: it reads N off the build at K = top + 2, doubles K
-# while it finds no N, rebuilds at K = N + top + 1 when that is larger, and
-# reads N again off every build.
+# The oracle: GermRing.echelon's earlier loop at its earlier depth. Levels
+# are capped at top + 1, top = max(6, e + 1, b) fixed here, not read off the
+# ring; it reads N off the build at K = top + 2, doubles K while it finds no
+# N, rebuilds at K = N + top + 1 when that is larger, and reads N again off
+# every build.
 
 def oracle_least_n(ring, ech, K):
     """The least n < K with every g^n t^i (i < e) in the span of `ech`, an
@@ -614,8 +615,8 @@ def oracle_least_n(ring, ech, K):
         for i in range(ring.e))), None)
 
 
-def two_pass_echelon(ring):
-    field, e, top, p = ring.field, ring.e, ring.top, ring.field.p
+def two_pass_echelon(ring, top):
+    field, e, p = ring.field, ring.e, ring.field.p
     D = max(c.degree() for c in ring.gens)
     genus, K = (D - 1) * (D - 2) // 2, top + 2
     while True:
@@ -635,36 +636,59 @@ def two_pass_echelon(ring):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.one_of(germs(), shared_factor_germs()), st.data())
 def test_germ_ring_matches_two_pass_oracle(gens, data):
-    # N found by search passes from K = 2 and a build at K >= N + top + 1
-    # read the same local ring as the loop that started at K = top + 2
+    # the ring read to level L = max(e, b), its N found by search passes
+    # from K = 2, reads the same local ring as the old loop read to level
+    # top + 1, top = max(6, e + 1, b)
     q = data.draw(germ_queries(gens))
-    ring, oracle = GermRing(gens, q), GermRing(gens, q)
+    ring = GermRing(gens, q)
+    b = ring.order(q)
+    top = max(6, ring.e + 1, b)
     try:
         ech, K = ring.echelon
     except ValueError as exc:
         assert "not birational" in str(exc)
         with pytest.raises(ValueError, match="not birational"):
-            two_pass_echelon(oracle)
+            two_pass_echelon(ring, top)
         return
-    # germ_profile and subalgebra_member read the oracle's build through
-    # the cached property
-    oracle.__dict__["echelon"] = two_pass_echelon(oracle)
-    old, K_old = oracle.echelon
-    # the final span gives the oracle's N, and the build is the one at
-    # N + top + 1 or the oracle's own, never a larger one
+    old, K_old = two_pass_echelon(ring, top)
+    # the final span gives the oracle's N and reads every level up to L
     N = oracle_least_n(ring, ech, K)
-    assert N == oracle_least_n(oracle, old, K_old)
-    assert K in (N + ring.top + 1, K_old) and K <= K_old
-    # the old loop stops at top + 2 when N = 0, and may overshoot when it
-    # doubles, so the ranks are compared as e*K - rank_from(n) = dim R/m^n
-    for n in range(ring.top + 2):
+    assert N == oracle_least_n(ring, old, K_old)
+    assert K >= N + ring.L
+    # the builds may stop at different K, so the ranks are compared as
+    # e*K - rank_from(n) = dim R/m^n
+    for n in range(ring.L + 1):
         assert (ring.e * K - ech.rank_from(n)
                 == ring.e * K_old - old.rank_from(n))
     if K == K_old:
-        assert (ech.pivots, ech.levels) == (old.pivots, old.levels)
-    assert germ_profile(gens, ring) == germ_profile(gens, oracle)
-    assert (subalgebra_member(q, gens, ring)
-            == subalgebra_member(q, gens, oracle))
+        assert ech.pivots == old.pivots
+        assert ech.levels == {c: min(lv, ring.L)
+                              for c, lv in old.levels.items()}
+    # H(n) measured to degree top is e from the first s with H(s) = e on,
+    # and the profile, its filled tail included, reads those values
+    ranks = [old.rank_from(n) for n in range(1, top + 2)]
+    measured = [1] + [hi - lo for hi, lo in zip(ranks, ranks[1:])]
+    s = measured.index(ring.e)
+    assert set(measured[s:]) == {ring.e}
+    prof = germ_profile(gens, ring)
+    assert prof.stabilization_degree == s
+    assert prof.values == tuple(measured[:len(prof.values)])
+    row = _remainder(_coefficients(q), ring.power(K_old), ring.field.p)
+    assert subalgebra_member(q, gens, ring) == next(
+        (n for n in range(b, 0, -1) if old.contains(row, n)), 0)
+
+
+def test_germ_profile_names_a_profile_that_never_reaches_e():
+    # an echelon whose H(1) is 1, not e = 2: no n < L = 2 reaches e
+    t = tvar()
+    ring = GermRing((t ** 2, t ** 3))
+    ech = IntegerEchelon()
+    ech.insert({0: 1}, 2)
+    ech.insert({1: 1}, 1)
+    ring.__dict__["echelon"] = (ech, 3)
+    with pytest.raises(ValueError, match=r"e = 2 at no n < L = 2: level "
+                                         r"ranks \[2, 1\]"):
+        germ_profile(ring.gens, ring)
 
 
 def implicit_ideal(gens):
