@@ -14,8 +14,8 @@ from itertools import combinations, product as iproduct
 from .errors import StabilizationError
 from .groebner import (Ideal, ideal_equal, ideal_intersect, ideal_member,
                        ideal_power, saturation)
-from .linalg import rref
-from .points import _first_failing_subset, binom, nu
+from .linalg import kernel_vector, rref
+from .points import PointSet, _first_failing_subset, binom, ideal_basis, nu
 from .poly import Polynomial
 
 
@@ -409,6 +409,25 @@ def arrangement_strata(forms):
     return strata
 
 
+def _stratum_points_ideal(strata, nvars, field):
+    """The formula side by `ideal_basis`, or None where it does not apply.
+
+    With 3 variables and every e_k = 2, each P_k^(e_k - 1) is the ideal of
+    the stratum's point of P^2, the kernel of its rows, so the intersection
+    is I(X) for the C(n, 2) stratum points X. `ideal_basis` reads its reduced
+    basis over GF(p) when no point lies on x2 = 0."""
+    if nvars != 3 or field.p is None or any(e_k != 2 for _, e_k, _ in strata):
+        return None
+    points = []
+    for red, _, _ in strata:
+        pivots = [next(c for c, v in enumerate(row) if v) for row in red]
+        points.append(kernel_vector(red, pivots, 3, field))
+    if any(not pt[2] for pt in points):
+        return None
+    return Ideal.of_reduced_basis(
+        nvars, field, ideal_basis(PointSet.of(2, field, points)))
+
+
 def arrangement_certificate(forms):
     """Check conductor = intersection of stratum primes to the power e_k - 1.
 
@@ -417,12 +436,17 @@ def arrangement_certificate(forms):
     the stratum (e_k distinct points of a projective line, always in generic
     position), so the predicted local exponent is nu(e_k, 1) = e_k - 1.
 
-    Each side is one `ideal_intersect` call, whose result carries its reduced
-    degrevlex basis. The formula adds F = prod L_i, the defining form of the
-    union; F lies in every P_k^(e_k), so the membership test against the
-    recorded basis passes and the generators are never re-based. The verdict
-    compares the two reduced bases. The forms are validated, by
-    `arrangement_strata`, before any elimination runs.
+    The two sides run on different engines, and each carries its reduced
+    degrevlex basis. The oracle is one `ideal_intersect` call, Buchberger
+    eliminations. The formula is the ideal of the stratum points, read by
+    linear algebra (`points.ideal_basis`), when all four of these hold: 3
+    variables, a field GF(p), every e_k = 2, and no stratum point on
+    x2 = 0. Otherwise it is one `ideal_intersect` call on the prime powers.
+    The formula adds F = prod L_i, the defining form of the union; F lies in
+    every P_k^(e_k), so the membership test against the recorded basis
+    passes and the generators are never re-based. The verdict compares the
+    two reduced bases. The forms are validated, by `arrangement_strata`,
+    before any elimination runs.
     """
     if len(forms) < 2:
         raise ValueError("need at least two hyperplanes")
@@ -430,18 +454,19 @@ def arrangement_certificate(forms):
     oracle, total = _conductor_and_product(forms)
     field = forms[0].field
     nvars = forms[0].nvars
-    powers = []
-    detail = []
-    for red, e_k, members in strata:
-        prime = Ideal(nvars, field, [
-            Polynomial(nvars, field,
-                       {tuple(1 if j == i else 0 for j in range(nvars)): c
-                        for i, c in enumerate(row) if c != field.zero})
-            for row in red])
-        powers.append(ideal_power(prime, e_k - 1))
-        detail.append({"hyperplanes": list(members), "multiplicity": e_k,
-                       "local_exponent": e_k - 1})
-    formula = ideal_intersect(*powers)
+    detail = [{"hyperplanes": list(members), "multiplicity": e_k,
+               "local_exponent": e_k - 1} for _, e_k, members in strata]
+    formula = _stratum_points_ideal(strata, nvars, field)
+    if formula is None:
+        powers = []
+        for red, e_k, _ in strata:
+            prime = Ideal(nvars, field, [
+                Polynomial(nvars, field,
+                           {tuple(1 if j == i else 0 for j in range(nvars)): c
+                            for i, c in enumerate(row) if c != field.zero})
+                for row in red])
+            powers.append(ideal_power(prime, e_k - 1))
+        formula = ideal_intersect(*powers)
     if not ideal_member(total, formula):
         formula = Ideal(nvars, field, formula.gens + (total,))
     hypotheses = {

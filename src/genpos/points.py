@@ -18,6 +18,20 @@ a point is evaluated at its integer representative, which scales its
 degree-d row by a nonzero constant and so moves no rank, pivot column,
 separator or RREF. Only the witness of a failing degree is read off an RREF
 of the full evaluation matrix.
+
+`ideal_basis` reads the reduced degrevlex basis of I(X) off the same
+evaluations, over GF(p) when no point lies on x_r = 0. Then x_r is a
+nonzerodivisor modulo I(X), and I(X) is the homogenization of the ideal of
+the affine points x / x_r in the chart x_r = 1. Homogenizing the reduced
+graded basis of that affine ideal gives the reduced basis of I(X) under the
+order that compares degrees first and then the affine parts (Cox, Little &
+O'Shea, *Ideals, Varieties, and Algorithms*, ch. 8 section 4), and on the
+forms of one degree that order is degrevlex. The affine basis is the ideal
+of points by linear algebra (Moeller & Buchberger 1982; Marinari, Moeller &
+Mora 1993): walk the affine monomials in increasing degrevlex order along
+the border of the standard set; a monomial whose evaluation vector lies in
+the span of the earlier standard ones is a minimal lead, and the dependency
+is its basis element.
 """
 
 import math
@@ -27,7 +41,7 @@ from itertools import combinations
 
 from .errors import BudgetExceededError
 from .linalg import add_row, eliminate, integer_rows, kernel_vector, rank, rref
-from .poly import Polynomial, monomials_of_degree
+from .poly import DEGREVLEX, Polynomial, monomials_of_degree
 
 DEFAULT_SUBSET_BUDGET = 20000
 MAX_RESAMPLES = 1000  # random_point_set gives up after this many repeats
@@ -54,6 +68,9 @@ def normalize_point(coords, field):
     lead = next((c for c in coords if c), None)
     if lead is None:
         raise ValueError("projective point with all coordinates zero")
+    if p := field.p:
+        inv = pow(lead, -1, p)
+        return tuple([c * inv % p for c in coords])
     inv = field.inv(lead)
     return tuple(field(c * inv) for c in coords)
 
@@ -143,6 +160,68 @@ def hilbert_function(X, n):
     """Rank of the degree-n evaluation matrix."""
     rows, _ = evaluation_matrix(X, n)
     return rank(rows, X.field)
+
+
+def ideal_basis(X):
+    """The reduced degrevlex basis of I(X), in ascending lead order as
+    `buchberger` returns it, for X over GF(p) with no point on x_r = 0 (see
+    the module docstring); ValueError otherwise.
+
+    The affine monomials in x_0..x_(r-1) come off a heap in increasing
+    degrevlex order, from 1 along the border of the standard set: multiples
+    of a lead are skipped, and a standard monomial pushes its r successors.
+    A monomial's evaluation vector at the affine points is its parent's
+    times one coordinate. A pivot row is a monic reduced vector followed by
+    the combination of the standard vectors that gives it, so reducing the
+    vector of m, followed by zeros, leaves a residue followed by some c. A
+    zero residue makes m + sum c_s * s, over the smaller standard s, vanish
+    on X: that is the basis element of lead m, homogenized to its degree.
+    Otherwise m is standard, and its row joins the pivots. At most e
+    monomials are standard."""
+    from heapq import heappop, heappush  # loaded on first use
+    p, r, e = X.field.p, X.r, X.e
+    if p is None:
+        raise ValueError("ideal_basis needs a prime field")
+    if any(not pt[r] for pt in X.points):
+        raise ValueError("a point lies on x%d = 0" % r)
+    inverses = [pow(pt[r], -1, p) for pt in X.points]
+    coords = [[pt[i] * w % p for pt, w in zip(X.points, inverses)]
+              for i in range(r)]  # coords[i]: x_i / x_r at each point
+    one = (0,) * r
+    heap = [(DEGREVLEX.key(one), one, None, 0)]
+    seen = {one}
+    standard, values, pivots, leads, basis = [], [], [], [], []
+    while heap:
+        _, m, parent, i = heappop(heap)
+        if any(all(a >= b for a, b in zip(m, lead)) for lead in leads):
+            continue
+        vec = ([1] * e if parent is None else
+               [a * b % p for a, b in zip(values[parent], coords[i])])
+        res = vec + [0] * len(standard)
+        for col, row in pivots:
+            if f := res[col]:
+                res[:len(row)] = [(a - f * b) % p for a, b in zip(res, row)]
+        col = next((c for c in range(e) if res[c]), None)
+        if col is None:
+            d = sum(m)
+            terms = {m + (0,): 1}
+            for s, c in zip(reversed(standard), reversed(res[e:])):
+                if c:
+                    terms[s + (d - sum(s),)] = c
+            leads.append(m)
+            basis.append(Polynomial(r + 1, X.field, terms, DEGREVLEX))
+            continue
+        inv = pow(res[col], -1, p)
+        pivots.append((col, [v * inv % p for v in res + [1]]))
+        standard.append(m)
+        values.append(vec)
+        for i in range(r):
+            child = m[:i] + (m[i] + 1,) + m[i + 1:]
+            if child not in seen:
+                seen.add(child)
+                heappush(heap, (DEGREVLEX.key(child), child,
+                                len(standard) - 1, i))
+    return tuple(basis)
 
 
 @dataclass(frozen=True)

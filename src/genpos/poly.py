@@ -347,7 +347,7 @@ def parse_polynomial(s, nvars, field, names=None):
             i += 1
         if i == n:
             raise ValueError("dangling sign in %r" % s)
-        coeff, expo = Fraction(sign), [0] * nvars
+        coeff, expo = sign, [0] * nvars  # an int until an a/b token
         while True:  # a factor; the end of the text reads as a '+'
             tok = tokens[i] if i < n else "+"
             if tok == "*":
@@ -358,7 +358,7 @@ def parse_polynomial(s, nvars, field, names=None):
                 raise ValueError("unexpected token %r in %r" % (tok, s))
             i += 1
             if tok[0].isdigit():
-                coeff *= Fraction(tok)
+                coeff *= Fraction(tok) if "/" in tok else int(tok)
             elif tok not in index:
                 raise ValueError("unknown variable %s (expected one of %s)"
                                  % (tok, ", ".join(names)))

@@ -6,14 +6,17 @@ and print, and every engine passes stored scalars through `field(...)`.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 
 class FieldMismatchError(ValueError):
     pass
 
 
+@lru_cache(maxsize=256)
 def is_prime(n):
-    """Deterministic Miller-Rabin, valid far beyond 64-bit inputs."""
+    """Deterministic Miller-Rabin, valid far beyond 64-bit inputs; cached, as
+    every GF(p) input builds its field again."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -95,12 +98,12 @@ class PrimeField:
     def __call__(self, x):
         if isinstance(x, int):
             return x % self.p
+        if isinstance(x, str):  # before Fraction, an ABC isinstance test
+            return self.parse(x)
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise ZeroDivisionError("denominator divisible by p=%d" % self.p)
             return x.numerator * pow(x.denominator, -1, self.p) % self.p
-        if isinstance(x, str):
-            return self.parse(x)
         raise TypeError("cannot coerce %r to GF(%d)" % (x, self.p))
 
     def inv(self, a):

@@ -5,11 +5,12 @@ from fractions import Fraction
 from functools import reduce
 from itertools import product as iproduct
 from operator import mul
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from genpos import cli, points
+from genpos import cli, conductor, points
 from genpos.conductor import (NumericalSemigroup, arrangement_certificate,
                               arrangement_conductor_ideal,
                               arrangement_strata, monomial_conductor,
@@ -24,7 +25,7 @@ from genpos.fixtures import (arrangement_forms, line_points,
 from genpos.groebner import Ideal, ideal_equal, ideal_member, ideal_power
 from genpos.points import (PointSet, evaluation_matrix, hilbert_function,
                            is_generic_t_position, nu, random_point_set)
-from genpos.poly import Polynomial
+from genpos.poly import Polynomial, parse_polynomial
 from genpos.scalars import QQ, PrimeField
 from genpos.serialize import point_set_from_json
 
@@ -636,6 +637,73 @@ def test_arrangement_validates_forms_before_eliminating(tmp_path, capsys,
     assert capsys.readouterr().err == (
         "error: forms must be homogeneous linear\n")
     assert calls == []
+
+
+def counted(monkeypatch, name):
+    """The calls conductor makes to its function `name`, from here on."""
+    calls = []
+    real = getattr(conductor, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(conductor, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("field, nvars, forms, routed", [
+    (PrimeField(32003), 3, ["x0 + x1 + x2", "x0 + 2*x1 + 4*x2",
+                            "x0 + 3*x1 + 9*x2"], True),
+    # a triple point
+    (PrimeField(32003), 3, ["x0", "x1", "x0 + x1", "x0 + 2*x1 + 3*x2"],
+     False),
+    # the stratum point [0:1:0] lies on x2 = 0
+    (PrimeField(32003), 3, ["x0 + x2", "2*x0 + x2", "x1"], False),
+    (QQ, 3, ["x0 + x1 + x2", "x0 + 2*x1 + 4*x2", "x0 + 3*x1 + 9*x2"], False),
+    (PrimeField(32003), 4, ["x0", "x1", "x2", "x0 + x1 + x2 + x3"], False),
+], ids=["points", "triple-point", "point-on-x2", "Q", "4-vars"])
+def test_arrangement_formula_routes(monkeypatch, field, nvars, forms,
+                                    routed):
+    """The formula side is the ideal of the stratum points only for 3
+    variables over GF(p), double points and no point on x2 = 0; every other
+    input intersects the prime powers, beside the oracle's intersection."""
+    intersections = counted(monkeypatch, "ideal_intersect")
+    bases = counted(monkeypatch, "ideal_basis")
+    cert = arrangement_certificate(
+        [parse_polynomial(f, nvars, field) for f in forms])
+    assert cert.verdict == "match"
+    assert len(intersections) == 1 + (not routed)
+    assert len(bases) == routed
+
+
+@st.composite
+def gf_arrangements(draw):
+    """2-7 pairwise independent linear forms in 3 variables over GF(11),
+    GF(32003) or GF(2^31 - 1), with small coefficients (triple points,
+    points on x2 = 0) or large ones."""
+    field = draw(st.sampled_from([PrimeField(11), PrimeField(32003),
+                                  PrimeField(2 ** 31 - 1)]))
+    coeff = st.integers(0, 3) | st.integers(0, field.p - 1)
+    rows = draw(st.lists(st.tuples(coeff, coeff, coeff), min_size=2,
+                         max_size=7))
+    seen = {}
+    for row in rows:
+        if any(field(c) for c in row):
+            seen.setdefault(points.normalize_point(row, field), row)
+    assume(len(seen) >= 2)
+    return [Polynomial(3, field, {tuple(int(j == i) for j in range(3)): c
+                                  for i, c in enumerate(row)})
+            for row in seen.values()]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(gf_arrangements())
+def test_stratum_points_route_matches_eliminations(forms):
+    got = arrangement_certificate(forms).as_dict()
+    with mock.patch.object(conductor, "_stratum_points_ideal",
+                           lambda *args: None):
+        assert arrangement_certificate(forms).as_dict() == got
 
 
 def test_arrangement_validation():

@@ -167,7 +167,7 @@ def test_saturation_matches_iterated_quotients(case):
 # tagged generators u*g and (1 - u)*g as products in k[u, x], and the u-free
 # part of their block-order basis, with no basis recorded.
 
-def oracle_intersect(a, b):
+def tagged_gens(a, b):
     n, field = a.nvars + 1, a.field
     u = Polynomial.variable(0, n, field)
     one = Polynomial.constant(field.one, n, field)
@@ -175,8 +175,13 @@ def oracle_intersect(a, b):
     def lift(g):
         return Polynomial(n, field, {(0,) + m: c for m, c in g.terms.items()})
 
-    elim = buchberger([u * lift(g) for g in a.gens]
-                      + [(one - u) * lift(g) for g in b.gens], BlockOrder(1))
+    return ([u * lift(g) for g in a.gens]
+            + [(one - u) * lift(g) for g in b.gens])
+
+
+def oracle_intersect(a, b):
+    field = a.field
+    elim = buchberger(tagged_gens(a, b), BlockOrder(1))
     return Ideal(a.nvars, field, [
         Polynomial(a.nvars, field, {m[1:]: c for m, c in g.terms.items()})
         for g in elim if all(m[0] == 0 for m in g.terms)])
@@ -224,6 +229,18 @@ def test_tree_intersection_matches_left_fold(ideals):
         oracle = oracle_intersect(oracle, b)
     assert tree.groebner_basis() == fold.groebner_basis()
     assert tree.groebner_basis() == buchberger(oracle.gens, DEGREVLEX)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(ideal_lists(st.just(2)))
+def test_u_free_basis_is_the_u_free_part_of_the_full_basis(ideals):
+    """Minimalizing and interreducing only the elements with a u-free lead
+    returns the same elements, in the same order, as filtering the full
+    block-order basis."""
+    gens = tagged_gens(*ideals)
+    full = buchberger(gens, BlockOrder(1))
+    assert buchberger(gens, BlockOrder(1), _u_free=True) == tuple(
+        g for g in full if all(m[0] == 0 for m in g.terms))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

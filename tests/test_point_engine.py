@@ -17,12 +17,13 @@ from hypothesis import given, settings, strategies as st
 
 from genpos import points
 from genpos.conductor import points_conductor_certificate, points_conductor_sigma
+from genpos.groebner import Ideal, ideal_intersect
 from genpos.linalg import eliminate, integer_rows, nullspace_vector
 from genpos.points import (GenericityCertificate, PointSet, binom,
                            evaluation_matrix, hilbert_function,
-                           is_generic_position, is_generic_t_position,
-                           normalize_point, nu)
-from genpos.poly import Polynomial, monomials_of_degree
+                           ideal_basis, is_generic_position,
+                           is_generic_t_position, normalize_point, nu)
+from genpos.poly import DEGREVLEX, Polynomial, monomials_of_degree
 from genpos.scalars import QQ, PrimeField
 from genpos.serialize import canonical_json
 
@@ -440,3 +441,47 @@ def test_rank_path_builds_no_fraction(monkeypatch):
     assert points_conductor_certificate(X).verdict == "match"
     monkeypatch.undo()
     assert built == []
+
+
+# ------------------------------------------------------------------ ideal_basis
+
+def point_prime(pt, field):
+    """The ideal of one point of P^r: the forms pt_l * x_i - pt_i * x_l, l
+    its first nonzero coordinate."""
+    x = [Polynomial.variable(i, len(pt), field) for i in range(len(pt))]
+    lead = next(i for i, c in enumerate(pt) if c)
+    return Ideal(len(pt), field, [x[i] * pt[lead] - x[lead] * pt[i]
+                                  for i in range(len(pt)) if i != lead])
+
+
+@st.composite
+def chart_sets(draw, field):
+    """1-8 distinct points of P^2 or P^3 off x_r = 0, with small coordinates
+    (collinear and coplanar sets) and large ones."""
+    r = draw(st.sampled_from([2, 3]))
+    coord = st.integers(0, 3) | st.integers(0, field.p - 1)
+    coords = draw(st.lists(st.tuples(*[coord] * r,
+                                     st.integers(1, field.p - 1)),
+                           min_size=1, max_size=8))
+    return point_set(r, field, coords, limit=8)
+
+
+@pytest.mark.parametrize("field", [PrimeField(7), PrimeField(32003),
+                                   PrimeField(2 ** 31 - 1)], ids=repr)
+@PROPERTY
+@given(data=st.data())
+def test_ideal_basis_is_the_intersection_of_point_primes(field, data):
+    X = data.draw(chart_sets(field))
+    basis = ideal_basis(X)
+    assert basis == ideal_intersect(*(point_prime(pt, field)
+                                      for pt in X.points)).groebner_basis()
+    for g in basis:
+        assert list(g.terms_sorted(DEGREVLEX)) == sorted(
+            g.terms.items(), key=lambda t: DEGREVLEX.key(t[0]), reverse=True)
+
+
+def test_ideal_basis_needs_a_prime_field_and_no_point_on_x_r():
+    with pytest.raises(ValueError, match="prime field"):
+        ideal_basis(PointSet.of(2, QQ, [[1, 2, 3]]))
+    with pytest.raises(ValueError, match="x2 = 0"):
+        ideal_basis(PointSet.of(2, PrimeField(7), [[1, 2, 3], [1, 1, 0]]))

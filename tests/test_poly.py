@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (mono_deg, mono_div, mono_divides, mono_lcm, mono_mul,
                       monomials_up_to)
@@ -102,6 +103,66 @@ def test_parse_round_trip_seeded():
                     terms[m] = c
             p = Polynomial(n, field, terms)
             assert parse_polynomial(p.text(), n, field) == p
+
+
+@st.composite
+def parse_cases(draw):
+    """Polynomial text in x0..x2 and its terms as (sign, coefficient tokens,
+    exponents): signs, integer and a/b tokens among the factors in any
+    order, variables with and without exponents, repeated monomials."""
+    terms, parts = [], []
+    for k in range(draw(st.integers(1, 6))):
+        signs = draw(st.lists(st.sampled_from("+-"), min_size=int(k > 0),
+                              max_size=2))
+        coeffs = draw(st.lists(st.one_of(
+            st.integers(0, 60).map(str),
+            st.tuples(st.integers(0, 60), st.integers(1, 30)).map(
+                lambda ab: "%d/%d" % ab)), max_size=2))
+        variables = draw(st.lists(st.tuples(st.integers(0, 2),
+                                            st.integers(0, 3)), max_size=3))
+        factors = coeffs + ["x%d" % i if e == 0 else "x%d^%d" % (i, e)
+                            for i, e in variables]
+        if not factors:
+            factors = ["1"]
+            coeffs = ["1"]
+        factors = draw(st.permutations(factors))
+        expo = [0, 0, 0]
+        for i, e in variables:
+            expo[i] += e or 1
+        sign = (-1) ** signs.count("-")
+        terms.append((sign, coeffs, tuple(expo)))
+        parts.append(" ".join(signs) + " " + "*".join(factors))
+    return " ".join(parts), terms
+
+
+def fraction_parse(terms, field):
+    """The parse before integer tokens stayed ints, kept as the oracle: a
+    term's coefficient is Fraction(sign) times Fraction(token) for each of
+    its coefficient tokens, coerced into the field and summed per monomial."""
+    out = {}
+    for sign, coeffs, expo in terms:
+        coeff = Fraction(sign)
+        for tok in coeffs:
+            coeff *= Fraction(tok)
+        out[expo] = out.get(expo, field.zero) + field(coeff)
+    return Polynomial(3, field, out)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=repr)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=parse_cases())
+def test_parse_matches_fraction_parse(field, case):
+    text, terms = case
+    try:
+        want = fraction_parse(terms, field)
+    except ZeroDivisionError:  # a denominator divisible by p
+        with pytest.raises(ZeroDivisionError):
+            parse_polynomial(text, 3, field)
+        return
+    got = parse_polynomial(text, 3, field)
+    assert got == want
+    kind = int if field.p else Fraction
+    assert all(type(c) is kind for c in got.terms.values())
 
 
 def test_parse_custom_names():
