@@ -16,7 +16,6 @@ from .groebner import (Ideal, ideal_equal, ideal_intersect, ideal_member,
                        ideal_power, saturation)
 from .linalg import kernel_vector, rref
 from .points import PointSet, _first_failing_subset, binom, ideal_basis, nu
-from .poly import Polynomial
 
 
 @dataclass(frozen=True)
@@ -352,33 +351,25 @@ def _linear_coeffs(form):
 
 
 def _products_except(forms):
-    """The product of all forms but L_i, for each i, and of all forms, from
-    prefix and suffix products: 3n - 5 multiplications for n >= 2 forms."""
+    """The product of all forms but L_i, for each i, from prefix and suffix
+    products: 3n - 6 multiplications for n >= 2 forms."""
     before, after = [forms[0]], [forms[-1]]
     for f, g in zip(forms[1:-1], forms[-2:0:-1]):
         before.append(before[-1] * f)
         after.append(g * after[-1])
     # before[i] = L_0 ... L_i and after[i] = L_(n-1-i) ... L_(n-1), i <= n - 2
-    others = ([after[-1]] + [a * b for a, b in zip(before, after[-2::-1])]
-              + [before[-1]])
-    return others, before[-1] * forms[-1]
-
-
-def _conductor_and_product(forms):
-    """`arrangement_conductor_ideal` and F = prod L_i, the defining form of
-    the union, from one set of prefix and suffix products."""
-    if len(forms) < 2:
-        raise ValueError("need at least two hyperplanes")
-    others, total = _products_except(forms)
-    return ideal_intersect(*(Ideal(f.nvars, f.field, [f, g])
-                             for f, g in zip(forms, others))), total
+    return ([after[-1]] + [a * b for a, b in zip(before, after[-2::-1])]
+            + [before[-1]])
 
 
 def arrangement_conductor_ideal(forms):
     """Conductor of a reduced hyperplane-union coordinate ring into its
     normalization, pulled back to the polynomial ring: the intersection over i
     of (L_i) + (prod of the other forms)."""
-    return _conductor_and_product(forms)[0]
+    if len(forms) < 2:
+        raise ValueError("need at least two hyperplanes")
+    return ideal_intersect(*(Ideal(f.nvars, f.field, [f, g])
+                             for f, g in zip(forms, _products_except(forms))))
 
 
 def arrangement_strata(forms):
@@ -441,34 +432,23 @@ def arrangement_certificate(forms):
     eliminations. The formula is the ideal of the stratum points, read by
     linear algebra (`points.ideal_basis`), when all four of these hold: 3
     variables, a field GF(p), every e_k = 2, and no stratum point on
-    x2 = 0. Otherwise it is one `ideal_intersect` call on the prime powers.
-    The formula adds F = prod L_i, the defining form of the union; F lies in
-    every P_k^(e_k), so the membership test against the recorded basis
-    passes and the generators are never re-based. The verdict compares the
-    two reduced bases. The forms are validated, by `arrangement_strata`,
-    before any elimination runs.
+    x2 = 0. Otherwise it is one `ideal_intersect` call on the prime powers,
+    each prime generated by the first two of its stratum's forms. The
+    verdict compares the two reduced bases. The forms are validated, by
+    `arrangement_strata`, before any elimination runs.
     """
     if len(forms) < 2:
         raise ValueError("need at least two hyperplanes")
     strata = arrangement_strata(forms)
-    oracle, total = _conductor_and_product(forms)
-    field = forms[0].field
-    nvars = forms[0].nvars
+    oracle = arrangement_conductor_ideal(forms)
+    nvars, field = forms[0].nvars, forms[0].field
     detail = [{"hyperplanes": list(members), "multiplicity": e_k,
                "local_exponent": e_k - 1} for _, e_k, members in strata]
     formula = _stratum_points_ideal(strata, nvars, field)
     if formula is None:
-        powers = []
-        for red, e_k, _ in strata:
-            prime = Ideal(nvars, field, [
-                Polynomial(nvars, field,
-                           {tuple(1 if j == i else 0 for j in range(nvars)): c
-                            for i, c in enumerate(row) if c != field.zero})
-                for row in red])
-            powers.append(ideal_power(prime, e_k - 1))
-        formula = ideal_intersect(*powers)
-    if not ideal_member(total, formula):
-        formula = Ideal(nvars, field, formula.gens + (total,))
+        formula = ideal_intersect(*(
+            ideal_power(Ideal(nvars, field, [forms[a], forms[b]]), e_k - 1)
+            for _, e_k, (a, b, *_) in strata))
     hypotheses = {
         "pairwise_distinct_hyperplanes": True,
         "transverse_points_generic": True,

@@ -122,9 +122,9 @@ def curve_from_json(obj):
     field = field_from_json(obj.get("field"))
     r = integer(obj["r"], "r", 0)
     branches = obj["branches"]
-    if not isinstance(branches, list):
-        raise ValueError("branches: expected a list of branches, got %s"
-                         % json.dumps(branches))
+    if not isinstance(branches, list) or not branches:
+        raise ValueError("branches: expected a nonempty list of branches, "
+                         "got %s" % json.dumps(branches))
     parsed = []
     for i, comps in enumerate(branches):
         comps = polynomial_texts(comps, "branches[%d]" % i)

@@ -436,6 +436,7 @@ def test_tangent_cone_rejects_non_string_polynomials(tmp_path, capsys):
           "membership": {"query": 7}}, "membership.query"),
         ({"field": "Q", "r": 1, "branches": [["t", 5]]}, "branches[0][1]"),
         ({"field": "Q", "r": 1, "branches": ["t"]}, "branches[0]"),
+        ({"field": "Q", "r": 1, "branches": []}, "branches"),
         ({"vars": 2, "gens": ["x0^2 - x1^3", None]}, "gens[1]"),
     ]
     for obj, path in cases:

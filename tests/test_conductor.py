@@ -22,7 +22,8 @@ from genpos.conductor import (NumericalSemigroup, arrangement_certificate,
 from genpos.errors import BudgetExceededError, StabilizationError
 from genpos.fixtures import (arrangement_forms, line_points,
                              off_conic_points, tangent_point_set)
-from genpos.groebner import Ideal, ideal_equal, ideal_member, ideal_power
+from genpos.groebner import (Ideal, ideal_equal, ideal_intersect,
+                             ideal_member, ideal_power)
 from genpos.points import (PointSet, evaluation_matrix, hilbert_function,
                            is_generic_t_position, nu, random_point_set)
 from genpos.poly import Polynomial, parse_polynomial
@@ -589,7 +590,7 @@ def test_arrangement_oracle_invariants():
     for which in ("three-lines", "four-lines"):
         forms = arrangement_forms(which)
         oracle = arrangement_conductor_ideal(forms)
-        others, _ = _products_except(forms)
+        others = _products_except(forms)
         for i, f in enumerate(forms):
             assert ideal_member(others[i], oracle)
             piece = Ideal(f.nvars, f.field, [f, others[i]])
@@ -601,12 +602,11 @@ def test_arrangement_products_are_prefix_and_suffix_products(monkeypatch):
     from genpos.conductor import _products_except
     for n in range(2, 8):
         forms = vandermonde_lines(n)
-        others, total = _products_except(forms)
-        assert others == [product_except(forms, i) for i in range(n)]
-        assert total == product_except(forms, -1)
-    # the 16 lines of the CI input: 3n - 5 = 43 products, where one product
-    # per line took n(n - 2) + n - 1 = 239; every stratum is a double point,
-    # so the prime powers make none
+        assert _products_except(forms) == [product_except(forms, i)
+                                           for i in range(n)]
+    # the 16 lines of the CI input: 3n - 6 = 42 products, where one product
+    # per line took n(n - 2) = 224; every stratum is a double point, so the
+    # formula is the ideal of the stratum points and makes none
     calls = []
     polynomial_mul = Polynomial.__mul__
 
@@ -617,7 +617,7 @@ def test_arrangement_products_are_prefix_and_suffix_products(monkeypatch):
     monkeypatch.setattr(Polynomial, "__mul__", counted)
     cert = arrangement_certificate(vandermonde_lines(16))
     assert cert.verdict == "match"
-    assert len(calls) == 3 * 16 - 5
+    assert len(calls) == 3 * 16 - 6
 
 
 def test_arrangement_validates_forms_before_eliminating(tmp_path, capsys,
@@ -677,6 +677,12 @@ def test_arrangement_formula_routes(monkeypatch, field, nvars, forms,
     assert len(bases) == routed
 
 
+def linear_form(row, field):
+    n = len(row)
+    return Polynomial(n, field, {tuple(int(j == i) for j in range(n)): c
+                                 for i, c in enumerate(row)})
+
+
 @st.composite
 def gf_arrangements(draw):
     """2-7 pairwise independent linear forms in 3 variables over GF(11),
@@ -692,9 +698,7 @@ def gf_arrangements(draw):
         if any(field(c) for c in row):
             seen.setdefault(points.normalize_point(row, field), row)
     assume(len(seen) >= 2)
-    return [Polynomial(3, field, {tuple(int(j == i) for j in range(3)): c
-                                  for i, c in enumerate(row)})
-            for row in seen.values()]
+    return [linear_form(row, field) for row in seen.values()]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -704,6 +708,72 @@ def test_stratum_points_route_matches_eliminations(forms):
     with mock.patch.object(conductor, "_stratum_points_ideal",
                            lambda *args: None):
         assert arrangement_certificate(forms).as_dict() == got
+
+
+@st.composite
+def fat_arrangements(draw):
+    """2-7 pairwise independent linear forms in 3 or 4 variables over Q,
+    GF(11) or GF(32003), with a planted triple or quadruple stratum: A, B,
+    A + B and perhaps A - B for two drawn forms A and B, then 0-3 more."""
+    field = draw(st.sampled_from([QQ, PrimeField(11), PrimeField(32003)]))
+    nvars = draw(st.sampled_from([3, 4]))
+    row = st.lists(st.integers(-3, 3), min_size=nvars, max_size=nvars)
+    a, b = draw(row), draw(row)
+    rows = [a, b] + [[x + w * y for x, y in zip(a, b)]
+                     for w in (1, -1)[:draw(st.sampled_from([1, 2]))]]
+    rows += draw(st.lists(row, max_size=3))
+    seen = {}
+    for r in rows:
+        if any(field(c) for c in r):
+            seen.setdefault(points.normalize_point(r, field), r)
+    assume(len(seen) >= 2)
+    return [linear_form(r, field) for r in seen.values()]
+
+
+def rref_row_certificate(forms):
+    """The certificate dict built the long way, the reference for
+    `arrangement_certificate`: each prime from its stratum's RREF rows, F =
+    prod L_i added to the intersection of their powers as one more
+    generator, and the oracle from products taken one factor at a time; and
+    F itself, with that intersection."""
+    nvars, field = forms[0].nvars, forms[0].field
+    strata = arrangement_strata(forms)
+    powers = ideal_intersect(*(
+        ideal_power(Ideal(nvars, field, [linear_form(row, field)
+                                         for row in red]), e_k - 1)
+        for red, e_k, _ in strata))
+    total = reduce(mul, forms)
+    formula = Ideal(nvars, field, powers.gens + (total,))
+    oracle = ideal_intersect(*(
+        Ideal(nvars, field, [f, product_except(forms, i)])
+        for i, f in enumerate(forms)))
+    return {
+        "model": "hyperplane-arrangement",
+        "claimed": {"basis": sorted(g.text()
+                                    for g in formula.groebner_basis())},
+        "oracle": {"basis": sorted(g.text()
+                                   for g in oracle.groebner_basis())},
+        "hypotheses": {
+            "pairwise_distinct_hyperplanes": True,
+            "transverse_points_generic": True,
+            "reason": "e_k distinct points of a projective line are always "
+                      "in generic position"},
+        "verdict": "match" if ideal_equal(oracle, formula) else "mismatch",
+        "details": {"strata": [
+            {"hyperplanes": list(members), "multiplicity": e_k,
+             "local_exponent": e_k - 1} for _, e_k, members in strata]},
+    }, total, powers
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(fat_arrangements())
+def test_arrangement_certificate_matches_the_rref_row_formula(forms):
+    """F lies in every P_k^(e_k), so adding it to the formula changes
+    nothing, and primes from the RREF rows or from two input forms generate
+    the same ideals: the certificate is the one the long way builds."""
+    expected, total, powers = rref_row_certificate(forms)
+    assert ideal_member(total, powers)
+    assert arrangement_certificate(forms).as_dict() == expected
 
 
 def test_arrangement_validation():
