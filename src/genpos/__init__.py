@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .conductor import (ConductorCertificate, NumericalSemigroup,
                         arrangement_certificate, arrangement_conductor_ideal,
-                        monomial_conductor, monomial_conductor_certificate,
+                        monomial_conductor_certificate,
                         points_conductor_certificate, points_conductor_sigma,
                         semigroup_certificate, symbolic_power)
 from .errors import BudgetExceededError, StabilizationError
@@ -34,7 +34,6 @@ __all__ = [
     "subalgebra_member", "GermRing",
     "ConductorCertificate", "NumericalSemigroup",
     "points_conductor_sigma", "points_conductor_certificate",
-    "semigroup_certificate", "monomial_conductor",
-    "monomial_conductor_certificate", "arrangement_conductor_ideal",
-    "arrangement_certificate", "symbolic_power",
+    "semigroup_certificate", "monomial_conductor_certificate",
+    "arrangement_conductor_ideal", "arrangement_certificate", "symbolic_power",
 ]

@@ -296,9 +296,17 @@ def germ_report(obj):
     read off the query's exact level in the powers of the maximal ideal of
     the germ's local ring. The profile and the level read one GermRing."""
     field = field_from_json(obj.get("field"))
+    texts = obj["parametrization"]
+    if not isinstance(texts, list) or not texts:
+        raise ValueError("parametrization: expected a nonempty list of "
+                         "polynomial strings, got %s" % json.dumps(texts))
     gens = [parse_polynomial(s, 1, field, names=("t",))
-            for s in polynomial_texts(obj["parametrization"],
-                                      "parametrization")]
+            for s in polynomial_texts(texts, "parametrization")]
+    for i, g in enumerate(gens):
+        if g.is_zero() or (0,) in g.terms:
+            raise ValueError("parametrization[%d]: expected a nonzero "
+                             "polynomial with no constant term, got %s"
+                             % (i, json.dumps(texts[i])))
     mem = obj.get("membership")
     if mem is not None and not isinstance(mem, dict):
         raise ValueError('membership: expected an object with a "query" key, '

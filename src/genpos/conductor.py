@@ -247,8 +247,13 @@ def monomial_semigroup_rows(generators, box):
 
 
 def _monomial_conductor_rows(generators, box):
-    """The conductor inside the window [0, box//2]^k as up-closed rows (the
-    first point of each), and the window; errors as monomial_conductor."""
+    """The conductor inside the comparison window [0, box//2]^k as up-closed
+    rows (the first point of each), and the window. A window point v is in
+    the conductor when v + w lies in the semigroup for every w in N^k that
+    keeps v + w inside the box; the margin of box - box//2 in every
+    coordinate is what makes the bounded check honest. StabilizationError
+    is raised when the far corner of the window is not entirely in the
+    conductor: the box is then too small to see the stable region."""
     k = len(generators[0])
     grid = monomial_semigroup_rows(generators, box)
     full = (1 << (box + 1)) - 1
@@ -280,28 +285,6 @@ def _monomial_conductor_rows(generators, box):
                 assert moved > window or cond[target] <= moved, \
                     "conductor not closed under the semigroup"
     return cond, window
-
-
-def monomial_conductor(generators, box):
-    """Conductor lattice points within the comparison window [0, box//2]^k.
-
-    A window point v is in the conductor when v + w lands in the semigroup for
-    every point w of the ambient monoid N^k that keeps v + w inside the box;
-    the margin of box - box//2 in every coordinate is what makes the bounded
-    check honest. Errors when the far corner of the window is not entirely in
-    the conductor (the box is then too small to see the stable region).
-
-    The box is held as (box+1)^(k-1) rows of (box+1)-bit ints, one per
-    choice of the first k - 1 coordinates. The semigroup fills the rows in
-    lex order with shifts and masks, O(log box) of them per row and
-    generator. One sweep down the rows then marks each point u "bad" when
-    some point between u and the far corner of the box lies outside the
-    semigroup, from its own row and the k - 1 rows above it.
-    """
-    _monomial_dimension(generators, box)
-    cond, window = _monomial_conductor_rows(generators, box)
-    return {p + (j,) for p, first in cond.items()
-            for j in range(first, window + 1)}, window
 
 
 def monomial_conductor_certificate(generators, box, candidate):

@@ -211,25 +211,17 @@ def normal_form(f, basis, order):
 
 
 def buchberger(gens, order=DEGREVLEX, max_basis=DEFAULT_MAX_BASIS,
-               max_pairs=DEFAULT_MAX_PAIRS, *, _u_free=False):
-    """Reduced Groebner basis of the given generators. `_u_free` is private
-    to `_eliminate_u`: under its block order, only the elements free of the
-    first variable u are returned (see `_buchberger`)."""
+               max_pairs=DEFAULT_MAX_PAIRS):
+    """Reduced Groebner basis of the given generators."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return ()
     return _widening(lambda bits: _buchberger(gens, order, max_basis,
-                                              max_pairs, bits, _u_free))
+                                              max_pairs, bits))
 
 
-def _buchberger(gens, order, max_basis, max_pairs, bits, u_free):
-    """`buchberger` at `bits` bits per exponent; None if one needs more.
-
-    With `u_free`, minimalization and interreduction see only the elements
-    whose lead is free of variable 0, u. Under a block order eliminating u
-    every term of such an element is free of u, and only a u-free lead
-    divides a u-free monomial, so they drop and reduce by each other alone:
-    the result is the u-free part of the full reduced basis."""
+def _buchberger(gens, order, max_basis, max_pairs, bits):
+    """`buchberger` at `bits` bits per exponent; None if one needs more."""
     from heapq import heapify, heappop, heappush
     nvars, field = gens[0].nvars, gens[0].field
     p = field.p
@@ -302,9 +294,6 @@ def _buchberger(gens, order, max_basis, max_pairs, bits, u_free):
         if r[0]:
             update(packed_divisor(r[0], s[1], p))
 
-    if u_free:
-        basis = [d for d in basis if not d[0] & ((1 << bits) - 1)]
-        leads = [d[0] for d in basis]
     # minimalize: drop elements whose leading monomial another one divides
     keep = [d for i, d in enumerate(basis)
             if not any(j != i and not (d[0] - e) & guard
@@ -386,10 +375,10 @@ def _lift(g, u, scale=1):
 
 def _eliminate_u(gens, ideal):
     """The part free of the new leading variable u of the ideal `gens` of
-    k[u, x], as an ideal of the ring of `ideal`: the basis elements without
-    u under the block order that eliminates u (Cox, Little & O'Shea, *Ideals,
-    Varieties, and Algorithms*, ch. 3 section 1), the only ones `buchberger`
-    minimalizes, interreduces and returns here.
+    k[u, x], as an ideal of the ring of `ideal`: the elements with no u in
+    any term of the reduced basis under the block order that eliminates u
+    (Cox, Little & O'Shea, *Ideals, Varieties, and Algorithms*, ch. 3
+    section 1).
 
     Those elements are the reduced degrevlex basis of the result, in the
     order `buchberger` returns it: the block order restricted to k[x] is
@@ -400,7 +389,8 @@ def _eliminate_u(gens, ideal):
     return Ideal.of_reduced_basis(n, field, [
         Polynomial(n, field, {m[1:]: c for m, c in
                               g.terms_sorted(_ELIMINATE_U)}, DEGREVLEX)
-        for g in buchberger(gens, _ELIMINATE_U, _u_free=True)])
+        for g in buchberger(gens, _ELIMINATE_U)
+        if not any(m[0] for m in g.terms)])
 
 
 def _intersect_two(a, b):

@@ -40,7 +40,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .errors import BudgetExceededError
-from .linalg import add_row, eliminate, integer_rows, kernel_vector, rank, rref
+from .linalg import add_row, eliminate, integer_rows, nullspace_vector, rank
 from .poly import DEGREVLEX, Polynomial, monomials_of_degree
 
 DEFAULT_SUBSET_BUDGET = 20000
@@ -262,8 +262,7 @@ def _generic_check(X):
         values.append(h)
         if h < min(X.e, binom(n + X.r, X.r)):
             rows, monos = evaluation_matrix(X, n)
-            red, pivots = rref(rows, X.field)
-            vec = kernel_vector(red, pivots, len(monos), X.field)
+            vec = nullspace_vector(rows, len(monos), X.field)
             witness = Polynomial(X.r + 1, X.field, dict(zip(monos, vec)))
             lead = next(c for c in vec if c)
             witness = witness * X.field.inv(lead)

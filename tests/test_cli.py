@@ -432,6 +432,11 @@ def test_tangent_cone_rejects_non_string_polynomials(tmp_path, capsys):
     cases = [
         ({"field": "Q", "parametrization": [3, "t^4"]}, "parametrization[0]"),
         ({"field": "Q", "parametrization": "t^3"}, "parametrization"),
+        ({"field": "Q", "parametrization": []}, "parametrization"),
+        ({"field": "Q", "parametrization": ["0", "t^2"]},
+         "parametrization[0]"),
+        ({"field": "Q", "parametrization": ["t^2 + 1", "t^3"]},
+         "parametrization[0]"),
         ({"field": "Q", "parametrization": ["t^3", "t^4"],
           "membership": {"query": 7}}, "membership.query"),
         ({"field": "Q", "r": 1, "branches": [["t", 5]]}, "branches[0][1]"),

@@ -231,18 +231,6 @@ def test_tree_intersection_matches_left_fold(ideals):
     assert tree.groebner_basis() == buchberger(oracle.gens, DEGREVLEX)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(ideal_lists(st.just(2)))
-def test_u_free_basis_is_the_u_free_part_of_the_full_basis(ideals):
-    """Minimalizing and interreducing only the elements with a u-free lead
-    returns the same elements, in the same order, as filtering the full
-    block-order basis."""
-    gens = tagged_gens(*ideals)
-    full = buchberger(gens, BlockOrder(1))
-    assert buchberger(gens, BlockOrder(1), _u_free=True) == tuple(
-        g for g in full if all(m[0] == 0 for m in g.terms))
-
-
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(ideal_lists(), saturation_cases())
 def test_eliminations_record_the_reduced_degrevlex_basis(ideals, case):

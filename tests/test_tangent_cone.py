@@ -4,7 +4,7 @@ from itertools import combinations, islice
 from math import gcd
 
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import assume, given, reject, settings, strategies as st
 
 from conftest import (ReferenceEchelon, mono_deg, mono_divides,
                       monomials_up_to)
@@ -488,6 +488,24 @@ def test_germ_report_builds_one_echelon(monkeypatch):
     (["t^5", "t^7"], [1, 5, 9]),
 ])
 def test_germ_ring_passes(monkeypatch, texts, caps):
+    ring, built = germ_ring_builds(monkeypatch, texts)
+    assert ring.echelon[1] == caps[-1] + 1
+    assert built == caps
+
+
+def test_germ_ring_passes_for_a_high_order_query(monkeypatch):
+    # L = b = 20 for q = t^60 = g^20: N = 2 found at K = 4, then one build
+    # at K = N + L = 22, not a doubling past it
+    q = tvar() ** 60
+    ring, built = germ_ring_builds(monkeypatch, ["t^3", "t^4"], q)
+    assert ring.echelon[1] == 22
+    assert built == [1, 3, 21]
+    assert subalgebra_member(q, ring.gens, ring) == 20
+
+
+def germ_ring_builds(monkeypatch, texts, query=None):
+    """A GermRing of the components `texts` over Q built for the polynomial
+    `query`, and the cap of each power-product pass its echelon build made."""
     from genpos import tangent_cone
 
     calls = []
@@ -499,9 +517,9 @@ def test_germ_ring_passes(monkeypatch, texts, caps):
     power_products = tangent_cone._power_products
     monkeypatch.setattr(tangent_cone, "_power_products", counted)
     gens = [parse_polynomial(s, 1, QQ, names=("t",)) for s in texts]
-    ring = GermRing(gens)
-    assert ring.echelon[1] == caps[-1] + 1
-    assert [cap for _, _, cap, _ in calls] == caps
+    ring = GermRing(gens, query)
+    ring.echelon
+    return ring, [cap for _, _, cap, _ in calls]
 
 
 def test_germ_profile_frozen():
@@ -597,7 +615,9 @@ def germ_queries(draw, gens):
     for i in draw(st.lists(st.integers(0, len(gens) - 1), max_size=9)):
         q = q * gens[i]
     tail = tvar(field) ** draw(st.integers(1, 30))
-    return q + tail * draw(st.integers(0, 2))
+    q = q + tail * draw(st.integers(0, 2))
+    assume(not q.is_zero())
+    return q
 
 
 # The oracle: GermRing.echelon's earlier loop at its earlier depth. Levels
