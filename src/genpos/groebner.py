@@ -31,11 +31,18 @@ operations. Each basis element is held as its divisor (E, K, lc, tail), as
 cached tails into a K -> coefficient dict, `_reduce` reduces it (the one
 reduction loop, which `normal_form` also runs on its packed input), and the
 remainder leaves in descending key order, ready to normalize into the next
-divisor. `Polynomial`s are built only for the returned basis. A term that
-sets a guard bit (lex and block orders can raise exponents) restarts the
-call, or the whole run, with twice the bits; the width changes only the
-representation, so a restarted run pops the same pairs under the same
-budgets.
+divisor. A run has two parts: `_minimal_basis`, the pair loop and the
+minimalization, and `_interreduce`, which turns a minimal basis into the
+reduced one. `buchberger` chains them and builds `Polynomial`s only for the
+returned basis. The other callers take only what they read:
+`leading_monomials` reads the leads of the minimal basis, which are the
+reduced basis's; `ideal_intersect` and `saturation` pack their inputs once
+into k[u, x], interreduce only the u-free part of each minimal basis, pass
+intersections up their tree still packed, and build `Polynomial`s once, at
+the root. A term that sets a guard bit (lex and block orders can raise
+exponents) restarts the call, the whole run, or the whole elimination tree
+with twice the bits; the width changes only the representation, so a
+restarted run pops the same pairs under the same budgets.
 
 Over Q everything runs on Python ints (pseudo-division, as in the primitive
 remainder sequences of Geddes, Czapor & Labahn, *Algorithms for Computer
@@ -54,7 +61,7 @@ from operator import mul
 
 from .errors import BudgetExceededError
 from .poly import (DEGREVLEX, BlockOrder, Packing, Polynomial,
-                   packed_divisor)
+                   divisor_of_terms, packed_divisor)
 
 DEFAULT_MAX_BASIS = 500
 DEFAULT_MAX_PAIRS = 50000
@@ -212,21 +219,63 @@ def normal_form(f, basis, order):
 
 def buchberger(gens, order=DEGREVLEX, max_basis=DEFAULT_MAX_BASIS,
                max_pairs=DEFAULT_MAX_PAIRS):
-    """Reduced Groebner basis of the given generators."""
+    """Reduced Groebner basis of the given generators: `_minimal_basis`, then
+    `_interreduce`, packed from the generators to the returned basis."""
+    def reduced(packing, basis, nvars, field):
+        if (got := _interreduce(basis, field.p, packing.guard)) is not None:
+            return tuple(_polynomials(got, packing.unpack, nvars, field,
+                                      order))
+
+    return _from_minimal_basis(gens, order, max_basis, max_pairs, reduced)
+
+
+def leading_monomials(gens, order=DEGREVLEX):
+    """The leading monomials of `buchberger(gens, order)`, in its order, read
+    off the minimal basis: the same pair loop under the default budgets,
+    with no interreduction, which changes no lead."""
+    return _from_minimal_basis(
+        gens, order, DEFAULT_MAX_BASIS, DEFAULT_MAX_PAIRS,
+        lambda packing, basis, *_: tuple(
+            packing.unpack(d[0]) for d in sorted(basis, key=lambda d: d[1])))
+
+
+def _from_minimal_basis(gens, order, max_basis, max_pairs, finish):
+    """finish(packing, basis, nvars, field) for the minimal basis of the
+    nonzero `gens` under `order` (see `_minimal_basis`), at BITS bits per
+    exponent, then at twice as many, and so on, until neither the pair loop
+    nor `finish` returns None; () if no generator is nonzero."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return ()
-    return _widening(lambda bits: _buchberger(gens, order, max_basis,
-                                              max_pairs, bits))
-
-
-def _buchberger(gens, order, max_basis, max_pairs, bits):
-    """`buchberger` at `bits` bits per exponent; None if one needs more."""
-    from heapq import heapify, heappop, heappush
     nvars, field = gens[0].nvars, gens[0].field
+
+    def attempt(bits):
+        packing = Packing(order, nvars, bits)
+        basis = _minimal_basis((g.divisor(order, bits) for g in gens),
+                               packing, field.p, max_basis, max_pairs)
+        if basis is not None:
+            return finish(packing, basis, nvars, field)
+
+    return _widening(attempt)
+
+
+def _polynomials(divisors, unpack, nvars, field, order):
+    """The monic `Polynomial`s of the packed divisors (see
+    `Polynomial.divisor`), unpack(E) giving each exponent tuple."""
     p = field.p
-    packing = Packing(order, nvars, bits)
-    guard = packing.guard
+    return [Polynomial(nvars, field, {
+        unpack(te): c if p else Fraction(c, lc)
+        for te, _, c in ((e, k, lc), *tail)}, order)
+        for e, k, lc, tail in divisors]
+
+
+def _minimal_basis(divisors, packing, p, max_basis, max_pairs):
+    """The pair loop on the packed generators `divisors` (see
+    `Polynomial.divisor`), taken in turn until one is None: a minimal
+    Groebner basis of them, as divisors in the order they joined, or None
+    if a term sets a guard bit (a generator that does not fit is None)."""
+    from heapq import heapify, heappop, heappush
+    bits, guard = packing.bits, packing.guard
     basis, leads = [], []  # divisors (E, K, lc, tail) and their lead packs
     active = []  # indices whose leading monomial no later one divides
     pairs = []  # heap of (lcm degree, creation index, i, j, (E, K) of lcm)
@@ -279,8 +328,8 @@ def _buchberger(gens, order, max_basis, max_pairs, bits):
         if len(basis) > max_basis:
             raise exceeded("basis", max_basis)
 
-    for g in gens:
-        if (d := g.divisor(order, bits)) is None:
+    for d in divisors:
+        if d is None:
             return None
         update(d)
     while pairs:
@@ -293,26 +342,27 @@ def _buchberger(gens, order, max_basis, max_pairs, bits):
             return None
         if r[0]:
             update(packed_divisor(r[0], s[1], p))
-
-    # minimalize: drop elements whose leading monomial another one divides
-    keep = [d for i, d in enumerate(basis)
+    # drop the elements whose leading monomial another one divides
+    return [d for i, d in enumerate(basis)
             if not any(j != i and not (d[0] - e) & guard
                        and (e != d[0] or j < i)
                        for j, e in enumerate(leads))]
-    # interreduce to the unique reduced basis
+
+
+def _interreduce(basis, p, guard):
+    """The reduced Groebner basis of the minimal basis `basis`, as divisors
+    in ascending key order: each element fully reduced by the others, or
+    None if a term sets a guard bit."""
     reduced = []
-    for i, (e, k, lc, tail) in enumerate(keep):
+    for i, (e, k, lc, tail) in enumerate(basis):
         packs = {k: e, **{tk: te for te, tk, _ in tail}}
         work = {k: lc, **{tk: c for _, tk, c in tail}}
-        if (r := _reduce(work, packs, keep[:i] + keep[i + 1:], p,
+        if (r := _reduce(work, packs, basis[:i] + basis[i + 1:], p,
                          guard)) is None:
             return None
         reduced.append(packed_divisor(r[0], packs, p))
     reduced.sort(key=lambda d: d[1])
-    return tuple(Polynomial(nvars, field, {
-        packing.unpack(te): c if p else Fraction(c, lc)
-        for te, _, c in ((e, k, lc), *tail)}, order)
-        for e, k, lc, tail in reduced)
+    return reduced
 
 
 class Ideal:
@@ -367,71 +417,120 @@ def ideal_equal(a, b, order=DEGREVLEX):
 _ELIMINATE_U = BlockOrder(split=1)
 
 
-def _lift(g, u, scale=1):
-    """The terms of scale * u**u * g as terms of k[u, x], u the new leading
-    variable, in the degrevlex order of g's own terms."""
-    return {(u,) + m: scale * c for m, c in g.terms_sorted(DEGREVLEX)}
+class _Elimination:
+    """k[u, x], u a new leading variable, packed for `_ELIMINATE_U` at `bits`
+    bits per exponent. An ideal is a list of divisors (see
+    `Polynomial.divisor`); a method returns None where a term needs more
+    bits."""
+
+    def __init__(self, nvars, p, bits):
+        self.p = p
+        self.packing = Packing(_ELIMINATE_U, nvars + 1, bits)
+        self.u = self.packing.pack((1,) + (0,) * nvars)
+        self.umask = (1 << bits) - 1  # u's exponent field in E
+
+    def lift(self, g, u=0, scale=1, constant=()):
+        """The divisor of scale * u**u * g + constant, g in k[x]: g's own
+        degrevlex order is the block order, and a constant comes last."""
+        return divisor_of_terms([((u,) + m, scale * c) for m, c in
+                                 g.terms_sorted(DEGREVLEX)] + list(constant),
+                                self.packing, self.p)
+
+    def tagged(self, a, b):
+        """The divisors of u*g for g in a and of g - u*g for g in b, a and b
+        u-free: u's (E, K) added to each term, and for g - u*g the negated
+        terms of g after them."""
+        (eu, ku), p = self.u, self.p
+        out = []
+        for i, (e, k, lc, tail) in enumerate(a + b):
+            terms = tuple([(te + eu, tk + ku, c) for te, tk, c in tail])
+            if i >= len(a):
+                terms += tuple([(te, tk, -c % p if p else -c)
+                                for te, tk, c in ((e, k, lc), *tail)])
+            out.append((e + eu, k + ku, lc, terms))
+        return out
+
+    def eliminate(self, divisors):
+        """The u-free part of the ideal the divisors generate, as its reduced
+        basis in ascending key order, under the default budgets. Under the
+        block order the elements of a minimal basis whose leads have no u
+        have no u in any term, and they are a minimal basis of the u-free
+        part (Cox, Little & O'Shea, *Ideals, Varieties, and Algorithms*,
+        ch. 3 section 1), so only they are interreduced."""
+        basis = _minimal_basis(divisors, self.packing, self.p,
+                               DEFAULT_MAX_BASIS, DEFAULT_MAX_PAIRS)
+        if basis is not None:
+            return _interreduce([d for d in basis if not d[0] & self.umask],
+                                self.p, self.packing.guard)
 
 
-def _eliminate_u(gens, ideal):
-    """The part free of the new leading variable u of the ideal `gens` of
-    k[u, x], as an ideal of the ring of `ideal`: the elements with no u in
-    any term of the reduced basis under the block order that eliminates u
-    (Cox, Little & O'Shea, *Ideals, Varieties, and Algorithms*, ch. 3
-    section 1).
-
-    Those elements are the reduced degrevlex basis of the result, in the
-    order `buchberger` returns it: the block order restricted to k[x] is
-    degrevlex, no term of an element lies in the lead ideal of the others,
-    and the leads sort alike. So they are recorded as its `DEGREVLEX` basis,
-    and no caller runs Buchberger on an eliminated ideal again."""
+def _packed_elimination(ideal, run):
+    """The ideal of the ring of `ideal` whose reduced degrevlex basis
+    run(elimination) returns packed, for an `_Elimination` at BITS bits per
+    exponent, then at twice as many, and so on, until no step needs more.
+    The block order restricted to k[x] is degrevlex and the keys sort
+    alike, so the basis is recorded as the `DEGREVLEX` one, and no caller
+    runs Buchberger on the result again."""
     n, field = ideal.nvars, ideal.field
-    return Ideal.of_reduced_basis(n, field, [
-        Polynomial(n, field, {m[1:]: c for m, c in
-                              g.terms_sorted(_ELIMINATE_U)}, DEGREVLEX)
-        for g in buchberger(gens, _ELIMINATE_U)
-        if not any(m[0] for m in g.terms)])
 
+    def attempt(bits):
+        elimination = _Elimination(n, field.p, bits)
+        if (got := run(elimination)) is not None:
+            unpack = elimination.packing.unpack
+            return _polynomials(got, lambda e: unpack(e)[1:], n, field,
+                                DEGREVLEX)
 
-def _intersect_two(a, b):
-    """a intersected with b: the u-free part of u*a + (1 - u)*b. The
-    generators u*g and g - u*g are written from the terms of g, which lists
-    them in the elimination order already."""
-    n, field = a.nvars + 1, a.field
-    return _eliminate_u(
-        [Polynomial(n, field, _lift(g, 1), _ELIMINATE_U) for g in a.gens]
-        + [Polynomial(n, field, {**_lift(g, 1, -1), **_lift(g, 0)},
-                      _ELIMINATE_U) for g in b.gens], a)
+    return Ideal.of_reduced_basis(n, field, _widening(attempt))
 
 
 def ideal_intersect(*ideals):
     """Intersection of one or more ideals of one ring, in a balanced tree:
     adjacent pairs first, then pairs of the results, in input order, an odd
-    one out passing up a level as it is. n ideals take n - 1 eliminations
-    (`_intersect_two`), as a left fold does, but a fold intersects a growing
-    accumulator with one input at a time, and the tree meets two results of
-    about the same size only at its upper levels. An intersection of two or
-    more ideals carries its reduced `DEGREVLEX` basis."""
+    one out passing up a level as it is. n ideals take n - 1 eliminations,
+    as a left fold does, but a fold intersects a growing accumulator with
+    one input at a time, and the tree meets two results of about the same
+    size only at its upper levels. a intersected with b is the u-free part
+    of u*a + (1 - u)*b. Each input is packed once and every result passes
+    up the tree packed; a term that needs more bits reruns the whole tree
+    wider. An intersection of two or more ideals carries its reduced
+    `DEGREVLEX` basis."""
     if not ideals:
         raise ValueError("need at least one ideal to intersect")
     a = ideals[0]
     if any(b.nvars != a.nvars or b.field != a.field for b in ideals):
         raise ValueError("ideals in different rings")
-    level = list(ideals)
-    while len(level) > 1:
-        level = [_intersect_two(*level[i:i + 2]) if i + 1 < len(level)
-                 else level[i] for i in range(0, len(level), 2)]
-    return level[0]
+    if len(ideals) == 1:
+        return a
+
+    def run(elimination):
+        level = [[elimination.lift(g) for g in b.gens] for b in ideals]
+        if any(None in gens for gens in level):
+            return None
+        while len(level) > 1:
+            up = []
+            for i in range(0, len(level) - 1, 2):
+                got = elimination.eliminate(
+                    elimination.tagged(level[i], level[i + 1]))
+                if got is None:
+                    return None
+                up.append(got)
+            level = up + level[2 * len(up):]
+        return level[0]
+
+    return _packed_elimination(a, run)
 
 
 def saturation(ideal, f):
     """(ideal : f^infinity), the u-free part of ideal + (1 - u*f): one
     elimination (Rabinowitsch; Cox, Little & O'Shea, ch. 4 section 4)."""
-    n, field = ideal.nvars + 1, ideal.field
-    return _eliminate_u(
-        [Polynomial(n, field, _lift(g, 0), _ELIMINATE_U) for g in ideal.gens]
-        + [Polynomial(n, field, {**_lift(f, 1, -1), (0,) * n: field.one},
-                      _ELIMINATE_U)], ideal)
+    one = [((0,) * (ideal.nvars + 1), ideal.field.one)]
+
+    def run(elimination):
+        gens = [elimination.lift(g) for g in ideal.gens]
+        gens.append(elimination.lift(f, 1, -1, one))
+        return None if None in gens else elimination.eliminate(gens)
+
+    return _packed_elimination(ideal, run)
 
 
 def ideal_power(ideal, m):

@@ -118,6 +118,25 @@ def packed_divisor(terms, packs, p):
                                               for m, c in items])
 
 
+def divisor_of_terms(terms, packing, p):
+    """The divisor (E, K, lc, ((E, K, c), ...)) of the nonzero polynomial
+    whose (monomial, coefficient) pairs `terms` lists in descending order
+    under the packing's order, or None if an exponent needs more bits than
+    the packing has. Over GF(p) it is the monic multiple. Over Q it is the
+    primitive integer multiple with a positive lead: int coefficients with
+    gcd 1."""
+    if not packing.fits(m for m, _ in terms):
+        return None
+    if p is None:
+        den = lcm(*(c.denominator for _, c in terms))
+        terms = [(m, c.numerator * (den // c.denominator)) for m, c in terms]
+    coefficients, packs = {}, {}
+    for m, c in terms:
+        e, k = packing.pack(m)
+        coefficients[k], packs[k] = c, e
+    return packed_divisor(coefficients, packs, p)
+
+
 DEGREVLEX = DegRevLex()
 LEX = Lex()
 LAZARD = LazardOrder()
@@ -263,25 +282,13 @@ class Polynomial:
         """Packed (E, K, lc, ((E, K, c), ...)) of the multiple of a nonzero
         polynomial that the `groebner` reduction divides by, the tail in
         `terms_sorted` order, or None if an exponent needs more than `bits`
-        bits; cached per order and width. Over GF(p) it is the monic
-        multiple. Over Q it is the primitive integer multiple with a positive
-        lead: int coefficients with gcd 1."""
+        bits (see `divisor_of_terms`); cached per order and width."""
         try:
             return self._divisor[order, bits]
         except KeyError:
             pass
-        packing = Packing(order, self.nvars, bits)
-        got = None
-        if packing.fits(self.terms):
-            ts = self.terms_sorted(order)
-            if self.field.p is None:
-                den = lcm(*(c.denominator for _, c in ts))
-                ts = [(m, c.numerator * (den // c.denominator)) for m, c in ts]
-            terms, packs = {}, {}
-            for m, c in ts:
-                e, k = packing.pack(m)
-                terms[k], packs[k] = c, e
-            got = packed_divisor(terms, packs, self.field.p)
+        got = divisor_of_terms(self.terms_sorted(order),
+                           Packing(order, self.nvars, bits), self.field.p)
         self._divisor[order, bits] = got
         return got
 

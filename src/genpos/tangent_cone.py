@@ -7,7 +7,9 @@ Three routes into the same graded object:
     degree order, whose lowest forms generate the ideal of the tangent cone.
     cone_profile counts the monomials outside their leading ideal, so its
     values are exact in every degree, with no truncation window, and it
-    stops where a degree bound on the leads proves the count constant.
+    stops where a degree bound on the leads proves the count constant. It
+    needs only those leads, so it reads them off the LAZARD leads of a
+    minimal basis, with no interreduction and no lowest form built.
   * germ_profile reads the graded dimensions dim m^n / m^(n+1) of a
     parameterized curve's local ring off the power products of its
     components modulo a power of their gcd g, which is exact once g^N k[t]
@@ -29,10 +31,10 @@ from functools import cached_property
 from itertools import combinations, islice
 from operator import le
 
-from .groebner import buchberger
+from .groebner import buchberger, leading_monomials
 from .linalg import IntegerEchelon, SparseEchelon, to_integer_vec
 from .points import PointSet, normalize_point
-from .poly import DEGREVLEX, LAZARD, Polynomial
+from .poly import LAZARD, Polynomial
 from .scalars import QQ
 
 
@@ -86,27 +88,41 @@ def branch_tangent_points(curve):
     return PointSet(curve.r, curve.field, tuple(pts))
 
 
+def _homogenized(ideal):
+    """Each generator g as the sum of c_m * t^(deg g - |m|) * x^m in
+    k[t, x], t the leading variable."""
+    n, field = ideal.nvars, ideal.field
+    return [Polynomial(n + 1, field, {(g.degree() - sum(m),) + m: c
+                                      for m, c in g.terms.items()})
+            for g in ideal.gens]
+
+
 def lowest_form_ideal(ideal):
     """Lowest forms of a standard basis of `ideal` at the origin.
 
-    Each generator g becomes the sum of c_m * t^(deg g - |m|) * x^m in
-    k[t, x]; their reduced basis under LAZARD, at t = 1, is a standard basis
-    for the local degree order (Lazard 1983). Its lowest forms generate the
-    tangent cone's ideal in every degree (Greuel & Pfister, A Singular
-    Introduction to Commutative Algebra, 1.7 and 5.5). Returned in basis
-    order.
+    The reduced basis of the homogenized generators (`_homogenized`) under
+    LAZARD, at t = 1, is a standard basis for the local degree order (Lazard
+    1983). Its lowest forms generate the tangent cone's ideal in every degree
+    (Greuel & Pfister, A Singular Introduction to Commutative Algebra, 1.7
+    and 5.5). Returned in basis order.
     """
     n, field = ideal.nvars, ideal.field
-    gens = [Polynomial(n + 1, field, {(g.degree() - sum(m),) + m: c
-                                      for m, c in g.terms.items()})
-            for g in ideal.gens]
     forms = []
-    for h in buchberger(gens, LAZARD):
+    for h in buchberger(_homogenized(ideal), LAZARD):
         # h is homogeneous, so its largest power of t marks its lowest x-degree
         top = h.leading_monomial(LAZARD)[0]
         forms.append(Polynomial(n, field, {m[1:]: c for m, c in h.terms.items()
                                            if m[0] == top}))
     return tuple(forms)
+
+
+def _lowest_form_leads(ideal):
+    """The degrevlex leads of `lowest_form_ideal(ideal)`, in its order, with
+    no interreduction and no `Polynomial` built: the LAZARD lead of a
+    homogeneous h is (its top power of t, the degrevlex lead of its lowest
+    form), and a minimal basis has the reduced basis's leads
+    (`leading_monomials`)."""
+    return [m[1:] for m in leading_monomials(_homogenized(ideal), LAZARD)]
 
 
 @dataclass(frozen=True)
@@ -145,15 +161,16 @@ def cone_profile(ideal):
     """Graded dimensions H(d) of the tangent cone of `ideal` at the origin.
 
     H(d) counts the degree-d monomials that no degrevlex lead of the lowest
-    forms divides (`standard_counts`). The cone is a curve exactly when each
-    pair of variables carries a lead in those two alone and H does not end
-    at 0; otherwise ValueError says which. From degree deg lcm(leads) - n + 1
-    on, H is the leads' Hilbert polynomial (Taylor's resolution bounds the
-    series numerator by deg lcm), for a curve the multiplicity. Values run to
-    the first of 8, 16, 32, ... at least the exact stabilization degree + 2.
+    forms (`_lowest_form_leads`) divides (`standard_counts`). The cone is a
+    curve exactly when each pair of variables carries a lead in those two
+    alone and H does not end at 0; otherwise ValueError says which. From
+    degree deg lcm(leads) - n + 1 on, H is the leads' Hilbert polynomial
+    (Taylor's resolution bounds the series numerator by deg lcm), for a
+    curve the multiplicity. Values run to the first of 8, 16, 32, ... at
+    least the exact stabilization degree + 2.
     """
     n = ideal.nvars
-    leads = [f.leading_monomial(DEGREVLEX) for f in lowest_form_ideal(ideal)]
+    leads = _lowest_form_leads(ideal)
     for i, j in combinations(range(n), 2):
         if not any(sum(m) == m[i] + m[j] for m in leads):
             raise ValueError("the tangent cone is not a curve germ: no lead "

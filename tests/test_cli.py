@@ -407,14 +407,12 @@ def test_tangent_cone_rejects_ideal_off_the_origin(tmp_path):
 
 def test_groebner_budget_error_exits_2_with_its_counters(tmp_path, capsys,
                                                          monkeypatch):
-    # no flag sets the Groebner budgets, so the cone's one Buchberger run
-    # gets a pair budget of 1 here
-    from functools import partial
+    # no flag sets the Groebner budgets, so the cone's one pair loop, which
+    # reads the leads of a minimal basis under the default budgets, gets a
+    # pair budget of 1 here
+    from genpos import cli, groebner
 
-    from genpos import cli, groebner, tangent_cone
-
-    monkeypatch.setattr(tangent_cone, "buchberger",
-                        partial(groebner.buchberger, max_pairs=1))
+    monkeypatch.setattr(groebner, "DEFAULT_MAX_PAIRS", 1)
     src = tmp_path / "ideal.json"
     src.write_text(json.dumps({"vars": 3, "gens": [
         "x0^3 - x1*x2^2", "x1^3 - x0*x2^2", "x2^3 - x0^2*x1"]}))

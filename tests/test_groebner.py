@@ -4,6 +4,7 @@ from operator import le, sub
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from genpos import groebner
 from genpos.errors import BudgetExceededError
 from genpos.groebner import (Ideal, buchberger, ideal_equal, ideal_intersect,
                              ideal_member, ideal_power, normal_form,
@@ -185,6 +186,66 @@ def oracle_intersect(a, b):
     return Ideal(a.nvars, field, [
         Polynomial(a.nvars, field, {m[1:]: c for m, c in g.terms.items()})
         for g in elim if all(m[0] == 0 for m in g.terms)])
+
+
+# exponents near 2^14, whose S-polynomials and lcms pass 2^15: an elimination
+# outgrows the first packed width, and the whole tree reruns at twice the bits
+K14 = (1 << 14) + 3
+
+
+def logged_eliminations(monkeypatch):
+    """A list that gains (bits, whether the result fit) per elimination."""
+    log = []
+    inner = groebner._Elimination.eliminate
+
+    def logged(self, divisors):
+        got = inner(self, divisors)
+        log.append((self.packing.bits, got is not None))
+        return got
+
+    monkeypatch.setattr(groebner._Elimination, "eliminate", logged)
+    return log
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)],
+                         ids=["Q", "GF32003"])
+def test_packed_tree_reruns_wider(field, monkeypatch):
+    x0, x1, x2 = xvars(3, field)
+    ideals = [Ideal.of(x0 ** K14 - x1), Ideal.of(x1 - x2), Ideal.of(x0 - x2),
+              Ideal.of(x0 ** K14 - x2)]
+    log = logged_eliminations(monkeypatch)
+    got = ideal_intersect(*ideals)
+    # both leaves' eliminations fit, the root's does not: all three rerun
+    assert log == [(15, True), (15, True), (15, False)] + [(30, True)] * 3
+    want = oracle_intersect(oracle_intersect(*ideals[:2]),
+                            oracle_intersect(*ideals[2:]))
+    assert got.groebner_basis() == buchberger(want.gens)
+    assert max(g.degree() for g in got.gens) > 1 << 15
+    ideal, f = Ideal.of(x0 * x2 ** K14 - x0 ** K14), x0 ** K14
+    del log[:]
+    got = saturation(ideal, f)
+    assert log == [(15, False), (30, True)]
+    assert ideal_equal(got, iterated_saturation(ideal, f))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)],
+                         ids=["Q", "GF32003"])
+def test_packed_tree_with_zero_and_unit_leaves(field):
+    x0, x1, x2 = xvars(3, field)
+    zero, unit = Ideal(3, field, []), Ideal.of(x0 ** 0)
+    for a in (Ideal.of(x0 * x1, x2 ** 2), Ideal.of(x0 ** K14 - x1)):
+        for b in (zero, unit):
+            got = ideal_intersect(a, b)
+            assert got.groebner_basis() == \
+                buchberger(oracle_intersect(a, b).gens)
+            assert got.groebner_basis() == (() if b is zero
+                                            else a.groebner_basis())
+        assert ideal_intersect(a, unit, zero).gens == ()
+        assert ideal_equal(ideal_intersect(unit, a, unit), a)
+        assert saturation(a, x0 ** 0).groebner_basis() == a.groebner_basis()
+    for b in (zero, unit):
+        assert ideal_equal(saturation(b, x0), b)
+        assert ideal_intersect(b, b).groebner_basis() == b.groebner_basis()
 
 
 # ideal_equal before it compared reduced bases, kept as the oracle: each

@@ -30,7 +30,8 @@ from conftest import (mono_deg, mono_div, mono_divides, mono_lcm, mono_mul,
                       monic)
 from genpos import groebner
 from genpos.errors import BudgetExceededError
-from genpos.groebner import BITS, buchberger, normal_form, spolynomial
+from genpos.groebner import (BITS, buchberger, leading_monomials,
+                             normal_form, spolynomial)
 from genpos.poly import (DEGREVLEX, LEX, BlockOrder, Packing, Polynomial,
                          parse_polynomial)
 from genpos.scalars import QQ, PrimeField
@@ -272,9 +273,9 @@ def test_spolynomial_matches_products(case):
                     old_spolynomial(f, g, order)
 
 
-def logged_buchberger(gens, order, **budgets):
-    """`buchberger`, with a `reduction` for every call of the packed
-    reduction loop: the S-polynomial reductions first, then the
+def logged_buchberger(gens, order, run=buchberger, **budgets):
+    """`buchberger` (or `run`), with a `reduction` for every call of the
+    packed reduction loop: the S-polynomial reductions first, then the
     interreduction of the minimal basis. Also returns the guard masks seen,
     one per width; a call at a new width means the run restarted wider, and
     the log starts over with it."""
@@ -296,7 +297,7 @@ def logged_buchberger(gens, order, **budgets):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(groebner, "_reduce", logged)
-        got = buchberger(gens, order, **budgets)
+        got = run(gens, order, **budgets)
     return got, log, guards
 
 
@@ -313,6 +314,22 @@ def test_buchberger_matches_scan(case):
     assert snapshot(*got) == snapshot(*want)
     # the chain-criterion loop reduces other pairs but reaches the same basis
     assert snapshot(*got) == snapshot(*old_buchberger(gens, order, []))
+
+
+def reduced_leads(gens, order):
+    return tuple(g.leading_monomial(order) for g in buchberger(gens, order))
+
+
+@PROPERTY
+@given(ideal_case())
+def test_leading_monomials_are_the_reduced_basis_leads(case):
+    # the same S-polynomials reduced in the same order, and no interreduction
+    gens, order = case
+    want_log = []
+    gm_buchberger(gens, order, want_log)
+    got, got_log, _ = logged_buchberger(gens, order, run=leading_monomials)
+    assert got_log == want_log
+    assert got == reduced_leads(gens, order)
 
 
 def cyclic(n, field):
@@ -503,3 +520,21 @@ def test_pair_budget_counts_one_run_across_the_restart(k):
                        match="pair budget %d exceeded after %d pops"
                        % (pops - 1, pops)):
         buchberger(gens, LEX, max_pairs=pops - 1)
+
+
+@pytest.mark.parametrize("k", [TOP, 1 << 29])
+def test_leading_monomials_past_the_field_width(k, monkeypatch):
+    x0, x1, x2 = (Polynomial.variable(i, 3, QQ) for i in range(3))
+    gens = [x0 - x1 ** k, x0 ** 2 - x2]
+    want_log = []
+    gm_buchberger(gens, LEX, want_log)
+    got, got_log, guards = logged_buchberger(gens, LEX,
+                                             run=leading_monomials)
+    assert len(guards) > 1
+    assert got_log == want_log
+    assert got == ((0, 2 * k, 0), (1, 0, 0))
+    with pytest.raises(BudgetExceededError,
+                       match="pair budget %d exceeded after %d pops"
+                       % (len(want_log) - 1, len(want_log))):
+        monkeypatch.setattr(groebner, "DEFAULT_MAX_PAIRS", len(want_log) - 1)
+        leading_monomials(gens, LEX)

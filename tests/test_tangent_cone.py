@@ -20,7 +20,8 @@ from genpos.poly import (DEGREVLEX, BlockOrder, Polynomial,
 from genpos.scalars import QQ, PrimeField
 from genpos.tangent_cone import (Branch, BranchCurve, ConeProfile,
                                  GermRing, _coefficients, _dict_mul,
-                                 _power_products, _remainder,
+                                 _lowest_form_leads, _power_products,
+                                 _remainder,
                                  branch_tangent_points, cone_profile,
                                  germ_profile, lowest_form_ideal,
                                  standard_counts, subalgebra_member)
@@ -727,6 +728,15 @@ def implicit_ideal(gens):
         if all(m[0] == 0 for m in h.terms)])
 
 
+def implicit_cone(gens):
+    """cone_profile of the implicit ideal, whose leads, read off a minimal
+    basis, must be the degrevlex leads of its lowest forms."""
+    ideal = implicit_ideal(gens)
+    assert _lowest_form_leads(ideal) == [
+        f.leading_monomial(DEGREVLEX) for f in lowest_form_ideal(ideal)]
+    return cone_profile(ideal)
+
+
 @pytest.mark.parametrize("spec", [
     ("t^2", "t^3"), ("t^3", "t^4", "t^5"), ("t^3", "t^4 + t^5"),
     ("t^4", "t^5 + 2*t^7"), ("t^4", "t^6 + t^7"), ("t^5", "t^6", "t^7"),
@@ -737,7 +747,7 @@ def test_germ_profile_matches_elimination_oracle(spec):
     field = PrimeField(32003)
     gens = [parse_polynomial(s, 1, field, names=("t",)) for s in spec]
     prof = germ_profile(gens)
-    cone = cone_profile(implicit_ideal(gens))
+    cone = implicit_cone(gens)
     assert prof.values == cone.values[:len(prof.values)]
     assert prof.multiplicity == cone.multiplicity
 
@@ -755,7 +765,7 @@ def test_germ_profile_matches_elimination_oracle_random(order, comps):
     gens = [Polynomial(1, field, {(order,): 1})] + [
         Polynomial(1, field, {(o + k,): c for k, c in ({0: 1} | tail).items()})
         for o, tail in comps]
-    cone = cone_profile(implicit_ideal(gens))
+    cone = implicit_cone(gens)
     try:
         prof = germ_profile(gens)
     except ValueError as exc:
@@ -776,7 +786,7 @@ def test_germ_profile_with_branches_off_t_zero(field):
     u = t * t * 2 - t
     gens = (u ** 2, u ** 3 + t * u ** 2)
     prof = germ_profile(gens)
-    cone = cone_profile(implicit_ideal(gens))
+    cone = implicit_cone(gens)
     assert prof.values == cone.values[:len(prof.values)]
     assert prof.values == (1, 2, 3, 4, 4, 4, 4)
     assert prof.multiplicity == cone.multiplicity == 4
@@ -788,7 +798,7 @@ def test_germ_profile_of_shared_factor_germs_matches_elimination_oracle(gens):
     # a gcd with roots off t = 0, squarefree or not: one branch through the
     # origin at each root
     prof = germ_profile(gens)
-    cone = cone_profile(implicit_ideal(gens))
+    cone = implicit_cone(gens)
     assert prof.values == cone.values[:len(prof.values)]
     assert prof.multiplicity == cone.multiplicity
 
@@ -801,7 +811,7 @@ def test_germ_profile_of_monomial_curves_past_the_plateau(e):
     t = tvar(field)
     gens = (t ** e, t ** (e + 1))
     prof = germ_profile(gens)
-    cone = cone_profile(implicit_ideal(gens))
+    cone = implicit_cone(gens)
     assert prof.values == cone.values[:len(prof.values)]
     assert prof.values == tuple(range(1, e + 1)) + (e, e)
     assert prof.multiplicity == e
@@ -830,6 +840,8 @@ def ideals(draw):
 @given(ideals(), st.integers(1, 7))
 def test_lowest_forms_match_truncated_oracle(ideal, bound):
     leads = [f.leading_monomial(DEGREVLEX) for f in lowest_form_ideal(ideal)]
+    # cone_profile's leads, read off a minimal basis, in the same order
+    assert _lowest_form_leads(ideal) == leads
     values = [sum(not any(mono_divides(lead, m) for lead in leads)
                   for m in monomials_of_degree(ideal.nvars, d))
               for d in range(bound + 1)]
