@@ -24,7 +24,6 @@ the handlers take the parsed namespace.
 import argparse
 import json
 import os
-import random
 import sys
 from functools import cache, partial
 
@@ -415,7 +414,8 @@ def _case_germ_profile():
 
 
 def _case_random_generic():
-    rng = random.Random(0)
+    from random import Random  # loaded by this case only
+    rng = Random(0)
     field = PrimeField(fx.BIG_PRIME)
     rows = []
     resampled = 0

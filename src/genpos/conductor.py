@@ -8,7 +8,6 @@ is a first-class result, not an error. The points model reads its oracle and
 both hypotheses off the point set's memoized degree echelons.
 """
 
-from dataclasses import dataclass, field as dataclass_field
 from itertools import combinations, product as iproduct
 
 from .errors import StabilizationError
@@ -16,16 +15,21 @@ from .groebner import (Ideal, ideal_equal, ideal_intersect, ideal_member,
                        ideal_power, saturation)
 from .linalg import kernel_vector, rref
 from .points import PointSet, _first_failing_subset, binom, ideal_basis, nu
+from .records import record
 
 
-@dataclass(frozen=True)
-class ConductorCertificate:
-    model: str
-    claimed: dict
-    oracle: dict
-    hypotheses: dict
-    verdict: str  # "match" | "mismatch" | "hypotheses-failed"
-    details: dict = dataclass_field(default_factory=dict)
+class ConductorCertificate(record(
+        "ConductorCertificate",
+        "model claimed oracle hypotheses verdict details")):
+    """The verdict is "match", "mismatch" or "hypotheses-failed"; `details`
+    defaults to a fresh dict."""
+
+    __slots__ = ()
+
+    def __new__(cls, model, claimed, oracle, hypotheses, verdict,
+                details=None):
+        return super().__new__(cls, model, claimed, oracle, hypotheses,
+                               verdict, {} if details is None else details)
 
     @property
     def hypotheses_failed(self):
@@ -95,18 +99,14 @@ def points_conductor_certificate(X):
 
 # ---------------------------------------------------------------- semigroups
 
-@dataclass(frozen=True)
-class NumericalSemigroup:
-    """Numerical semigroup with its gap data (gcd of generators must be 1)."""
+class NumericalSemigroup(record(
+        "NumericalSemigroup", "generators minimal_generators apery gaps"
+        " frobenius conductor multiplicity emdim")):
+    """Numerical semigroup with its gap data (gcd of generators must be 1):
+    `apery` holds the smallest element per residue class mod multiplicity,
+    and `frobenius` is -1 when there are no gaps."""
 
-    generators: tuple
-    minimal_generators: tuple
-    apery: tuple  # smallest element per residue class mod multiplicity
-    gaps: tuple
-    frobenius: int  # -1 when there are no gaps
-    conductor: int
-    multiplicity: int
-    emdim: int
+    __slots__ = ()
 
     @classmethod
     def from_generators(cls, gens):

@@ -35,13 +35,13 @@ is its basis element.
 """
 
 import math
-from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from itertools import combinations
 
 from .errors import BudgetExceededError
 from .linalg import add_row, eliminate, integer_rows, nullspace_vector, rank
 from .poly import DEGREVLEX, Polynomial, monomials_of_degree
+from .records import record
 
 DEFAULT_SUBSET_BUDGET = 20000
 MAX_RESAMPLES = 1000  # random_point_set gives up after this many repeats
@@ -75,17 +75,10 @@ def normalize_point(coords, field):
     return tuple(field(c * inv) for c in coords)
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(record("PointSet", "r field points")):
     """Distinct points of P^r, each normalized so its first nonzero coordinate
-    is 1. `echelon(d)` fills a per-set memo that equality, hashing and repr
-    ignore."""
-
-    r: int
-    field: object
-    points: tuple
-    _echelons: dict = dataclass_field(default_factory=dict, init=False,
-                                      repr=False, compare=False)
+    is 1. `echelon(d)` fills a per-set memo, kept in the instance dict, that
+    equality, hashing and repr ignore."""
 
     @classmethod
     def of(cls, r, field, coords):
@@ -104,6 +97,10 @@ class PointSet:
 
     def subset(self, idxs):
         return PointSet(self.r, self.field, tuple(self.points[i] for i in idxs))
+
+    @cached_property
+    def _echelons(self):
+        return {}
 
     @cached_property
     def _coords(self):  # the points as `evaluation_matrix` evaluates them
@@ -224,19 +221,14 @@ def ideal_basis(X):
     return tuple(basis)
 
 
-@dataclass(frozen=True)
-class GenericityCertificate:
-    """Outcome of a generic-position check, with an explicit failure witness."""
+class GenericityCertificate(record(
+        "GenericityCertificate", "generic t e r checked_degrees hilbert_values"
+        " failing_degree witness failing_subset", (None, None, None))):
+    """Outcome of a generic-position check, with an explicit failure witness:
+    a degree-n form vanishing on the failing subset, whose point indices are
+    None when t == e."""
 
-    generic: bool
-    t: int
-    e: int
-    r: int
-    checked_degrees: tuple
-    hilbert_values: tuple
-    failing_degree: object = None
-    witness: object = None          # degree-n form vanishing on the failing subset
-    failing_subset: object = None   # point indices, None when t == e
+    __slots__ = ()
 
     def as_dict(self):
         return {

@@ -18,18 +18,19 @@ whole Buchberger run, with twice the bits.
 """
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm, prod
 from operator import add, mul
 
+from .records import record
 from .scalars import FieldMismatchError
 
 
-@dataclass(frozen=True)
-class DegRevLex:
+class DegRevLex(record("DegRevLex", "")):
     """Total degree first, ties broken by smallest trailing exponent difference."""
+
+    __slots__ = ()
 
     def key(self, m):
         return (sum(m), *(-e for e in reversed(m)))
@@ -38,8 +39,9 @@ class DegRevLex:
         return tuple((1 << w * n) - (1 << w * i) for i in range(n))
 
 
-@dataclass(frozen=True)
-class Lex:
+class Lex(record("Lex", "")):
+    __slots__ = ()
+
     def key(self, m):
         return m
 
@@ -47,11 +49,10 @@ class Lex:
         return tuple(1 << w * (n - 1 - i) for i in range(n))
 
 
-@dataclass(frozen=True)
-class BlockOrder:
+class BlockOrder(record("BlockOrder", "split")):
     """Eliminates the first `split` variables: degrevlex on that block, then the rest."""
 
-    split: int
+    __slots__ = ()
 
     def key(self, m):
         head, tail = m[:self.split], m[self.split:]
@@ -65,10 +66,11 @@ class BlockOrder:
                      for i in range(n))
 
 
-@dataclass(frozen=True)
-class LazardOrder:
+class LazardOrder(record("LazardOrder", "")):
     """Order on k[t, x], t = variable 0: total degree, then the larger power
     of t (on homogeneous input, the lower x-degree), then degrevlex on x."""
+
+    __slots__ = ()
 
     def key(self, m):
         return (sum(m), m[0], *(-e for e in reversed(m[1:])))

@@ -26,7 +26,6 @@ Three routes into the same graded object:
     count is the multiplicity.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, islice
 from operator import le
@@ -35,23 +34,24 @@ from .groebner import buchberger, leading_monomials
 from .linalg import IntegerEchelon, SparseEchelon, to_integer_vec
 from .points import PointSet, normalize_point
 from .poly import LAZARD, Polynomial
+from .records import record
 from .scalars import QQ
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(record("Branch", "components")):
     """One branch: r+1 univariate components in the local parameter, no constant term."""
 
-    components: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        for c in self.components:
+    def __new__(cls, components):
+        for c in components:
             if c.nvars != 1:
                 raise ValueError("branch components must be univariate")
             if (0,) in c.terms:
                 raise ValueError("branch components must vanish at the origin")
-        if all(c.is_zero() for c in self.components):
+        if all(c.is_zero() for c in components):
             raise ValueError("branch with all components zero")
+        return super().__new__(cls, components)
 
     @property
     def order(self):
@@ -62,13 +62,10 @@ class Branch:
         return tuple(c.terms.get((1,), field.zero) for c in self.components)
 
 
-@dataclass(frozen=True)
-class BranchCurve:
+class BranchCurve(record("BranchCurve", "r field branches")):
     """A curve germ given by its branch decomposition."""
 
-    r: int
-    field: object
-    branches: tuple
+    __slots__ = ()
 
 
 def branch_tangent_points(curve):
@@ -125,14 +122,11 @@ def _lowest_form_leads(ideal):
     return [m[1:] for m in leading_monomials(_homogenized(ideal), LAZARD)]
 
 
-@dataclass(frozen=True)
-class ConeProfile:
+class ConeProfile(record(
+        "ConeProfile", "values stabilization_degree multiplicity emdim")):
     """Graded dimensions H(d) of a tangent cone, with the stabilized reading."""
 
-    values: tuple
-    stabilization_degree: int
-    multiplicity: int
-    emdim: int
+    __slots__ = ()
 
     def as_dict(self):
         return {

@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 
+import genpos
 from genpos.fixtures import GOLDEN_DIR, fixture_path
 
 
@@ -768,3 +769,19 @@ def test_reproduce_examples_write_golden(tmp_path):
     for name in shipped:
         with open(os.path.join(GOLDEN_DIR, name), "rb") as fh:
             assert (out / name).read_bytes() == fh.read(), name
+
+
+def test_import_leaves_out_the_introspection_modules():
+    # the records are namedtuples, not dataclasses, and `random` loads only
+    # in the case that draws points, so a fresh `import genpos.cli` loads
+    # none of these
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize", "typing",
+             "random"]
+    code = ("import sys, genpos.cli; print([m for m in %r if m in sys.modules])"
+            % heavy)
+    src = os.path.dirname(os.path.dirname(genpos.__file__))
+    res = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from genpos import cli, conductor, points
-from genpos.conductor import (NumericalSemigroup, _monomial_conductor_rows,
-                              _monomial_dimension, arrangement_certificate,
+from genpos.conductor import (ConductorCertificate, NumericalSemigroup,
+                              _monomial_conductor_rows, _monomial_dimension,
+                              arrangement_certificate,
                               arrangement_conductor_ideal,
                               arrangement_strata,
                               monomial_conductor_certificate,
@@ -57,6 +58,9 @@ def test_points_certificate_generic_match():
     assert not cert.hypotheses_failed
     d = cert.as_dict()
     assert d["model"] == "graded-points"
+    # a certificate built without details gets a dict of its own
+    a, b = (ConductorCertificate("m", {}, {}, {}, "match") for _ in range(2))
+    assert a.details == {} and a.details is not b.details
 
 
 def test_points_certificate_failed_hypotheses():

@@ -7,9 +7,10 @@ from genpos.conductor import points_conductor_sigma
 from genpos.errors import BudgetExceededError
 from genpos.fixtures import (line_points, off_conic_points, on_conic_points,
                              tangent_point_set)
-from genpos.points import (PointSet, binom, evaluation_matrix,
-                           hilbert_function, is_generic_position,
-                           is_generic_t_position, nu, random_point_set)
+from genpos.points import (GenericityCertificate, PointSet, binom,
+                           evaluation_matrix, hilbert_function,
+                           is_generic_position, is_generic_t_position, nu,
+                           random_point_set)
 from genpos.poly import parse_polynomial
 from genpos.scalars import QQ, PrimeField
 
@@ -49,6 +50,13 @@ def test_point_normalization_and_distinctness():
         qpoints([[0, 0]])
     with pytest.raises(ValueError):
         PointSet.of(2, QQ, [[1, 2]])  # wrong coordinate count
+    with pytest.raises(AttributeError):
+        X.points = ()
+    # the echelon memo is no part of equality, hashing or repr
+    fresh = qpoints([[2, 4], [0, 3]])
+    X.echelon(2)
+    assert X == fresh and hash(X) == hash(fresh) and repr(X) == repr(fresh)
+    assert X != (X.r, X.field, X.points)
 
 
 def test_evaluation_matrix_shape():
@@ -85,6 +93,9 @@ def test_off_conic_generic():
     assert cert.generic
     assert cert.hilbert_values == (1, 3, 6)
     assert cert.witness is None
+    bare = GenericityCertificate(True, 3, 3, 2, (0, 1), (1, 3))
+    assert (bare.failing_degree, bare.witness, bare.failing_subset) == (
+        None, None, None)
 
 
 def test_projective_line_always_generic():

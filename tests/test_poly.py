@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (mono_deg, mono_div, mono_divides, mono_lcm, mono_mul,
                       monomials_up_to)
-from genpos.poly import (BlockOrder, DegRevLex, Lex, Polynomial,
-                         monomials_of_degree, parse_polynomial)
+from genpos.poly import (DEGREVLEX, LAZARD, LEX, BlockOrder, DegRevLex, Lex,
+                         Polynomial, monomials_of_degree, parse_polynomial)
 from genpos.scalars import QQ, FieldMismatchError, PrimeField
 
 F11 = PrimeField(11)
@@ -67,6 +67,24 @@ def test_block_order_eliminates():
     # any monomial containing x beats any that does not
     p = x + y ** 5 * z ** 5
     assert p.leading_monomial(order) == (1, 0, 0)
+
+
+def test_orders_are_records_of_their_own_class():
+    # the fieldless orders differ from each other and from (), so each keys
+    # its own entry in the per-order caches
+    assert DegRevLex() == DEGREVLEX and Lex() == LEX
+    orders = [DEGREVLEX, LEX, LAZARD, BlockOrder(1), ()]
+    for i, a in enumerate(orders):
+        for b in orders[i + 1:]:
+            assert a != b and not a == b
+    assert len({DEGREVLEX: 0, LEX: 1, LAZARD: 2}) == 3
+    assert BlockOrder(1) == BlockOrder(split=1) != BlockOrder(2)
+    assert hash(BlockOrder(1)) == hash(BlockOrder(split=1))
+    assert hash(DegRevLex()) == hash(DEGREVLEX)
+    assert repr(BlockOrder(1)) == "BlockOrder(split=1)"
+    assert repr(LAZARD) == "LazardOrder()"
+    with pytest.raises(AttributeError):
+        BlockOrder(1).split = 2
 
 
 def test_degree_and_low_degree():

@@ -233,13 +233,13 @@ def xyvars():
 
 def test_branch_validation():
     t = tvar()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="vanish at the origin"):
         Branch((t + 1, t))  # constant term
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="all components zero"):
         Branch((Polynomial.zero(1, QQ), Polynomial.zero(1, QQ)))
     x, y = xyvars()
-    with pytest.raises(ValueError):
-        Branch((x, y))  # not univariate
+    with pytest.raises(ValueError, match="univariate"):
+        Branch(components=(x, y))
     b = Branch((t, t ** 2))
     assert b.order == 1
     assert b.tangent_vector() == (QQ(1), QQ(0))
@@ -306,6 +306,8 @@ def test_cone_profile_principal_and_cusp():
         assert cusp.emdim == 2
         assert cusp.stabilization_degree == 1
         assert cusp.as_dict()["multiplicity"] == 2
+        with pytest.raises(AttributeError):
+            cusp.multiplicity = 3
 
 
 def test_cone_profile_needs_stable_tail():
