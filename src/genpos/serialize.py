@@ -5,6 +5,7 @@ sorted keys, two-space indent, trailing newline.
 """
 
 import json
+from json.encoder import encode_basestring_ascii
 
 from .poly import parse_polynomial
 from .points import PointSet
@@ -13,7 +14,43 @@ from .tangent_cone import Branch, BranchCurve
 
 
 def canonical_json(obj):
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The bytes of json.dumps(obj, sort_keys=True, indent=2) + "\\n", written
+    in one pass. It takes dicts with str keys, lists, tuples, str, int, bool
+    and None; anything else is a TypeError."""
+    out = []
+    _write_json(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(obj, nl, out):
+    """Append the JSON of `obj` to `out`; `nl` is a newline and the indent
+    of the line `obj` starts on."""
+    inner = nl + "  "
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None or isinstance(obj, bool):
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)) and all(type(v) is int for v in obj):
+        out.append("[%s%s%s]" % (inner, ("," + inner).join(
+            map(int.__repr__, obj)), nl) if obj else "[]")
+    elif isinstance(obj, (list, tuple)):
+        for i, v in enumerate(obj):
+            out.append(("," if i else "[") + inner)
+            _write_json(v, inner, out)
+        out.append(nl + "]")
+    elif isinstance(obj, dict):
+        # a key that is no str is a TypeError in encode_basestring_ascii
+        for i, key in enumerate(sorted(obj)):
+            out.append("%s%s%s: " % ("," if i else "{", inner,
+                                     encode_basestring_ascii(key)))
+            _write_json(obj[key], inner, out)
+        out.append(nl + "}" if obj else "{}")
+    else:
+        raise TypeError("Object of type %s is not JSON serializable"
+                        % type(obj).__name__)
 
 
 def field_to_json(field):

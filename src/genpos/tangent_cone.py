@@ -13,11 +13,13 @@ Three routes into the same graded object:
   * germ_profile reads the graded dimensions dim m^n / m^(n+1) of a
     parameterized curve's local ring off the power products of its
     components modulo a power of their gcd g, which is exact once g^N k[t]
-    lies in the ring. One level-filtered echelon (see linalg), a GermRing,
-    takes each power product once, at its factor count, and each product is
-    computed once, from the product with one factor fewer. H reaches the
-    multiplicity e below degree e and stays there, so the echelon reads
-    levels only up to e.
+    lies in the ring. Rows hold g-adic digits, so reduction modulo g^K is
+    truncation, and N and exactness are counts of pivot leads. One
+    level-filtered echelon (see linalg), a GermRing, takes each power
+    product once, at its factor count, and each product is computed once,
+    from the product with one factor fewer. H reaches the multiplicity e
+    below degree e and stays there, so the echelon reads levels only up
+    to e.
     subalgebra_member reads the largest n with a query in m^n off the same
     echelon, its levels raised to the query's g-adic order when that is
     larger, so one build answers both.
@@ -185,39 +187,49 @@ def cone_profile(ideal):
                        multiplicity=values[-1], emdim=values[1])
 
 
-def _dict_mul(a, b, p):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            out[e] = out.get(e, 0) + ca * cb
-    if p is None:
-        return {e: c for e, c in out.items() if c}
-    return {e: r for e, c in out.items() if (r := c % p)}
+def _coefficients(poly):
+    """The coefficient list of a nonzero univariate polynomial, index =
+    exponent; over Q a primitive integer list, as every use holds up to a
+    nonzero scalar."""
+    terms = {k: c for (k,), c in poly.terms.items()}
+    terms = terms if poly.field.p is not None else to_integer_vec(terms)
+    return [terms.get(k, 0) for k in range(max(terms) + 1)]
 
 
-def _remainder(row, modulus, p):
-    """`row` modulo the monic polynomial `modulus`, both dicts exponent ->
-    coefficient; over Q as a primitive integer row, which spans the same
-    line as the rational remainder."""
-    top = max(modulus)
-    row = dict(row)
-    while (d := max(row, default=-1)) >= top:
-        f = row.pop(d)
-        for k, v in modulus.items():
-            if k < top:
-                row[k + d - top] = row.get(k + d - top, 0) - f * v
-    if p is None:
-        return to_integer_vec(row)
-    return {k: r for k, v in row.items() if (r := v % p)}
+def _divmod(a, g, p):
+    """Quotient and remainder of the coefficient list `a` by the monic `g`,
+    over Q or mod p; the remainder without trailing zeros, and so the
+    quotient when `a` has none."""
+    e, r = len(g) - 1, list(a)
+    q = [0] * max(len(r) - e, 0)
+    for s in range(len(r) - 1, e - 1, -1):
+        if c := r[s] if p is None else r[s] % p:
+            q[s - e] = c
+            for k in range(e):
+                r[s - e + k] -= c * g[k]
+    r = r[:e] if p is None else [v % p for v in r[:e]]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
 
 
-def _power_products(rows, p, cap, modulus):
-    """Power products of the generator rows (integer dicts exponent ->
-    coefficient, mod p when p is not None) with at most `cap` factors, the
-    empty one included, as (factor count, row) pairs, most factors first.
-    Each is computed once, from the product with one factor fewer, and
-    reduced modulo `modulus` (see `_remainder`)."""
+def _digits(q, g):
+    """The g-adic digits of the polynomial q, g a monic coefficient list:
+    lists d_j, each shorter than g, with q = sum_j d_j g^j (over Q up to a
+    nonzero scalar)."""
+    a, digits = _coefficients(q), []
+    while a:
+        a, d = _divmod(a, g, q.field.p)
+        digits.append(d)
+    return digits
+
+
+def _power_products(ring, rows, cap, K):
+    """Power products of the rows with at most `cap` factors, the empty one
+    included, as (factor count, row) pairs, most factors first. Each is
+    computed once, from the product with one factor fewer, by
+    `ring.product` modulo g^K, and one that vanishes there is dropped with
+    its multiples."""
     out = []
     # an explicit stack, not a recursive closure: the closure's reference
     # cycle would keep every product alive until a full garbage collection
@@ -227,14 +239,23 @@ def _power_products(rows, p, cap, modulus):
         out.append((count, cur))
         if count < cap:
             for i in range(first, len(rows)):
-                stack.append((i, count + 1, _remainder(
-                    _dict_mul(cur, rows[i], p), modulus, p)))
+                if prod := ring.product(cur, rows[i], K):
+                    stack.append((i, count + 1, prod))
     out.sort(key=lambda product: product[0])
     return out[::-1]
 
 
-def _coefficients(poly):
-    return {e[0]: c for e, c in poly.terms.items()}
+def _least_n(ech, e, K):
+    """The least n <= K with g^n k[t] / g^K, the columns >= e*n, in the span
+    of `ech`. A pivot row leads at its first nonzero column, so the span
+    meets the columns >= c in the span of the pivot rows leading there."""
+    return max((c for c in range(e * K) if c not in ech.pivots),
+               default=-1) // e + 1
+
+
+def _exact(ech, e, K, L):
+    """Whether g^(K-1) k[t] / g^K lies in the level-L span of `ech`."""
+    return all(ech.levels.get(c, -1) >= L for c in range(e * (K - 1), e * K))
 
 
 class GermRing:
@@ -245,29 +266,29 @@ class GermRing:
     time falls inside germ_profile, a function the benchmark tracer times by
     name.
 
-    With g the monic gcd of the components (their reduced basis in k[t] is
-    [g]) and R = k[t] localized at its roots, mR = gR, so e = deg g is the
-    multiplicity. Modulo g^K the products of at least n and fewer than K
-    factors span the image of m^n. For n < K, if every g^n t^i (i < e) lies
-    in the span of all products, g^n R lies in A + g^(n+1) R, hence in A
-    (Nakayama). So once K > N, N the least n with g^n R in A, the least such
-    n is N. The builds look for it at K = 2, 4, ... up to (L + 1)/2, then
-    at K = L + 1, 2(L + 1), 4(L + 1), ..., and not again once it is found.
-    Then g^(N+j) R = m^j g^N R lies in m^j, so g^K R lies in m^(K-N), and at
-    any K >= N + L the level-n span modulo g^K reads m^n exactly for every
-    n <= L: q lies in m^n exactly when its remainder lies in the span, and
-    H(n) is the rank drop from level n to n + 1 for n < L. The build that
-    found N is kept if its K is that large, else one more is made at
-    K = N + L. L = max(e, b), b the g-adic order of `query` (0 without
-    one): germ_profile reads H(n) for n < e, where H has reached e for good
-    (see germ_profile), and subalgebra_member reads levels up to b. N is at
-    most the conductor length, at most 2 delta (Serre, Algebraic Groups and
+    With g the monic gcd of the components and R = k[t] localized at its
+    roots, mR = gR, so e = deg g is the multiplicity. Column e*j + i stands
+    for t^i g^j (i < e), so a row modulo g^K is its columns below eK, and
+    there the products of at least n and fewer than K factors span the
+    image of m^n. For n < K, g^n k[t] in the span gives g^n R in
+    A + m g^n R, hence in A (Nakayama); so once K > N, N the least n with
+    g^n R in A, `_least_n` reads N, and g^K R = m^(K-N) g^N R lies in
+    m^(K-N). If g^(K-1) R lies in m^L + g^K R (`_exact`), g^K R lies in
+    m^(L+1) + m g^K R, hence in m^(L+1). So at K >= N + L, or at an exact
+    build, the level-n span reads m^n exactly for n <= L: q lies in m^n
+    exactly when its digits below K lie in it, and H(n) is the rank drop
+    from level n to n + 1 for n < L. The builds run at K = 2, 4, ... up to
+    (L + 1)/2, then L + 1, 2(L + 1), ..., until one is exact or shows N,
+    then once more at K = N + L if that is larger. L = max(e, b), b the
+    g-adic order of `query` (0 without one): germ_profile reads H(n) for
+    n < e (see germ_profile), subalgebra_member levels up to b. N is at most
+    the conductor length, at most 2 delta (Serre, Algebraic Groups and
     Class Fields, IV 11), and a birational germ has delta = dim R/A at most
     the arithmetic genus (D - 1)(D - 2)/2 of a plane projection, D the
     largest component degree (Hartshorne, Algebraic Geometry, IV Ex. 1.8).
     A map of degree d >= 2 leaves A at most eK/d dimensions modulo g^K, so
-    once A misses more than that genus at some K, the map is not birational
-    and ValueError says so.
+    once A misses more than that genus at some K, ValueError says the map
+    is not birational.
     """
 
     def __init__(self, gens, query=None):
@@ -276,55 +297,84 @@ class GermRing:
             raise ValueError("need univariate generators, each nonzero with "
                              "zero constant term")
         self.gens, self.field = tuple(gens), gens[0].field
-        (self.g,) = buchberger(gens)
-        self.e, self.powers = self.g.degree(), [{0: 1}, _coefficients(self.g)]
+        field = self.field
+        g = []  # the monic gcd, by Euclid
+        for b in map(_coefficients, gens):
+            while b:
+                inv = field.inv(b[-1])
+                b = [field(v * inv) for v in b]
+                g, b = b, _divmod(g, b, field.p)[1]
+        # integral coefficients as ints: over Q products of integer rows
+        # then stay in ints
+        self.g = [c.numerator if c.denominator == 1 else c for c in g]
+        self.e = len(self.g) - 1
         self.L = max(self.e, 0 if query is None else self.order(query))
 
-    def power(self, n):
-        while len(self.powers) <= n:
-            self.powers.append(_dict_mul(self.powers[-1], self.powers[1],
-                                         self.field.p))
-        return self.powers[n]
-
     def order(self, q):
-        """The largest b with g^b | q in k[t]. m^n lies in g^n R, which meets
-        k[t] in g^n k[t], so q in m^n forces n <= b."""
+        """The largest b with g^b | q in k[t]: q's first nonzero digit. m^n
+        lies in g^n R, which meets k[t] in g^n k[t], so q in m^n forces
+        n <= b."""
         if q.nvars != 1 or q.is_zero():
             raise ValueError("the query must be a nonzero polynomial in t")
-        b = 0
-        while not _remainder(_coefficients(q), self.power(b + 1),
-                             self.field.p):
-            b += 1
-        return b
+        return next(j for j, d in enumerate(_digits(q, self.g)) if d)
+
+    def row(self, digits, K):
+        """The row of `digits` below K, over Q a primitive integer row."""
+        row = {self.e * j + i: v for j, d in enumerate(digits[:K])
+               for i, v in enumerate(d) if v}
+        return row if self.field.p is not None else to_integer_vec(row)
+
+    def product(self, a, b, K):
+        """The product of the rows a and b modulo g^K, as `row` gives it.
+        t^i g^j * t^i' g^j' is the column e(j + j') + i + i' when i + i' < e
+        or g = t^e; otherwise its t^(i+i') g^(j+j') goes to a long division
+        by g inside digit j + j', whose quotient carries to the next."""
+        e, p, top, g = self.e, self.field.p, self.e * K, self.g
+        low, out, high = any(g[:-1]), {}, {}
+        for ca, va in a.items():
+            ia = ca % e
+            for cb, vb in b.items():
+                if low and ia + cb % e >= e:
+                    if (c := ca + cb - e) < top:
+                        high[c] = high.get(c, 0) + va * vb
+                elif (c := ca + cb) < top:
+                    out[c] = out.get(c, 0) + va * vb
+        digits = {}
+        for c, v in high.items():
+            digits.setdefault(c // e, [0] * (2 * e - 1))[e + c % e] = v
+        for j, d in digits.items():
+            q, r = _divmod(d, g, p)
+            for c, v in enumerate(r + [0] * (e - len(r)) + q, e * j):
+                if c < top:
+                    out[c] = out.get(c, 0) + v
+        if p is None:
+            return to_integer_vec(out)
+        return {c: r for c, v in out.items() if (r := v % p)}
 
     @cached_property
     def echelon(self):
-        field, e, L, p = self.field, self.e, self.L, self.field.p
+        field, e, L = self.field, self.e, self.L
         D = max(c.degree() for c in self.gens)
-        genus, K, N = (D - 1) * (D - 2) // 2, 2, None
+        genus, K = (D - 1) * (D - 2) // 2, 2
+        digits = [_digits(c, self.g) for c in self.gens]
         while True:
-            # _remainder also puts a row in the echelon's form: over Q a
-            # primitive integer row, and products of those stay primitive
-            # (Gauss's lemma), so IntegerEchelon never sees a Fraction
             ech = IntegerEchelon() if field == QQ else SparseEchelon(field)
-            modulus = self.power(K)
-            rows = [_remainder(_coefficients(c), modulus, p)
-                    for c in self.gens]
+            rows = [self.row(d, K) for d in digits]
             # most factors first: the echelon takes levels in non-increasing
             # order only, and raises on a row above the last level
-            for count, row in _power_products(rows, p, K - 1, modulus):
+            for count, row in _power_products(self, rows, K - 1, K):
                 ech.insert(row, min(count, L))
             if (missing := e * K - ech.rank) > genus:
+                g = Polynomial(1, field, {(i,): c
+                                          for i, c in enumerate(self.g)})
                 raise ValueError(
                     "the parametrization is not birational onto its image: "
                     "its local ring misses %d > (D - 1)(D - 2)/2 = %d "
                     "dimensions modulo g^%d, g = %s, D = %d"
-                    % (missing, genus, K, self.g.text(names=("t",)), D))
-            if N is None:
-                N = next((n for n in range(K) if all(ech.contains(_remainder(
-                    {k + i: c for k, c in self.power(n).items()}, modulus, p))
-                    for i in range(e))), None)
-            if N is not None:
+                    % (missing, genus, K, g.text(names=("t",)), D))
+            if _exact(ech, e, K, L):
+                return ech, K
+            if (N := _least_n(ech, e, K)) < K:
                 if N + L <= K:
                     return ech, K
                 K = N + L
@@ -340,13 +390,13 @@ def subalgebra_member(q, gens, ring=None):
     """The largest n with q in m^n, m the maximal ideal of the local ring of
     the curve t -> gens at the origin, read off `ring`, a GermRing of `gens`
     built for q (None builds one): the largest n <= ring.order(q) whose
-    level-n span holds q modulo g^K. A combination of products exhibits q in
-    m^n; q outside the span is outside m^n."""
+    level-n span holds q's digits below K. A combination of products
+    exhibits q in m^n; q outside the span is outside m^n."""
     ring = ring or GermRing(gens, q)
     if (b := ring.order(q)) > ring.L:
         raise ValueError("the ring reads levels <= %d, not %d" % (ring.L, b))
     ech, K = ring.echelon
-    row = _remainder(_coefficients(q), ring.power(K), ring.field.p)
+    row = ring.row(_digits(q, ring.g), K)
     return next((n for n in range(b, 0, -1) if ech.contains(row, n)), 0)
 
 

@@ -1,8 +1,11 @@
+import json
+import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from genpos.fixtures import germ_branch_curve, tangent_point_set
+from genpos.fixtures import GOLDEN_DIR, germ_branch_curve, tangent_point_set
 from genpos.groebner import Ideal
 from genpos.points import PointSet
 from genpos.poly import Polynomial
@@ -20,6 +23,40 @@ def test_canonical_json_bytes():
     assert out == '{\n  "a": [\n    2,\n    3\n  ],\n  "b": 1\n}\n'
     assert canonical_json({"a": 1, "b": 1}) == canonical_json(
         {"b": 1, "a": 1})
+
+
+# canonical_json's values: dicts with str keys, lists, tuples, str, int,
+# bool and None, nested
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.lists(st.integers(), max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(json_values)
+def test_canonical_json_matches_json_dumps(obj):
+    # the reference canonical_json once returned
+    assert canonical_json(obj) == json.dumps(obj, sort_keys=True,
+                                             indent=2) + "\n"
+
+
+def test_canonical_json_refuses_other_types():
+    for obj in (1.5, {1: "a"}, [{"a": {2, 3}}], Fraction(1, 2), b"x"):
+        with pytest.raises(TypeError):
+            canonical_json(obj)
+
+
+def test_goldens_re_encode_to_their_bytes():
+    names = sorted(os.listdir(GOLDEN_DIR))
+    assert len(names) == 12
+    for name in names:
+        with open(os.path.join(GOLDEN_DIR, name), encoding="utf-8") as fh:
+            text = fh.read()
+        assert canonical_json(json.loads(text)) == text, name
 
 
 def test_field_round_trip():

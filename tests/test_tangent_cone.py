@@ -19,9 +19,9 @@ from genpos.poly import (DEGREVLEX, BlockOrder, Polynomial,
                          monomials_of_degree, parse_polynomial)
 from genpos.scalars import QQ, PrimeField
 from genpos.tangent_cone import (Branch, BranchCurve, ConeProfile,
-                                 GermRing, _coefficients, _dict_mul,
+                                 GermRing, _coefficients, _digits, _exact,
+                                 _least_n,
                                  _lowest_form_leads, _power_products,
-                                 _remainder,
                                  branch_tangent_points, cone_profile,
                                  germ_profile, lowest_form_ideal,
                                  standard_counts, subalgebra_member)
@@ -115,6 +115,67 @@ def truncated_cone_profile(truncated):
                        emdim=values[1] if len(values) > 1 else 0)
 
 
+# GermRing's t-basis rows before they moved to g-adic columns, kept as the
+# oracle: a row is a dict exponent -> coefficient (integers mod p, or over Q
+# a primitive integer row), and a product is reduced modulo the dense g^K.
+
+def t_coefficients(poly):
+    return {e[0]: c for e, c in poly.terms.items()}
+
+
+def t_mul(a, b, p):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            out[e] = out.get(e, 0) + ca * cb
+    if p is None:
+        return {e: c for e, c in out.items() if c}
+    return {e: r for e, c in out.items() if (r := c % p)}
+
+
+def t_remainder(row, modulus, p):
+    """`row` modulo the monic polynomial `modulus`, both dicts exponent ->
+    coefficient; over Q as a primitive integer row, which spans the same
+    line as the rational remainder."""
+    top = max(modulus)
+    row = dict(row)
+    while (d := max(row, default=-1)) >= top:
+        f = row.pop(d)
+        for k, v in modulus.items():
+            if k < top:
+                row[k + d - top] = row.get(k + d - top, 0) - f * v
+    if p is None:
+        return to_integer_vec(row)
+    return {k: r for k, v in row.items() if (r := v % p)}
+
+
+def t_power_products(rows, p, cap, modulus):
+    """Power products of the t-basis rows with at most `cap` factors, the
+    empty one included, as (factor count, row) pairs, most factors first,
+    each reduced modulo `modulus`."""
+    out = []
+    stack = [(0, 0, {0: 1})]
+    while stack:
+        first, count, cur = stack.pop()
+        out.append((count, cur))
+        if count < cap:
+            for i in range(first, len(rows)):
+                stack.append((i, count + 1, t_remainder(
+                    t_mul(cur, rows[i], p), modulus, p)))
+    out.sort(key=lambda product: product[0])
+    return out[::-1]
+
+
+def g_power(ring, n):
+    """g^n as a t-basis dict."""
+    g = {k: c for k, c in enumerate(ring.g) if c}
+    out = {0: 1}
+    for _ in range(n):
+        out = t_mul(out, g, ring.field.p)
+    return out
+
+
 # subalgebra_member before it read the exact local level, kept as the oracle
 # with its product walker: membership in the span of the power products of
 # at least n factors and polynomial degree <= bound, one fresh level-0
@@ -136,7 +197,7 @@ def member_power_products(rows, p, cap, low=-1, memo=None):
                 child = key + (i,)
                 prod = memo.get(child)
                 if prod is None:
-                    prod = memo[child] = _dict_mul(cur, row, p)
+                    prod = memo[child] = t_mul(cur, row, p)
                 stack.append((child, prod, deg + d))
     out.sort(key=lambda product: product[0])
     return out
@@ -480,8 +541,9 @@ def test_germ_report_builds_one_echelon(monkeypatch):
 @pytest.mark.parametrize("texts, caps", [
     # L = e = 2: N = 1 found at K = 2, then K = N + L = 3
     (["t^2", "t^3"], [1, 2]),
-    # L = 3: N = 2 found at K = L + 1 = 4, then K = 5
-    (["t^3", "t^4"], [1, 3, 4]),
+    # L = 3: N = 2 found at K = L + 1 = 4, where the level-3 span already
+    # holds the last digit g^3 k[t] / g^4, so that build is exact
+    (["t^3", "t^4"], [1, 3]),
     # L = 3: N = 8 found at K = 16 >= N + L = 11: that build is kept
     (["t^3", "t^13"], [1, 3, 7, 15]),
     # L = 2: N = 5 found at K = 6 < N + L = 7: one more build
@@ -632,9 +694,9 @@ def germ_queries(draw, gens):
 def oracle_least_n(ring, ech, K):
     """The least n < K with every g^n t^i (i < e) in the span of `ech`, an
     echelon of the products modulo g^K, or None."""
-    modulus, p = ring.power(K), ring.field.p
-    return next((n for n in range(K) if all(ech.contains(_remainder(
-        {k + i: c for k, c in ring.power(n).items()}, modulus, p))
+    modulus, p = g_power(ring, K), ring.field.p
+    return next((n for n in range(K) if all(ech.contains(t_remainder(
+        {k + i: c for k, c in g_power(ring, n).items()}, modulus, p))
         for i in range(ring.e))), None)
 
 
@@ -644,9 +706,9 @@ def two_pass_echelon(ring, top):
     genus, K = (D - 1) * (D - 2) // 2, top + 2
     while True:
         ech, _ = echelon_for(field)
-        modulus = ring.power(K)
-        rows = [_remainder(_coefficients(c), modulus, p) for c in ring.gens]
-        for count, row in _power_products(rows, p, K - 1, modulus):
+        modulus = g_power(ring, K)
+        rows = [t_remainder(t_coefficients(c), modulus, p) for c in ring.gens]
+        for count, row in t_power_products(rows, p, K - 1, modulus):
             ech.insert(row, min(count, top + 1))
         if e * K - ech.rank > genus:
             raise ValueError("not birational")
@@ -674,16 +736,19 @@ def test_germ_ring_matches_two_pass_oracle(gens, data):
             two_pass_echelon(ring, top)
         return
     old, K_old = two_pass_echelon(ring, top)
-    # the final span gives the oracle's N and reads every level up to L
-    N = oracle_least_n(ring, ech, K)
-    assert N == oracle_least_n(ring, old, K_old)
-    assert K >= N + ring.L
+    # the final span shows the oracle's N, and it reads every level up to
+    # L: either K >= N + L or the level-L span holds the last digit
+    N = oracle_least_n(ring, old, K_old)
+    assert _least_n(ech, ring.e, K) == N
+    assert K >= N + ring.L or _exact(ech, ring.e, K, ring.L)
     # the builds may stop at different K, so the ranks are compared as
     # e*K - rank_from(n) = dim R/m^n
     for n in range(ring.L + 1):
         assert (ring.e * K - ech.rank_from(n)
                 == ring.e * K_old - old.rank_from(n))
-    if K == K_old:
+    # column e*j + i stands for t^i g^j, the t-basis column e*j + i only
+    # when g = t^e
+    if K == K_old and ring.g == [0] * ring.e + [1]:
         assert ech.pivots == old.pivots
         assert ech.levels == {c: min(lv, ring.L)
                               for c, lv in old.levels.items()}
@@ -696,9 +761,126 @@ def test_germ_ring_matches_two_pass_oracle(gens, data):
     prof = germ_profile(gens, ring)
     assert prof.stabilization_degree == s
     assert prof.values == tuple(measured[:len(prof.values)])
-    row = _remainder(_coefficients(q), ring.power(K_old), ring.field.p)
+    row = t_remainder(t_coefficients(q), g_power(ring, K_old), ring.field.p)
     assert subalgebra_member(q, gens, ring) == next(
         (n for n in range(b, 0, -1) if old.contains(row, n)), 0)
+
+
+def as_polynomial(coefficients, field):
+    return Polynomial(1, field, {(k,): c for k, c in enumerate(coefficients)})
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([QQ, PrimeField(2), PrimeField(32003)]),
+       st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 3)), max_size=3),
+       st.booleans(),
+       st.dictionaries(st.integers(0, 24),
+                       st.fractions(-5, 5, max_denominator=3),
+                       min_size=1, max_size=6))
+def test_digits_round_trip(field, factors, quadratic, terms):
+    # g = (t^2 + t + 1)^[0 or 1] * prod (t - a)^m, squarefree or not, and
+    # q = sum_j d_j g^j with every digit d_j of degree < deg g
+    t = tvar(field)
+    g = t ** 2 + t + 1 if quadratic or not factors else t ** 0
+    for a, m in factors:
+        g = g * (t - a) ** m
+    q = Polynomial(1, field, {(k,): c for k, c in terms.items()
+                              if field.p is None or c.denominator % 2})
+    if q.is_zero():
+        reject()
+    gl = _coefficients(g)
+    digits = _digits(q, gl)
+    assert digits[-1] and all(not d or d[-1] and len(d) < len(gl)
+                              for d in digits)
+    total = Polynomial.zero(1, field)
+    for d in reversed(digits):
+        total = total * g + as_polynomial(d, field)
+    # over Q the coefficient lists are primitive integer lists, q up to a
+    # nonzero scalar
+    top = (q.degree(),)
+    assert total == q * (total.terms[top] * field.inv(q.terms[top]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.one_of(germs(), shared_factor_germs()))
+def test_euclid_gcd_is_the_reduced_basis(gens):
+    ring = GermRing(gens)
+    (g,) = buchberger(gens)
+    assert as_polynomial(ring.g, ring.field) == g
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.one_of(germs(), shared_factor_germs()), st.integers(1, 6),
+       st.data())
+def test_product_is_the_row_of_the_polynomial_product(gens, K, data):
+    # where two digit exponents add up to e or more, the product takes a
+    # long division by g inside the digit; over Q both sides are primitive
+    # integer rows with the signs of the polynomials
+    ring = GermRing(gens)
+    a, b = data.draw(germ_queries(gens)), data.draw(germ_queries(gens))
+
+    def row(q):
+        return ring.row(_digits(q, ring.g), K)
+
+    assert ring.product(row(a), row(b), K) == row(a * b)
+
+
+def pass_echelon(ring, K):
+    """One build of GermRing.echelon at K: the power products modulo g^K at
+    their factor counts, levels capped at L."""
+    ech, _ = echelon_for(ring.field)
+    rows = [ring.row(_digits(c, ring.g), K) for c in ring.gens]
+    for count, row in _power_products(ring, rows, K - 1, K):
+        ech.insert(row, min(count, ring.L))
+    return ech
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.one_of(germs(), shared_factor_germs()), st.integers(1, 9))
+def test_pivot_reads_match_membership(gens, K):
+    # g^n t^i is the column e*n + i. N read off the pivot leads (every
+    # column >= e*n a lead) is the least n < K whose e columns g^n t^i lie
+    # in the span (Nakayama), and K if none; the exactness read is the
+    # level-L membership of every column of the last digit
+    ring = GermRing(gens)
+    e, L = ring.e, ring.L
+    ech = pass_echelon(ring, K)
+    assert _least_n(ech, e, K) == next(
+        (n for n in range(K)
+         if all(ech.contains({e * n + i: 1}) for i in range(e))), K)
+    assert _exact(ech, e, K, L) == all(
+        ech.contains({c: 1}, L) for c in range(e * (K - 1), e * K))
+
+
+def t_basis_profile(ring):
+    """The graded values the t-basis oracle measures to degree top, top =
+    max(6, e + 1), and the first s with H(s) = e."""
+    top = max(6, ring.e + 1)
+    old, _ = two_pass_echelon(ring, top)
+    ranks = [old.rank_from(n) for n in range(1, top + 2)]
+    measured = [1] + [hi - lo for hi, lo in zip(ranks, ranks[1:])]
+    return measured, measured.index(ring.e)
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(st.integers(5, 8).flatmap(lambda e: st.lists(
+    st.integers(1, 32002), min_size=e - 1, max_size=e - 1, unique=True)))
+def test_ordinary_point_profile_matches_t_basis_oracle(roots):
+    # e smooth branches through the origin, one at each root of g, with
+    # the distinct tangents (1, a, a^2, a^3) on a twisted cubic
+    field = PrimeField(32003)
+    t = tvar(field)
+    g = t
+    for a in roots:
+        g = g * (t - a)
+    gens = (g, t * g, t * t * g + g * g, t ** 3 * g)
+    ring = GermRing(gens)
+    assert ring.e == len(roots) + 1
+    prof = germ_profile(gens, ring)
+    measured, s = t_basis_profile(ring)
+    assert prof.stabilization_degree == s
+    assert prof.values == tuple(measured[:len(prof.values)])
+    assert prof.emdim == 4 and prof.multiplicity == ring.e
 
 
 def test_germ_profile_names_a_profile_that_never_reaches_e():
