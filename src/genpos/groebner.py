@@ -40,9 +40,10 @@ reduced basis's; `ideal_intersect` and `saturation` pack their inputs once
 into k[u, x], interreduce only the u-free part of each minimal basis, pass
 intersections up their tree still packed, and build `Polynomial`s once, at
 the root. A term that sets a guard bit (lex and block orders can raise
-exponents) restarts the call, the whole run, or the whole elimination tree
+exponents) raises `poly.Overflow`, and `_widening`, the one place that
+catches it, reruns the call, the whole run, or the whole elimination tree
 with twice the bits; the width changes only the representation, so a
-restarted run pops the same pairs under the same budgets.
+rerun pops the same pairs under the same budgets.
 
 Over Q everything runs on Python ints (pseudo-division, as in the primitive
 remainder sequences of Geddes, Czapor & Labahn, *Algorithms for Computer
@@ -60,7 +61,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .errors import BudgetExceededError
-from .poly import (DEGREVLEX, BlockOrder, Packing, Polynomial,
+from .poly import (DEGREVLEX, BlockOrder, Overflow, Packing, Polynomial,
                    divisor_of_terms, packed_divisor)
 
 DEFAULT_MAX_BASIS = 500
@@ -70,11 +71,13 @@ BITS = 15  # value bits per packed exponent before any widening
 
 def _widening(attempt):
     """attempt(bits) at BITS bits per exponent, then at twice as many, and so
-    on, until it returns something other than None."""
+    on, until an attempt returns instead of raising Overflow."""
     bits = BITS
-    while (got := attempt(bits)) is None:
-        bits *= 2
-    return got
+    while True:
+        try:
+            return attempt(bits)
+        except Overflow:
+            bits *= 2
 
 
 def spolynomial(f, g, order):
@@ -86,13 +89,11 @@ def spolynomial(f, g, order):
     def attempt(bits):
         packing = Packing(order, f.nvars, bits)
         df, dg = f.divisor(order, bits), g.divisor(order, bits)
-        if s := df and dg and _spair(df, dg, packing.pack(l), p,
-                                     packing.guard):
-            work, packs = s
-            ab = df[2] * dg[2]
-            return Polynomial(f.nvars, f.field, {
-                packing.unpack(packs[k]): c if p else Fraction(c, ab)
-                for k, c in work.items()})
+        work, packs = _spair(df, dg, packing.pack(l), p, packing.guard)
+        ab = df[2] * dg[2]
+        return Polynomial(f.nvars, f.field, {
+            packing.unpack(packs[k]): c if p else Fraction(c, ab)
+            for k, c in work.items()})
 
     return _widening(attempt)
 
@@ -100,10 +101,10 @@ def spolynomial(f, g, order):
 def _spair(di, dj, l, p, guard):
     """Packed S-polynomial of the divisors di and dj (see
     `Polynomial.divisor`), where l is the packed (E, K) of the lcm of their
-    leads: (work, packs), K -> coefficient and K -> E, or None if a term sets
-    a guard bit. It is b * tail_i * (l / lm_i) - a * tail_j * (l / lm_j) for
-    the divisor leads a and b: over GF(p) both are 1; over Q it is the exact
-    S-polynomial of the monic elements times a * b."""
+    leads: (work, packs), K -> coefficient and K -> E; Overflow if a term
+    sets a guard bit. It is b * tail_i * (l / lm_i) - a * tail_j * (l / lm_j)
+    for the divisor leads a and b: over GF(p) both are 1; over Q it is the
+    exact S-polynomial of the monic elements times a * b."""
     el, kl = l
     work, packs = {}, {}
     for (e, k, _, tail), mult in ((di, dj[2]), (dj, -di[2])):
@@ -115,7 +116,7 @@ def _spair(di, dj, l, p, guard):
                 continue
             me = te + se
             if me & guard:
-                return None
+                raise Overflow
             packs[mk] = me
             work[mk] = mult * c
     if p:
@@ -128,8 +129,8 @@ def _reduce(work, packs, divisors, p, guard):
     used up) by the first of `divisors` whose lead divides each leading
     term. `packs` holds the E of every key of `work` and gains new ones.
     Returns (remainder, scale), the remainder K -> coefficient in descending
-    key order and `scale` (1 over GF(p)) times the exact one; or None if a
-    term sets a guard bit.
+    key order and `scale` (1 over GF(p)) times the exact one. A term that
+    sets a guard bit raises Overflow.
 
     Every key in `packs` is pushed once onto a heap of negated keys. A term
     that cancels keeps its entry and is skipped if still absent when it pops;
@@ -175,7 +176,7 @@ def _reduce(work, packs, divisors, p, guard):
                 if mk not in packs:
                     me = te + se
                     if me & guard:
-                        return None
+                        raise Overflow
                     packs[mk] = me
                     heappush(heap, -mk)
                 continue
@@ -191,7 +192,8 @@ def normal_form(f, basis, order):
     """Remainder of f under full multivariate division by `basis`: f packed
     and reduced by `_reduce`; the leading live term is reduced by the first
     basis element whose leading monomial divides it, or else moved to the
-    remainder. Only remainder terms that f does not have are unpacked."""
+    remainder. Only remainder terms that f does not have are unpacked.
+    Overflow if f does not fit."""
     if f.is_zero() or not basis:
         return f
     p = f.field.p
@@ -200,19 +202,18 @@ def normal_form(f, basis, order):
     def attempt(bits):
         packing = Packing(order, f.nvars, bits)
         divisors = [g.divisor(order, bits) for g in basis if not g.is_zero()]
-        if None in divisors or not packing.fits(f.terms):
-            return None
+        if not packing.fits(f.terms):
+            raise Overflow
         work, packs, monos = {}, {}, {}  # monos: K -> the terms of f
         for m, c in f.terms.items():
             e, k = packing.pack(m)
             packs[k], monos[k] = e, m
             work[k] = c if p else c.numerator * (scale // c.denominator)
-        if got := _reduce(work, packs, divisors, p, packing.guard):
-            remainder, r = got
-            return Polynomial(f.nvars, f.field, {
-                monos.get(k) or packing.unpack(packs[k]):
-                    c if p else Fraction(c, scale * r)
-                for k, c in remainder.items()}, order)
+        remainder, r = _reduce(work, packs, divisors, p, packing.guard)
+        return Polynomial(f.nvars, f.field, {
+            monos.get(k) or packing.unpack(packs[k]):
+                c if p else Fraction(c, scale * r)
+            for k, c in remainder.items()}, order)
 
     return _widening(attempt)
 
@@ -222,9 +223,8 @@ def buchberger(gens, order=DEGREVLEX, max_basis=DEFAULT_MAX_BASIS,
     """Reduced Groebner basis of the given generators: `_minimal_basis`, then
     `_interreduce`, packed from the generators to the returned basis."""
     def reduced(packing, basis, nvars, field):
-        if (got := _interreduce(basis, field.p, packing.guard)) is not None:
-            return tuple(_polynomials(got, packing.unpack, nvars, field,
-                                      order))
+        return tuple(_polynomials(_interreduce(basis, field.p, packing.guard),
+                                  packing.unpack, nvars, field, order))
 
     return _from_minimal_basis(gens, order, max_basis, max_pairs, reduced)
 
@@ -243,7 +243,7 @@ def _from_minimal_basis(gens, order, max_basis, max_pairs, finish):
     """finish(packing, basis, nvars, field) for the minimal basis of the
     nonzero `gens` under `order` (see `_minimal_basis`), at BITS bits per
     exponent, then at twice as many, and so on, until neither the pair loop
-    nor `finish` returns None; () if no generator is nonzero."""
+    nor `finish` raises Overflow; () if no generator is nonzero."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return ()
@@ -253,8 +253,7 @@ def _from_minimal_basis(gens, order, max_basis, max_pairs, finish):
         packing = Packing(order, nvars, bits)
         basis = _minimal_basis((g.divisor(order, bits) for g in gens),
                                packing, field.p, max_basis, max_pairs)
-        if basis is not None:
-            return finish(packing, basis, nvars, field)
+        return finish(packing, basis, nvars, field)
 
     return _widening(attempt)
 
@@ -271,9 +270,9 @@ def _polynomials(divisors, unpack, nvars, field, order):
 
 def _minimal_basis(divisors, packing, p, max_basis, max_pairs):
     """The pair loop on the packed generators `divisors` (see
-    `Polynomial.divisor`), taken in turn until one is None: a minimal
-    Groebner basis of them, as divisors in the order they joined, or None
-    if a term sets a guard bit (a generator that does not fit is None)."""
+    `Polynomial.divisor`), taken in turn: a minimal Groebner basis of them,
+    as divisors in the order they joined. Overflow if a term sets a guard
+    bit."""
     from heapq import heapify, heappop, heappush
     bits, guard = packing.bits, packing.guard
     basis, leads = [], []  # divisors (E, K, lc, tail) and their lead packs
@@ -329,19 +328,15 @@ def _minimal_basis(divisors, packing, p, max_basis, max_pairs):
             raise exceeded("basis", max_basis)
 
     for d in divisors:
-        if d is None:
-            return None
         update(d)
     while pairs:
         _, _, i, j, l = heappop(pairs)
         popped += 1
         if popped > max_pairs:
             raise exceeded("pair", max_pairs)
-        s = _spair(basis[i], basis[j], l, p, guard)
-        if (r := s and _reduce(*s, basis, p, guard)) is None:
-            return None
-        if r[0]:
-            update(packed_divisor(r[0], s[1], p))
+        work, packs = _spair(basis[i], basis[j], l, p, guard)
+        if remainder := _reduce(work, packs, basis, p, guard)[0]:
+            update(packed_divisor(remainder, packs, p))
     # drop the elements whose leading monomial another one divides
     return [d for i, d in enumerate(basis)
             if not any(j != i and not (d[0] - e) & guard
@@ -351,16 +346,15 @@ def _minimal_basis(divisors, packing, p, max_basis, max_pairs):
 
 def _interreduce(basis, p, guard):
     """The reduced Groebner basis of the minimal basis `basis`, as divisors
-    in ascending key order: each element fully reduced by the others, or
-    None if a term sets a guard bit."""
+    in ascending key order: each element fully reduced by the others.
+    Overflow if a term sets a guard bit."""
     reduced = []
     for i, (e, k, lc, tail) in enumerate(basis):
         packs = {k: e, **{tk: te for te, tk, _ in tail}}
         work = {k: lc, **{tk: c for _, tk, c in tail}}
-        if (r := _reduce(work, packs, basis[:i] + basis[i + 1:], p,
-                         guard)) is None:
-            return None
-        reduced.append(packed_divisor(r[0], packs, p))
+        remainder, _ = _reduce(work, packs, basis[:i] + basis[i + 1:], p,
+                               guard)
+        reduced.append(packed_divisor(remainder, packs, p))
     reduced.sort(key=lambda d: d[1])
     return reduced
 
@@ -420,7 +414,7 @@ _ELIMINATE_U = BlockOrder(split=1)
 class _Elimination:
     """k[u, x], u a new leading variable, packed for `_ELIMINATE_U` at `bits`
     bits per exponent. An ideal is a list of divisors (see
-    `Polynomial.divisor`); a method returns None where a term needs more
+    `Polynomial.divisor`); a method raises Overflow where a term needs more
     bits."""
 
     def __init__(self, nvars, p, bits):
@@ -459,9 +453,8 @@ class _Elimination:
         ch. 3 section 1), so only they are interreduced."""
         basis = _minimal_basis(divisors, self.packing, self.p,
                                DEFAULT_MAX_BASIS, DEFAULT_MAX_PAIRS)
-        if basis is not None:
-            return _interreduce([d for d in basis if not d[0] & self.umask],
-                                self.p, self.packing.guard)
+        return _interreduce([d for d in basis if not d[0] & self.umask],
+                            self.p, self.packing.guard)
 
 
 def _packed_elimination(ideal, run):
@@ -475,10 +468,9 @@ def _packed_elimination(ideal, run):
 
     def attempt(bits):
         elimination = _Elimination(n, field.p, bits)
-        if (got := run(elimination)) is not None:
-            unpack = elimination.packing.unpack
-            return _polynomials(got, lambda e: unpack(e)[1:], n, field,
-                                DEGREVLEX)
+        unpack = elimination.packing.unpack
+        return _polynomials(run(elimination), lambda e: unpack(e)[1:], n,
+                            field, DEGREVLEX)
 
     return Ideal.of_reduced_basis(n, field, _widening(attempt))
 
@@ -504,16 +496,9 @@ def ideal_intersect(*ideals):
 
     def run(elimination):
         level = [[elimination.lift(g) for g in b.gens] for b in ideals]
-        if any(None in gens for gens in level):
-            return None
         while len(level) > 1:
-            up = []
-            for i in range(0, len(level) - 1, 2):
-                got = elimination.eliminate(
-                    elimination.tagged(level[i], level[i + 1]))
-                if got is None:
-                    return None
-                up.append(got)
+            up = [elimination.eliminate(elimination.tagged(a, b))
+                  for a, b in zip(level[::2], level[1::2])]
             level = up + level[2 * len(up):]
         return level[0]
 
@@ -528,7 +513,7 @@ def saturation(ideal, f):
     def run(elimination):
         gens = [elimination.lift(g) for g in ideal.gens]
         gens.append(elimination.lift(f, 1, -1, one))
-        return None if None in gens else elimination.eliminate(gens)
+        return elimination.eliminate(gens)
 
     return _packed_elimination(ideal, run)
 

@@ -12,9 +12,10 @@ while the entries after the first stay within +-2^(w-1), and K(a * b) =
 K(a) + K(b). A `Packing` gives each exponent `bits` bits under a guard bit
 in E(m): (E(b) - E(a)) & guard == 0 exactly when a | b, as a field that
 goes negative borrows through its guard bit, and E(a) + E(b) sets a guard
-bit exactly when an exponent reaches 2^bits. Only lex and block orders can
-raise an exponent in a reduction; `groebner` then redoes the call, or the
-whole Buchberger run, with twice the bits.
+bit exactly when an exponent reaches 2^bits. A term that does not fit
+raises `Overflow`. Only lex and block orders can raise an exponent in a
+reduction; `groebner` then redoes the call, the whole Buchberger run, or
+the whole elimination tree, with twice the bits.
 """
 
 import re
@@ -80,6 +81,11 @@ class LazardOrder(record("LazardOrder", "")):
                      else (1 << w * n) - (1 << w * (i - 1)) for i in range(n))
 
 
+class Overflow(Exception):
+    """An exponent needs more bits than its packing has. `groebner` catches
+    it and reruns wider; one that reaches the user is a defect."""
+
+
 class Packing:
     """Packs E and K for `order` on `nvars` variables, `bits` per exponent."""
 
@@ -123,12 +129,12 @@ def packed_divisor(terms, packs, p):
 def divisor_of_terms(terms, packing, p):
     """The divisor (E, K, lc, ((E, K, c), ...)) of the nonzero polynomial
     whose (monomial, coefficient) pairs `terms` lists in descending order
-    under the packing's order, or None if an exponent needs more bits than
+    under the packing's order; Overflow if an exponent needs more bits than
     the packing has. Over GF(p) it is the monic multiple. Over Q it is the
     primitive integer multiple with a positive lead: int coefficients with
     gcd 1."""
     if not packing.fits(m for m, _ in terms):
-        return None
+        raise Overflow
     if p is None:
         den = lcm(*(c.denominator for _, c in terms))
         terms = [(m, c.numerator * (den // c.denominator)) for m, c in terms]
@@ -283,15 +289,14 @@ class Polynomial:
     def divisor(self, order, bits):
         """Packed (E, K, lc, ((E, K, c), ...)) of the multiple of a nonzero
         polynomial that the `groebner` reduction divides by, the tail in
-        `terms_sorted` order, or None if an exponent needs more than `bits`
-        bits (see `divisor_of_terms`); cached per order and width."""
-        try:
-            return self._divisor[order, bits]
-        except KeyError:
-            pass
-        got = divisor_of_terms(self.terms_sorted(order),
-                           Packing(order, self.nvars, bits), self.field.p)
-        self._divisor[order, bits] = got
+        `terms_sorted` order; Overflow if an exponent needs more than `bits`
+        bits (see `divisor_of_terms`). Cached per order and width, for the
+        widths that fit."""
+        got = self._divisor.get((order, bits))
+        if got is None:
+            got = self._divisor[order, bits] = divisor_of_terms(
+                self.terms_sorted(order), Packing(order, self.nvars, bits),
+                self.field.p)
         return got
 
     def leading_monomial(self, order):

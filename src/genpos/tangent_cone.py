@@ -308,15 +308,23 @@ class GermRing:
         # then stay in ints
         self.g = [c.numerator if c.denominator == 1 else c for c in g]
         self.e = len(self.g) - 1
+        self._kept = {}  # query -> its digits
         self.L = max(self.e, 0 if query is None else self.order(query))
+
+    def digits(self, q):
+        """The g-adic digits of the nonzero polynomial q in t (see
+        `_digits`), computed once per query."""
+        if q.nvars != 1 or q.is_zero():
+            raise ValueError("the query must be a nonzero polynomial in t")
+        if q not in self._kept:
+            self._kept[q] = _digits(q, self.g)
+        return self._kept[q]
 
     def order(self, q):
         """The largest b with g^b | q in k[t]: q's first nonzero digit. m^n
         lies in g^n R, which meets k[t] in g^n k[t], so q in m^n forces
         n <= b."""
-        if q.nvars != 1 or q.is_zero():
-            raise ValueError("the query must be a nonzero polynomial in t")
-        return next(j for j, d in enumerate(_digits(q, self.g)) if d)
+        return next(j for j, d in enumerate(self.digits(q)) if d)
 
     def row(self, digits, K):
         """The row of `digits` below K, over Q a primitive integer row."""
@@ -396,7 +404,7 @@ def subalgebra_member(q, gens, ring=None):
     if (b := ring.order(q)) > ring.L:
         raise ValueError("the ring reads levels <= %d, not %d" % (ring.L, b))
     ech, K = ring.echelon
-    row = ring.row(_digits(q, ring.g), K)
+    row = ring.row(ring.digits(q), K)
     return next((n for n in range(b, 0, -1) if ech.contains(row, n)), 0)
 
 

@@ -10,7 +10,7 @@ from genpos.groebner import (Ideal, buchberger, ideal_equal, ideal_intersect,
                              ideal_member, ideal_power, normal_form,
                              saturation, spolynomial)
 from genpos.poly import (DEGREVLEX, LEX, BlockOrder, DegRevLex, Lex,
-                         Polynomial, monomials_of_degree)
+                         Overflow, Polynomial, monomials_of_degree)
 from genpos.scalars import QQ, PrimeField
 
 F11 = PrimeField(11)
@@ -199,8 +199,12 @@ def logged_eliminations(monkeypatch):
     inner = groebner._Elimination.eliminate
 
     def logged(self, divisors):
-        got = inner(self, divisors)
-        log.append((self.packing.bits, got is not None))
+        try:
+            got = inner(self, divisors)
+        except Overflow:
+            log.append((self.packing.bits, False))
+            raise
+        log.append((self.packing.bits, True))
         return got
 
     monkeypatch.setattr(groebner._Elimination, "eliminate", logged)

@@ -22,18 +22,20 @@ other pairs, but reduced bases are unique, so its bases must match too.
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (mono_deg, mono_div, mono_divides, mono_lcm, mono_mul,
                       monic)
-from genpos import groebner
+from genpos import groebner, poly
 from genpos.errors import BudgetExceededError
-from genpos.groebner import (BITS, buchberger, leading_monomials,
-                             normal_form, spolynomial)
-from genpos.poly import (DEGREVLEX, LEX, BlockOrder, Packing, Polynomial,
-                         parse_polynomial)
+from genpos.groebner import (BITS, Ideal, buchberger, ideal_intersect,
+                             leading_monomials, normal_form, saturation,
+                             spolynomial)
+from genpos.poly import (DEGREVLEX, LEX, BlockOrder, Overflow, Packing,
+                         Polynomial, divisor_of_terms, parse_polynomial)
 from genpos.scalars import QQ, PrimeField
 
 FIELDS = [QQ, PrimeField(11), PrimeField(2 ** 31 - 1)]
@@ -290,9 +292,8 @@ def logged_buchberger(gens, order, run=buchberger, **budgets):
         packing = Packing(order, nvars, (guard & -guard).bit_length() - 1)
         f = {packing.unpack(packs[k]): c for k, c in work.items()}
         got = inner(work, packs, divisors, p, guard)
-        if got is not None:
-            r = {packing.unpack(packs[k]): c for k, c in got[0].items()}
-            log.append(reduction(f, r, field, order))
+        r = {packing.unpack(packs[k]): c for k, c in got[0].items()}
+        log.append(reduction(f, r, field, order))
         return got
 
     with pytest.MonkeyPatch.context() as mp:
@@ -538,3 +539,78 @@ def test_leading_monomials_past_the_field_width(k, monkeypatch):
                        % (len(want_log) - 1, len(want_log))):
         monkeypatch.setattr(groebner, "DEFAULT_MAX_PAIRS", len(want_log) - 1)
         leading_monomials(gens, LEX)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=repr)
+@pytest.mark.parametrize("order", ORDERS, ids=repr)
+def test_a_term_too_wide_raises_overflow_and_caches_nothing(field, order,
+                                                             monkeypatch):
+    x0, x1 = (Polynomial.variable(i, 2, field) for i in range(2))
+    g = x0 * x1 + x0 ** (TOP + 1)
+    with pytest.raises(Overflow):
+        divisor_of_terms(g.terms_sorted(order), Packing(order, 2, BITS),
+                         field.p)
+    calls = []
+
+    def counted(terms, packing, p):
+        calls.append(packing.bits)
+        return divisor_of_terms(terms, packing, p)
+
+    monkeypatch.setattr(poly, "divisor_of_terms", counted)
+    for _ in range(2):
+        with pytest.raises(Overflow):
+            g.divisor(order, BITS)
+        wide = g.divisor(order, 2 * BITS)
+    # the narrow width packs again on every call, the wide one once
+    assert calls == [BITS, 2 * BITS, BITS]
+    assert wide == divisor_of_terms(g.terms_sorted(order),
+                                    Packing(order, 2, 2 * BITS), field.p)
+
+
+# an exponent unit per variable in [2^BITS - 3, 2^(BITS + 1)], and each
+# term's exponents 0, 1 or 2 units, so the runs are those of small-degree
+# polynomials in the units. In half the cases the units and the multiples
+# fit BITS bits, so only the S-polynomials and reductions cross 2^BITS; in
+# the others the inputs already do.
+@st.composite
+def wide_case(draw):
+    field = draw(st.sampled_from([QQ, PrimeField(32003)]))
+    order = draw(st.sampled_from([LEX, BlockOrder(split=1), DEGREVLEX]))
+    fits = draw(st.booleans())
+    units = draw(st.lists(st.integers((1 << BITS) - 3,
+                                      TOP if fits else 1 << BITS + 1),
+                          min_size=2, max_size=3))
+
+    def polynomial():  # two terms
+        multiples = st.tuples(*[st.integers(0, 2 - fits)] * len(units))
+        return Polynomial(len(units), field, {
+            tuple(map(mul, m, units)): draw(st.integers(-3, 3).filter(bool))
+            for m in draw(st.lists(multiples, min_size=2, max_size=2,
+                                   unique=True))})
+
+    gens = [polynomial() for _ in range(draw(st.integers(1, 3)))]
+    return gens, polynomial(), polynomial(), order
+
+
+def wide_calls(gens, f, h, order):
+    """Every entry point of the packed engine on one case, each result as
+    the snapshot of its polynomials; f * h may not fit where gens do."""
+    return (snapshot(*buchberger(gens, order)),
+            leading_monomials(gens, order),
+            snapshot(normal_form(f, gens, order)),
+            snapshot(normal_form(f * h, gens, order)),
+            snapshot(spolynomial(f, h, order)),
+            snapshot(*ideal_intersect(Ideal.of(gens),
+                                      Ideal.of(f)).groebner_basis()),
+            snapshot(*saturation(Ideal.of(gens), h).groebner_basis()))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(wide_case())
+def test_widened_runs_match_one_attempt_at_64_bits(case):
+    """No Overflow escapes a call that widens, and each result is the one a
+    single attempt at 64 bits per exponent gives."""
+    got = wide_calls(*case)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groebner, "BITS", 64)
+        assert got == wide_calls(*case)

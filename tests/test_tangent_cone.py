@@ -538,6 +538,31 @@ def test_germ_report_builds_one_echelon(monkeypatch):
     assert mem["member"] and mem["member_at_min_factors_1"]
 
 
+@pytest.mark.parametrize("texts, query", [
+    (["t^2", "t^3"], "t^41"),
+    # g = t(t - 1), so the digits come from long divisions by g
+    (["t^2 - t", "t^3 - t^2"], "t^9 - 2*t^8 + t^7 + t^3 - t^2"),
+])
+def test_germ_report_digitizes_the_query_once(monkeypatch, texts, query):
+    # GermRing reads L off the query's order, and subalgebra_member its
+    # order and its row: all three from one set of digits
+    from genpos import cli, tangent_cone
+
+    calls = []
+
+    def counted(q, g):
+        calls.append(q)
+        return digits(q, g)
+
+    digits = tangent_cone._digits
+    monkeypatch.setattr(tangent_cone, "_digits", counted)
+    _, mem = cli.germ_report({"field": "Q", "parametrization": texts,
+                              "membership": {"query": query}})
+    assert mem["member"]
+    q = parse_polynomial(query, 1, QQ, names=("t",))
+    assert calls.count(q) == 1
+
+
 @pytest.mark.parametrize("texts, caps", [
     # L = e = 2: N = 1 found at K = 2, then K = N + L = 3
     (["t^2", "t^3"], [1, 2]),
