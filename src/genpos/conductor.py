@@ -13,7 +13,7 @@ from itertools import combinations, product as iproduct
 from .errors import StabilizationError
 from .groebner import (Ideal, ideal_equal, ideal_intersect, ideal_member,
                        ideal_power, saturation)
-from .linalg import kernel_vector, rref
+from .linalg import rref
 from .points import PointSet, _first_failing_subset, binom, ideal_basis, nu
 from .records import record
 
@@ -111,6 +111,7 @@ class NumericalSemigroup(record(
     @classmethod
     def from_generators(cls, gens):
         import math
+        from heapq import heappop, heappush  # loaded on first use
         gens = tuple(sorted(set(int(g) for g in gens)))
         if not gens or gens[0] < 1:
             raise ValueError("generators must be positive integers")
@@ -118,20 +119,14 @@ class NumericalSemigroup(record(
             raise ValueError("generators must have gcd 1 (finitely many gaps)")
         m = gens[0]
         ap = [None] * m  # None: no element of this residue class found yet
-        ap[0] = 0
-        for _ in range(m):
-            changed = False
-            for res in range(m):
-                if ap[res] is None:
-                    continue
-                for g in gens:
-                    v = ap[res] + g
-                    if ap[v % m] is None or v < ap[v % m]:
-                        ap[v % m] = v
-                        changed = True
-            if not changed:
-                break
-        assert None not in ap
+        heap, found = [0], 0
+        while found < m:  # pops come in increasing order: gens are positive
+            v = heappop(heap)
+            if ap[v % m] is None:
+                ap[v % m] = v
+                found += 1
+                for g in gens[1:]:
+                    heappush(heap, v + g)
         frob = max(ap) - m
         gaps = tuple(n for n in range(1, frob + 1) if n < ap[n % m])
 
@@ -387,19 +382,17 @@ def _stratum_points_ideal(strata, nvars, field):
     """The formula side by `ideal_basis`, or None where it does not apply.
 
     With 3 variables and every e_k = 2, each P_k^(e_k - 1) is the ideal of
-    the stratum's point of P^2, the kernel of its rows, so the intersection
-    is I(X) for the C(n, 2) stratum points X. `ideal_basis` reads its reduced
-    basis over GF(p) when no point lies on x2 = 0."""
+    the stratum's point of P^2, the cross product of its two rows, so the
+    intersection is I(X) for the C(n, 2) stratum points X. `ideal_basis`
+    reads its reduced basis over GF(p) when no point lies on x2 = 0."""
     if nvars != 3 or field.p is None or any(e_k != 2 for _, e_k, _ in strata):
         return None
-    points = []
-    for red, _, _ in strata:
-        pivots = [next(c for c, v in enumerate(row) if v) for row in red]
-        points.append(kernel_vector(red, pivots, 3, field))
-    if any(not pt[2] for pt in points):
+    cross = [(a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+             for ((a0, a1, a2), (b0, b1, b2)), _, _ in strata]
+    X = PointSet.of(2, field, cross)
+    if any(not pt[2] for pt in X.points):
         return None
-    return Ideal.of_reduced_basis(
-        nvars, field, ideal_basis(PointSet.of(2, field, points)))
+    return Ideal.of_reduced_basis(nvars, field, ideal_basis(X))
 
 
 def arrangement_certificate(forms):

@@ -5,16 +5,18 @@ rows (scaling a row moves no rank, pivot column or RREF). It never normalizes
 a pivot row: over Q it is fraction-free, with Bareiss's exact division by the
 previous pivot (Bareiss 1968, Math. Comp. 22), over GF(p) it cross-multiplies.
 `rank` needs forward elimination only; `rref` normalizes the reduced form,
-the one place a Fraction is built.
+the one place a Fraction is built, and `nullspace_vector` reads the canonical
+kernel vector off it.
 
-One incremental echelon, SparseEchelon, serves degree-truncated spans, where
-sparse rows arrive one at a time and only ranks and membership residues are
-needed. It takes rows as `eliminate` does and runs one reduction loop for
-both fields: over GF(p) a step subtracts a multiple of a monic pivot row mod
-p, over Q it cross-multiplies by the pivot's lead and divides out the
-content, so no Fraction is built. IntegerEchelon is the same class bound to
-Q; it keeps its name and its own `insert` because the benchmark tracer times
-`IntegerEchelon.insert` and `SparseEchelon.insert` by name, one per field.
+One incremental echelon, SparseEchelon, serves degree-truncated spans and the
+ideal-of-points walk (`points.ideal_basis`), where sparse rows arrive one at
+a time and only ranks and residues are needed. It takes rows as `eliminate`
+does and runs one reduction loop for both fields: over GF(p) a step
+subtracts a multiple of a monic pivot row mod p, over Q it cross-multiplies
+by the pivot's lead and divides out the content, so no Fraction is built.
+IntegerEchelon is the same class bound to Q; it keeps its name and its own
+`insert` because the benchmark tracer times `IntegerEchelon.insert` and
+`SparseEchelon.insert` by name, one per field.
 
 The incremental echelon is level-filtered. Rows arrive at non-increasing
 levels; a row inserted at level L lies in V_L, the span of every row inserted
@@ -103,28 +105,20 @@ def rank(rows, field):
     return len(eliminate(integer_rows(rows, field), field.p))
 
 
-def kernel_vector(red, pivots, ncols, field):
-    """Canonical kernel vector read off an RREF, or None if full column rank.
-
-    Sets the first free column to 1, every other free column to 0, and fills
-    pivot columns by back-substitution, so the result is deterministic.
-    """
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
+def nullspace_vector(rows, ncols, field):
+    """Canonical kernel vector of the column-space map, or None if full column
+    rank. The first free column of the RREF is 1 and every other free column
+    0; the pivot columns follow by back-substitution, so the result is
+    deterministic."""
+    red, pivots = rref(rows, field)
+    j0 = next((c for c in range(ncols) if c not in pivots), None)
+    if j0 is None:
         return None
-    j0 = free[0]
     v = [field.zero] * ncols
     v[j0] = field.one
     for row, pc in zip(red, pivots):
         v[pc] = field(-row[j0])
     return v
-
-
-def nullspace_vector(rows, ncols, field):
-    """Canonical kernel vector of the column-space map, or None if full column
-    rank (see `kernel_vector`)."""
-    red, pivots = rref(rows, field)
-    return kernel_vector(red, pivots, ncols, field)
 
 
 class SparseEchelon:

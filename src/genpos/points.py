@@ -30,8 +30,8 @@ forms of one degree that order is degrevlex. The affine basis is the ideal
 of points by linear algebra (Moeller & Buchberger 1982; Marinari, Moeller &
 Mora 1993): walk the affine monomials in increasing degrevlex order along
 the border of the standard set; a monomial whose evaluation vector lies in
-the span of the earlier standard ones is a minimal lead, and the dependency
-is its basis element.
+the span of the earlier standard ones is a minimal lead, and the dependency,
+which one SparseEchelon carries, is its basis element.
 """
 
 import math
@@ -39,7 +39,8 @@ from functools import cached_property
 from itertools import combinations
 
 from .errors import BudgetExceededError
-from .linalg import add_row, eliminate, integer_rows, nullspace_vector, rank
+from .linalg import (SparseEchelon, add_row, eliminate, integer_rows,
+                     nullspace_vector, rank)
 from .poly import DEGREVLEX, Polynomial, monomials_of_degree
 from .records import record
 
@@ -168,12 +169,13 @@ def ideal_basis(X):
     degrevlex order, from 1 along the border of the standard set: multiples
     of a lead are skipped, and a standard monomial pushes its r successors.
     A monomial's evaluation vector at the affine points is its parent's
-    times one coordinate. A pivot row is a monic reduced vector followed by
-    the combination of the standard vectors that gives it, so reducing the
-    vector of m, followed by zeros, leaves a residue followed by some c. A
-    zero residue makes m + sum c_s * s, over the smaller standard s, vanish
-    on X: that is the basis element of lead m, homogenized to its degree.
-    Otherwise m is standard, and its row joins the pivots. At most e
+    times one coordinate. The row of m is that vector on columns 0..e-1
+    and a 1 on column e + k, k the number of standard monomials so far. A
+    residue in one SparseEchelon led by a point column makes m standard,
+    and it is inserted. A residue on monomial columns only is
+    m + sum c_s * s, over the smaller standard s, vanishing on X (m keeps
+    coefficient 1: the pivots are monic, and none touches column e + k):
+    the basis element of lead m, homogenized to its degree. At most e
     monomials are standard."""
     from heapq import heappop, heappush  # loaded on first use
     p, r, e = X.field.p, X.r, X.e
@@ -187,29 +189,25 @@ def ideal_basis(X):
     one = (0,) * r
     heap = [(DEGREVLEX.key(one), one, None, 0)]
     seen = {one}
-    standard, values, pivots, leads, basis = [], [], [], [], []
+    ech = SparseEchelon(X.field)
+    standard, values, leads, basis = [], [], [], []
     while heap:
         _, m, parent, i = heappop(heap)
         if any(all(a >= b for a, b in zip(m, lead)) for lead in leads):
             continue
         vec = ([1] * e if parent is None else
                [a * b % p for a, b in zip(values[parent], coords[i])])
-        res = vec + [0] * len(standard)
-        for col, row in pivots:
-            if f := res[col]:
-                res[:len(row)] = [(a - f * b) % p for a, b in zip(res, row)]
-        col = next((c for c in range(e) if res[c]), None)
-        if col is None:
+        res = ech.reduce({**dict(enumerate(vec)), e + len(standard): 1})
+        if min(res) >= e:
             d = sum(m)
             terms = {m + (0,): 1}
-            for s, c in zip(reversed(standard), reversed(res[e:])):
-                if c:
-                    terms[s + (d - sum(s),)] = c
+            for col in sorted(res, reverse=True)[1:]:
+                s = standard[col - e]
+                terms[s + (d - sum(s),)] = res[col]
             leads.append(m)
             basis.append(Polynomial(r + 1, X.field, terms, DEGREVLEX))
             continue
-        inv = pow(res[col], -1, p)
-        pivots.append((col, [v * inv % p for v in res + [1]]))
+        ech.insert(res)
         standard.append(m)
         values.append(vec)
         for i in range(r):

@@ -248,6 +248,33 @@ def test_semigroup_properties_seeded():
         assert bigger.conductor <= S.conductor
 
 
+def test_semigroup_against_a_bitmask_closure():
+    """Membership up to conductor + m, the gaps and Frobenius against the
+    closure of the generators in a bitmask, and Sylvester's a*b - a - b for
+    coprime pairs."""
+    rng = random.Random(34)
+    checked = 0
+    while checked < 80:
+        gens = rng.sample(range(1, 61), rng.randint(2, 4))
+        if math.gcd(*gens) != 1:
+            continue
+        checked += 1
+        S = NumericalSemigroup.from_generators(gens)
+        top = S.conductor + S.multiplicity
+        full, closure, prev = (1 << (top + 1)) - 1, 1, 0
+        while closure != prev:
+            prev = closure
+            for g in gens:
+                closure |= closure << g & full
+        members = [n for n in range(top + 1) if closure >> n & 1]
+        assert [n for n in range(top + 1) if S.contains(n)] == members
+        assert S.gaps == tuple(n for n in range(top + 1) if n not in members)
+        assert S.frobenius == max(S.gaps, default=-1)
+        if len(gens) == 2:
+            a, b = gens
+            assert S.frobenius == a * b - a - b
+
+
 # The brute-force prediction `semigroup_certificate` built before it read the
 # start in closed form, kept as the oracle of that closed form.
 

@@ -15,7 +15,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genpos import points
+from genpos import linalg, points
 from genpos.conductor import points_conductor_certificate, points_conductor_sigma
 from genpos.groebner import Ideal, ideal_intersect
 from genpos.linalg import eliminate, integer_rows, nullspace_vector
@@ -478,6 +478,30 @@ def test_ideal_basis_is_the_intersection_of_point_primes(field, data):
     for g in basis:
         assert list(g.terms_sorted(DEGREVLEX)) == sorted(
             g.terms.items(), key=lambda t: DEGREVLEX.key(t[0]), reverse=True)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_ideal_basis_inserts_one_row_per_standard_monomial(data):
+    """The walk builds one SparseEchelon and inserts e rows into it, one per
+    standard monomial."""
+    X = data.draw(chart_sets(PrimeField(32003)))
+    built = []
+
+    class Counting(linalg.SparseEchelon):
+        def __init__(self, field):
+            super().__init__(field)
+            self.inserts = 0
+            built.append(self)
+
+        def insert(self, vec, level=0):
+            self.inserts += 1
+            return super().insert(vec, level)
+
+    with mock.patch.object(points, "SparseEchelon", Counting):
+        ideal_basis(X)
+    assert [ech.inserts for ech in built] == [X.e]
+    assert built[0].rank == X.e
 
 
 def test_ideal_basis_needs_a_prime_field_and_no_point_on_x_r():
