@@ -6,18 +6,22 @@ t-point subset is in generic position. Certificates carry the smallest failing
 degree and an explicit hypersurface witness read off the null space. Every
 check reads a degree's pivot columns (lex descending) through
 `PointSet.echelon`, which builds each degree once per set, so the checks run
-on one set share their work. Degree d is built from the border of degree
-d-1: only the columns x_i * m, m a degree-(d-1) pivot monomial, each cell a
-coordinate times a degree-(d-1) cell. No pivot is lost (the order-ideal
-argument of Moeller & Buchberger 1982 and Marinari, Moeller & Mora 1993): if
-f = m - sum c * m' (m' > m) vanishes on X, so does x_i * f, and lex is
-multiplicative, so x_i * m is not a pivot either. Every pivot is thus a
-candidate, every other column lies in the span of earlier pivots, and
-elimination on the candidates keeps exactly the full matrix's pivots. Over Q
-a point is evaluated at its integer representative, which scales its
-degree-d row by a nonzero constant and so moves no rank, pivot column,
-separator or RREF. Only the witness of a failing degree is read off an RREF
-of the full evaluation matrix.
+on one set share their work. A degree-d pivot is some x_i * m, m a pivot of
+degree d-1 (the order-ideal argument of Moeller & Buchberger 1982 and
+Marinari, Moeller & Mora 1993): if f = m - sum c * m' (m' > m) vanishes on
+X, so does x_i * f, and lex is multiplicative, so x_i * m is no pivot
+either. Over GF(p) with no point on x0 = 0 every point has x0 = 1, so
+x0^(d-|m|) * m takes the affine value m(a), and lex on degree d compares
+|m| first, smaller first. One walk per set then reads every degree: the
+affine monomials x_i * s in x1..xr, s standard of the degree below and no
+multiple of a lead, in lex-descending order, each decided by one reduction
+of its values (its parent's times x_i) against the standard ones so far.
+Over Q, where a point is evaluated at its integer representative (x0 != 1;
+this scales its degree-d row by a nonzero constant and so moves no rank,
+pivot column, separator or RREF), or with a point on x0 = 0, degree d is
+eliminated instead on the distinct x_i * m, each cell a coordinate times a
+degree-(d-1) cell. Only the witness of a failing degree is read off an
+RREF of the full evaluation matrix.
 
 `ideal_basis` reads the reduced degrevlex basis of I(X) off the same
 evaluations, over GF(p) when no point lies on x_r = 0. Then x_r is a
@@ -78,7 +82,8 @@ def normalize_point(coords, field):
 
 class PointSet(record("PointSet", "r field points")):
     """Distinct points of P^r, each normalized so its first nonzero coordinate
-    is 1. `echelon(d)` fills a per-set memo, kept in the instance dict, that
+    is 1. `echelon(d)` fills a per-set memo, and over GF(p) with no point
+    on x0 = 0 the walk's state, both kept in the instance dict, which
     equality, hashing and repr ignore."""
 
     @classmethod
@@ -104,18 +109,52 @@ class PointSet(record("PointSet", "r field points")):
         return {}
 
     @cached_property
+    def _walk(self):
+        """The standard affine monomials in walk order, their value vectors,
+        the `add_row` pivots, and ends[d]: the count of degree < d."""
+        ones = [1] * self.e
+        return [(0,) * self.r], [ones], [(0, ones)], [0, 1]
+
+    @cached_property
     def _coords(self):  # the points as `evaluation_matrix` evaluates them
         return self.points if self.field.p else integer_rows(self.points, self.field)
 
     def echelon(self, d):
         """(rows, monos): the pivot monomials of the degree-d evaluation
         matrix, lex descending, and its rows restricted to them, built once
-        from degree d-1 (see the module docstring): forward elimination on
-        the distinct x_i * m, m a degree-(d-1) pivot, sorted as
-        `monomials_of_degree` sorts."""
+        (see the module docstring): the homogenized standard monomials of
+        degree <= d of the walk, which tests no candidate past rank e, or
+        else forward elimination on the distinct x_i * m, m a degree-(d-1)
+        pivot, sorted as `monomials_of_degree` sorts."""
         if d in self._echelons:
             return self._echelons[d]
         p = self.field.p
+        if p and all(pt[0] for pt in self.points):
+            std, vals, pivots, ends = self._walk
+            while len(ends) <= d + 1:
+                cands = {}  # m -> [(index of m / x_i, i), ...]
+                for j in range(ends[-2], ends[-1]):
+                    s = std[j]
+                    for i in range(self.r):
+                        m = s[:i] + (s[i] + 1,) + s[i + 1:]
+                        cands.setdefault(m, []).append((j, i))
+                for m in sorted(cands, reverse=True):
+                    if len(pivots) == self.e:
+                        break
+                    # no multiple of a lead: every m / x_i is standard
+                    if len(cands[m]) == self.r - m.count(0):
+                        j, i = cands[m][0]
+                        vec = [v * pt[i + 1] % p
+                               for v, pt in zip(vals[j], self.points)]
+                        add_row(pivots, vec, p)
+                        if len(pivots) > len(std):
+                            std.append(m)
+                            vals.append(vec)
+                ends.append(len(std))
+            h = ends[d + 1]
+            self._echelons[d] = got = ([list(row) for row in zip(*vals[:h])],
+                                       [(d - sum(m),) + m for m in std[:h]])
+            return got
         if d == 0:
             monos, rows = [(0,) * (self.r + 1)], [[1] for _ in self.points]
         else:

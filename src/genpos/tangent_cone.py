@@ -28,8 +28,10 @@ Three routes into the same graded object:
     count is the multiplicity.
 """
 
+from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, islice
+from math import gcd
 from operator import le
 
 from .groebner import buchberger, leading_monomials
@@ -213,6 +215,22 @@ def _divmod(a, g, p):
     return q, r
 
 
+def _primitive_remainder(a, b):
+    """The remainder of lc(b)^k * a by b, k = max(len(a) - len(b) + 1, 0),
+    as a primitive int list without trailing zeros, for int lists a and b,
+    b nonzero (a pseudo-remainder, content divided out)."""
+    r, n = list(a), len(b) - 1
+    while len(r) > n:
+        c, s = r.pop(), len(r) - n
+        r = [v * b[-1] for v in r]
+        for k in range(n):
+            r[s + k] -= c * b[k]
+        while r and not r[-1]:
+            r.pop()
+    g = gcd(*r)
+    return [v // g for v in r] if g > 1 else r
+
+
 def _digits(q, g):
     """The g-adic digits of the polynomial q, g a monic coefficient list:
     lists d_j, each shorter than g, with q = sum_j d_j g^j (over Q up to a
@@ -298,14 +316,18 @@ class GermRing:
                              "zero constant term")
         self.gens, self.field = tuple(gens), gens[0].field
         field = self.field
-        g = []  # the monic gcd, by Euclid
+        g = []  # the gcd by Euclid, over Q on primitive int lists
         for b in map(_coefficients, gens):
             while b:
-                inv = field.inv(b[-1])
-                b = [field(v * inv) for v in b]
-                g, b = b, _divmod(g, b, field.p)[1]
-        # integral coefficients as ints: over Q products of integer rows
-        # then stay in ints
+                if field.p is None:
+                    g, b = b, _primitive_remainder(g, b)
+                else:
+                    inv = field.inv(b[-1])
+                    b = [field(v * inv) for v in b]
+                    g, b = b, _divmod(g, b, field.p)[1]
+        # monic, with integral coefficients as ints: over Q products of
+        # integer rows then stay in ints
+        g = [Fraction(c, g[-1]) for c in g] if field.p is None else g
         self.g = [c.numerator if c.denominator == 1 else c for c in g]
         self.e = len(self.g) - 1
         self._kept = {}  # query -> its digits

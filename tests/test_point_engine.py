@@ -237,18 +237,20 @@ def test_conductor_certificate_matches_old_path(family, data):
                            "hilbert_values": values}
 
 
-# PointSet.echelon builds degree d from the border of the degree d-1 pivot
-# monomials; the oracle eliminates the full evaluation matrix of degree d.
+# PointSet.echelon reads degree d off one walk per set over GF(p) when no
+# point lies on x0 = 0, and otherwise from the border of the degree d-1
+# pivot monomials; the oracle eliminates the full evaluation matrix of
+# degree d.
 
 @st.composite
 def planted_sets(draw, field):
-    """Up to 12 points of P^2..P^4, some of them planted on a line or a
-    conic; over Q the coordinates get denominators, so the integer
-    representatives are not the drawn points."""
+    """Up to 12 points of P^2..P^4, some of them planted on a line, on a
+    line in x0 = 0 or on a conic; over Q the coordinates get denominators,
+    so the integer representatives are not the drawn points."""
     r = draw(st.integers(2, 4))
     e = draw(st.integers(3, 12))
     planted = draw(st.sets(st.integers(0, e - 1), min_size=3, max_size=e))
-    kind = draw(st.sampled_from(["line", "conic"]))
+    kind = draw(st.sampled_from(["line", "infinity", "conic"]))
     coords = []
     for i in range(e):
         s = draw(st.integers(-20, 20))
@@ -257,6 +259,8 @@ def planted_sets(draw, field):
                                         max_size=r + 1)))
         elif kind == "line":
             coords.append([1, s] + [2 * s + 1] * (r - 1))
+        elif kind == "infinity":
+            coords.append([0, 1, s] + [2 * s + 1] * (r - 2))
         else:
             coords.append([1, s, s * s] + [0] * (r - 2))
     if field.p is None:
@@ -300,6 +304,9 @@ def test_border_echelon_matches_full_matrix(field, family, data):
             rows, monos = fraction_evaluation_matrix(X, d)
             piv = eliminate(integer_rows(rows, QQ), None)
             assert [monos[c] for c, _ in piv] == expected[d][1], d
+    if field.p is not None and all(pt[0] for pt in X.points):
+        assert widths == []  # the walk eliminates no degree
+        return
     # the columns eliminated in degree d > 0 are the x_i * m, m a pivot of
     # degree d - 1; degree 0 is the column of ones
     border = [len({m[:i] + (m[i] + 1,) + m[i + 1:] for m in monos
@@ -329,6 +336,38 @@ def test_each_degree_is_built_once_per_set(monkeypatch, coords):
     sigma = points_conductor_certificate(X).oracle["sigma"]
     assert built == list(range(sigma + 1))
     assert sorted(X._echelons) == list(range(sigma + 1))
+
+
+@pytest.mark.parametrize("r, coords", [
+    (2, [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1], [1, 2, 3], [1, 3, 7],
+         [1, 5, 2]]),
+    (2, [[1, i, i * i] for i in range(7)]),
+    (5, [[1, i, 2 * i, 3 * i, 4 * i, 5 * i] for i in range(9)]),
+    (2, [[1, 4, 5]]),
+    (0, [[3]])], ids=["generic", "conic", "collinear", "e=1", "r=0"])
+def test_each_walk_degree_is_reduced_once_per_set(monkeypatch, r, coords):
+    # over GF(p) with no point on x0 = 0 the walk reduces each candidate
+    # once, at most r per standard monomial, and nothing past rank e
+    X = PointSet.of(r, PrimeField(2 ** 31 - 1), coords)
+    calls = []
+
+    def counted(pivots, row, p):
+        calls.append(len(pivots))
+        return linalg.add_row(pivots, row, p)
+
+    monkeypatch.setattr(points, "add_row", counted)
+    is_generic_position(X)
+    sigma = points_conductor_certificate(X).oracle["sigma"]
+    assert sorted(X._echelons) == list(range(sigma + 1))
+    assert len(calls) <= 1 + X.r * X.e
+    assert max(calls, default=0) < X.e
+    reduced = len(calls)
+    top = max(nu(X.e, X.r) + 4, sigma) + 2
+    X.echelon(top)
+    assert len(calls) == reduced
+    monkeypatch.undo()
+    for d in range(top + 1):
+        assert X.echelon(d) == full_matrix_echelon(X, d), d
 
 
 @FAMILIES

@@ -4,18 +4,21 @@ sympy's `groebner(..., order="grevlex")` uses the same order as `DEGREVLEX`
 (x0 > x1 > ...). A reduced basis is unique once each element is scaled to a
 leading coefficient of 1, so both sides are normalised by their *grevlex*
 leading coefficient; `Poly.monic()` divides by the lex one and would report
-false mismatches.
+false mismatches. The monic gcd of univariate components, which `GermRing`
+computes by Euclid, is checked against `sympy.gcd` the same way.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import monic
 from genpos.groebner import buchberger
 from genpos.poly import DEGREVLEX, Polynomial
 from genpos.scalars import QQ, PrimeField
+from genpos.tangent_cone import GermRing
 
 sympy = pytest.importorskip("sympy")
 
@@ -96,3 +99,43 @@ def test_cyclic4_matches_sympy(field):
     got = buchberger(gens, DEGREVLEX)
     assert len(got) == 7
     assert list(got) == sympy_basis(gens, 4, field)
+
+
+def product(a, b):
+    return [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
+            for k in range(len(a) + len(b) - 1)]
+
+
+coefficient_lists = st.lists(st.integers(-9, 9), min_size=1, max_size=5)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), GF32003],
+                         ids=["Q", "GF7", "GF32003"])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(common=coefficient_lists,
+       cofactors=st.lists(coefficient_lists, min_size=1, max_size=4))
+def test_germ_ring_gcd_is_sympy_monic_gcd(field, common, cofactors):
+    # the components t * common * cofactor, each with zero constant term:
+    # GermRing's Euclid, over Q on primitive int lists, against sympy
+    comps = [[0] + product(common, c) for c in cofactors]
+    comps = [[v % field.p if field.p else v for v in c] for c in comps]
+    comps = [c for c in comps if any(c)]
+    if not comps:
+        return
+    t = sympy.Symbol("t")
+    opts = {"domain": "QQ"} if field.p is None else {"modulus": field.p}
+    g = sympy.Poly(comps[0][::-1], t, **opts)
+    for c in comps[1:]:
+        g = sympy.gcd(g, sympy.Poly(c[::-1], t, **opts))
+    coeffs = g.monic().all_coeffs()[::-1]
+    if field.p is None:
+        expected = [Fraction(int(c.p), int(c.q)) for c in coeffs]
+    else:
+        expected = [int(c) % field.p for c in coeffs]
+    gens = [Polynomial(1, field, {(k,): v for k, v in enumerate(c) if v})
+            for c in comps]
+    got = GermRing(gens).g
+    assert got == expected
+    # integral coefficients are ints
+    assert [type(c) for c in got] == [
+        int if Fraction(c).denominator == 1 else Fraction for c in expected]
